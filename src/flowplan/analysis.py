@@ -492,14 +492,76 @@ def _disjunctive_candidate(task: GroundTask, state: State, achievers: list[Groun
 # Pipeline
 
 
+def collect_conditions(task: GroundTask) -> tuple[NumericCondition, ...]:
+    """Action preconditions plus goal conditions, each once, in first-seen
+    order; goals count as conditions for the planning graph's stagnation
+    test (a goal whose satisfiability extremum stops moving can never become
+    satisfiable)."""
+    seen: dict[NumericCondition, None] = {}
+    for action in task.actions:
+        for cond in action.numeric_preconditions:
+            seen.setdefault(cond)
+    for cond in task.goal_conditions:
+        seen.setdefault(cond)
+    return tuple(seen)
+
+
+def relevant_conditions(conditions: tuple[NumericCondition, ...]) -> tuple[
+        dict[int, tuple[NumericCondition, ...]], dict[int, tuple[NumericCondition, ...]]]:
+    """Per variable, the conditions a higher upper bound could help satisfy and
+    those a lower lower bound could help satisfy."""
+    up: dict[int, list[NumericCondition]] = {}
+    down: dict[int, list[NumericCondition]] = {}
+    for cond in conditions:
+        for var, weight in cond.expr.terms:
+            raises_hi = (weight > 0 and cond.op in (GE, GT, EQ)) or \
+                        (weight < 0 and cond.op in (LE, LT, EQ))
+            lowers_lo = (weight > 0 and cond.op in (LE, LT, EQ)) or \
+                        (weight < 0 and cond.op in (GE, GT, EQ))
+            if raises_hi:
+                up.setdefault(var, []).append(cond)
+            if lowers_lo:
+                down.setdefault(var, []).append(cond)
+    return ({var: tuple(c) for var, c in up.items()},
+            {var: tuple(c) for var, c in down.items()})
+
+
+def fact_adders(task: GroundTask) -> dict[int, tuple[int, ...]]:
+    """Fact id -> ids of the actions adding it, ascending."""
+    adders: dict[int, list[int]] = {}
+    for action in task.actions:
+        for fact in action.add_effects:
+            adders.setdefault(fact, []).append(action.id)
+    return {fact: tuple(ids) for fact, ids in adders.items()}
+
+
 @dataclass(frozen=True)
 class AnalysedTask:
-    """Ground task after strict-inequality and assignment rewriting, with analysis."""
+    """Ground task after strict-inequality and assignment rewriting, with analysis.
+
+    The static structure that every heuristic evaluation reads (collected
+    conditions, relevant-condition maps, fact adders) is derived from `task`
+    once, here, rather than per state.
+    """
 
     task: GroundTask
     classification: PCClassification
     one_shot_sets: tuple[OneShotSet, ...]
     landmarks: LandmarkSet
+    conditions: tuple[NumericCondition, ...] = field(init=False, repr=False, compare=False)
+    relevant_up: dict[int, tuple[NumericCondition, ...]] = field(
+        init=False, repr=False, compare=False)
+    relevant_down: dict[int, tuple[NumericCondition, ...]] = field(
+        init=False, repr=False, compare=False)
+    adders: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        conditions = collect_conditions(self.task)
+        up, down = relevant_conditions(conditions)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "relevant_up", up)
+        object.__setattr__(self, "relevant_down", down)
+        object.__setattr__(self, "adders", fact_adders(self.task))
 
 
 def analyse(task: GroundTask, cap: Fraction = DEFAULT_COUNT_CAP,

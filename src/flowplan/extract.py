@@ -92,14 +92,10 @@ def helpful_closure(task: GroundTask, state: State, chosen: set[int]) -> frozens
 
 def _achiever(task: GroundTask, graph: RPGraph, fact: int) -> int:
     """Earliest-appearing adder, ties broken by lowest action id."""
-    best = None
-    for action in task.actions:
-        if fact in action.add_effects and action.id in graph.first_action_layer:
-            key = (graph.first_action_layer[action.id], action.id)
-            if best is None or key < best[0]:
-                best = (key, action.id)
-    assert best is not None, f"no achiever for fact {task.fact_names[fact]}"
-    return best[1]
+    first = graph.first_action_layer
+    in_graph = [a for a in graph.adders.get(fact, ()) if a in first]
+    assert in_graph, f"no achiever for fact {task.fact_names[fact]}"
+    return min(in_graph, key=lambda a: (first[a], a))
 
 
 def _normalise_single(cond: NumericCondition) -> NumericCondition:

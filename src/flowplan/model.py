@@ -71,6 +71,20 @@ class NumericCondition:
     op: str
     rhs: Fraction
 
+    def __hash__(self) -> int:
+        # Conditions key the planning graph's per-layer dicts; hashing the
+        # Fraction fields on every lookup is the cost, so hash them once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.expr, self.op, self.rhs))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # Rebuild from the fields so the hash is recomputed on unpickling:
+        # `op` is a str, and str hashes are salted per process.
+        return NumericCondition, (self.expr, self.op, self.rhs)
+
     def holds(self, values: tuple[Fraction, ...]) -> bool:
         lhs = self.expr.evaluate(values)
         if self.op == GE:

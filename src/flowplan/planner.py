@@ -113,7 +113,7 @@ class RunStats:
     status: str = ""
     plan_length: int = 0
     expansions: int = 0
-    evaluations: int = 0
+    evaluations: int = 0         # computed evaluations; memo hits excluded
     lp_solves: int = 0
     lp_build_time: float = 0.0
     lp_solve_time: float = 0.0
@@ -152,15 +152,18 @@ def plan_task(task: model.GroundTask, mode: str = MODE_LPRPG,
     evaluator = Evaluator(analysed, config, effective_mode, counters)
     stats = search.SearchStats()
     budget = budget or search.Budget()
+    # one evaluation per distinct key across EHC and the WA* fallback
+    memo: search.Memo = {}
 
     result = None
     if use_ehc:
         result = search.ehc(analysed.task, evaluator, evaluator.landmark_facts,
-                            budget, stats=stats)
+                            budget, stats=stats, memo=memo)
     if result is None or result.status == search.EXHAUSTED:
         if not budget.exceeded(stats):
             result = search.wastar(analysed.task, evaluator, wastar_weight,
-                                   evaluator.landmark_facts, budget, stats=stats)
+                                   evaluator.landmark_facts, budget, stats=stats,
+                                   memo=memo)
 
     run = RunStats(
         problem_id=problem_id,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import mpsolver as mp
 from .analysis import AnalysedTask
 from .lpmodel import FlowModel, HeuristicConfig, LandmarkView
-from .model import GE, GT, LE, LT, EQ, GroundTask, NumericCondition, State
+from .model import GE, GT, LE, LT, GroundTask, NumericCondition, State
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +86,7 @@ class RPGraph:
     status: str
     final_layer: int
     flow: FlowModel | None
+    adders: dict[int, tuple[int, ...]]  # fact -> adding action ids, from the analysis
 
     def actions_at(self, layer: int) -> frozenset[int]:
         return self.action_layers[min(layer, len(self.action_layers) - 1)]
@@ -185,23 +186,16 @@ def _interval_update(task: GroundTask, layer_actions, intervals: list[Interval],
     return new
 
 
-def _collect_conditions(task: GroundTask) -> list[NumericCondition]:
-    """Action preconditions plus goal conditions; goals count as conditions
-    for the stagnation test (a goal whose satisfiability extremum stops
-    moving can never become satisfiable)."""
-    seen: dict[NumericCondition, None] = {}
-    for action in task.actions:
-        for cond in action.numeric_preconditions:
-            seen.setdefault(cond)
-    for cond in task.goal_conditions:
-        seen.setdefault(cond)
-    return list(seen)
-
-
 def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
            mode: str = LPRPG, counters: mp.Counters | None = None,
            landmarks: LandmarkView | None = None) -> RPGraph:
-    """Build the layered graph until the goal is reachable or growth stagnates."""
+    """Build the layered graph until the goal is reachable or growth stagnates.
+
+    Layers only widen: every numeric interval contains its predecessor. So a
+    collected condition is interval-satisfiable at layer L exactly when it
+    is in `condition_first` once layer L is recorded, and the expansion asks
+    that dict instead of re-evaluating conditions on intervals.
+    """
     task = analysed.task
     n_vars = len(task.var_names)
     landmarks = landmarks if landmarks is not None else LandmarkView()
@@ -213,7 +207,7 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     first_action_layer: dict[int, int] = {}
     condition_first: dict[NumericCondition, int] = {}
 
-    all_conditions = _collect_conditions(task)
+    all_conditions = analysed.conditions
     for cond in all_conditions:
         if condition_satisfiable(cond, numeric_layers[0]):
             condition_first[cond] = 0
@@ -225,13 +219,12 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
 
     graph = RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
                     first_fact_layer, first_action_layer, condition_first,
-                    RELAXED_UNSOLVABLE, 0, flow)
+                    RELAXED_UNSOLVABLE, 0, flow, analysed.adders)
 
     def goal_reached(layer: int) -> bool:
         if not task.goal_facts <= fact_layers[layer]:
             return False
-        if not all(condition_satisfiable(c, numeric_layers[layer])
-                   for c in task.goal_conditions):
+        if not all(c in condition_first for c in task.goal_conditions):
             return False
         if mode == LPRPG and config.uses_goal_check():
             flow.model.push_scratch()
@@ -255,8 +248,7 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
                 continue
             if not action.preconditions <= fact_layers[layer]:
                 continue
-            if all(condition_satisfiable(c, intervals)
-                   for c in action.numeric_preconditions):
+            if all(c in condition_first for c in action.numeric_preconditions):
                 next_actions.add(action.id)
         new_actions = next_actions - action_layers[layer]
         no_new_actions = not new_actions
@@ -268,13 +260,13 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         if mode == LPRPG:
             if flow is not None and new_actions:
                 flow.extend(new_actions)
-            next_intervals = _lp_layer_bounds(
-                graph, analysed, next_actions, new_actions, all_conditions)
+            next_intervals = _lp_layer_bounds(graph, analysed, next_actions, new_actions)
         else:
             next_intervals = _interval_update(task, sorted(next_actions), intervals,
                                               unbounded=(mode == METRICFF_UNBOUNDED))
 
-        if no_new_actions and _stagnated(all_conditions, intervals, next_intervals):
+        if no_new_actions and _stagnated(all_conditions, condition_first, intervals,
+                                         next_intervals):
             graph.final_layer = layer
             graph.status = RELAXED_UNSOLVABLE
             # keep the tentative layer visible for diagnostics and tests
@@ -308,51 +300,43 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
 
 
 def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, layer_actions,
-                     new_actions, all_conditions) -> list[Interval]:
-    """Next numeric layer in LP mode, applying the four skip rules."""
+                     new_actions) -> list[Interval]:
+    """Next numeric layer in LP mode, applying the four skip rules.
+
+    A side that is already infinite stays infinite without a query: a bound
+    query that hit the LP limit reports infinity, and re-asking the next
+    layer without a clamp could return a finite bound, which would shrink the
+    interval and break the monotone widening `expand` relies on.
+    """
     task = analysed.task
     flow = graph.flow
+    satisfiable = graph.condition_first_layer
     previous = graph.numeric_layers[-1]
     intervals = list(previous)
     if not new_actions:
         return intervals
     # interval arithmetic still covers variables excluded from the LP
     untracked_update = _interval_update(task, sorted(layer_actions), previous, False)
-    relevant_up: dict[int, list[NumericCondition]] = {}
-    relevant_down: dict[int, list[NumericCondition]] = {}
-    for cond in all_conditions:
-        for var, weight in cond.expr.terms:
-            raises_hi = (weight > 0 and cond.op in (GE, GT, EQ)) or \
-                        (weight < 0 and cond.op in (LE, LT, EQ))
-            lowers_lo = (weight > 0 and cond.op in (LE, LT, EQ)) or \
-                        (weight < 0 and cond.op in (GE, GT, EQ))
-            if raises_hi:
-                relevant_up.setdefault(var, []).append(cond)
-            if lowers_lo:
-                relevant_down.setdefault(var, []).append(cond)
-
     for var in range(len(task.var_names)):
         if var not in flow.tracked:
             intervals[var] = untracked_update[var]
             continue
         lo, hi = previous[var]
-        up_conditions = relevant_up.get(var, [])
-        if up_conditions and not all(condition_satisfiable(c, previous)
-                                     for c in up_conditions):
+        up_conditions = analysed.relevant_up.get(var, ())
+        if hi is not None and not all(c in satisfiable for c in up_conditions):
             hi = flow.query_bound(var, "max", hi)
-        down_conditions = relevant_down.get(var, [])
-        if down_conditions and not all(condition_satisfiable(c, previous)
-                                       for c in down_conditions):
+        down_conditions = analysed.relevant_down.get(var, ())
+        if lo is not None and not all(c in satisfiable for c in down_conditions):
             lo = flow.query_bound(var, "min", lo)
         intervals[var] = (lo, hi)
     return intervals
 
 
-def _stagnated(all_conditions, intervals: list[Interval],
-               next_intervals: list[Interval]) -> bool:
+def _stagnated(all_conditions, satisfiable: dict[NumericCondition, int],
+               intervals: list[Interval], next_intervals: list[Interval]) -> bool:
     """No unsatisfied condition's satisfiability extremum would move."""
     for cond in all_conditions:
-        if condition_satisfiable(cond, intervals):
+        if cond in satisfiable:
             continue
         if _relevant_extremum(cond, intervals) != _relevant_extremum(cond, next_intervals):
             return False

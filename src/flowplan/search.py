@@ -9,6 +9,13 @@ detection is a closed list per plateau keyed on (facts, values, achieved
 landmarks). WA* is complete: best-first on g + W*h over all applicable
 actions with duplicate detection on the same key, ties broken by lower h
 then FIFO.
+
+A heuristic evaluation is a pure function of that same key, so each search
+run evaluates every key once: a per-run memo maps the key to (h, helpful
+actions), dead ends included, and is shared by every EHC plateau, the
+unpruned retry and the WA* fallback of one run when the caller passes the
+same dict to both searches. Memo hits never reach the evaluator, and
+`SearchStats.evaluations` counts computed evaluations only.
 """
 
 from __future__ import annotations
@@ -53,13 +60,21 @@ class SearchNode:
         return actions
 
     def key(self):
-        return (self.state.facts, self.state.values, self.achieved)
+        return _key(self.state, self.achieved)
+
+
+def _key(state: State, achieved: frozenset[int]):
+    return (state.facts, state.values, achieved)
+
+
+# SearchNode.key() -> (h, helpful) of one search run
+Memo = dict[tuple, tuple[Fraction | None, frozenset[int]]]
 
 
 @dataclass
 class SearchStats:
     expansions: int = 0
-    evaluations: int = 0
+    evaluations: int = 0  # computed evaluations; memo hits are not counted
     start_time: float = field(default_factory=time.perf_counter)
 
     def elapsed(self) -> float:
@@ -84,39 +99,49 @@ class Budget:
                 or stats.elapsed() >= self.max_seconds)
 
 
+def _evaluate(evaluate, state: State, achieved: frozenset[int], memo: Memo,
+              stats: SearchStats) -> tuple[Fraction | None, frozenset[int]]:
+    """(h, helpful) of a key, calling the evaluator only on a memo miss."""
+    key = _key(state, achieved)
+    entry = memo.get(key)
+    if entry is None:
+        result = evaluate(state, achieved)
+        stats.evaluations += 1
+        entry = memo[key] = (result.h, result.helpful)
+    return entry
+
+
 def _make_root(task: GroundTask, evaluate, landmark_facts: frozenset[int],
-               stats: SearchStats) -> SearchNode:
+               memo: Memo, stats: SearchStats) -> SearchNode:
     achieved = task.initial.facts & landmark_facts
-    result = evaluate(task.initial, achieved)
-    stats.evaluations += 1
-    return SearchNode(task.initial, None, None, 0, result.h, result.helpful, achieved)
+    h, helpful = _evaluate(evaluate, task.initial, achieved, memo, stats)
+    return SearchNode(task.initial, None, None, 0, h, helpful, achieved)
 
 
 def _child(task: GroundTask, node: SearchNode, action_id: int, evaluate,
-           landmark_facts: frozenset[int], stats: SearchStats) -> SearchNode:
+           landmark_facts: frozenset[int], memo: Memo, stats: SearchStats) -> SearchNode:
     state = apply_effects(node.state, task.actions[action_id])
     achieved = node.achieved | (state.facts & landmark_facts)
-    result = evaluate(state, achieved)
-    stats.evaluations += 1
-    return SearchNode(state, node, action_id, node.g + 1, result.h, result.helpful,
-                      achieved)
+    h, helpful = _evaluate(evaluate, state, achieved, memo, stats)
+    return SearchNode(state, node, action_id, node.g + 1, h, helpful, achieved)
 
 
 def ehc(task: GroundTask, evaluate, landmark_facts: frozenset[int] = frozenset(),
         budget: Budget | None = None, plateau_depth: int = DEFAULT_PLATEAU_DEPTH,
-        stats: SearchStats | None = None) -> SearchResult:
+        stats: SearchStats | None = None, memo: Memo | None = None) -> SearchResult:
     budget = budget or Budget()
     stats = stats or SearchStats()
+    memo = {} if memo is None else memo
     if is_goal(task.initial, task):
         return SearchResult(SOLVED, [], stats)
-    root = _make_root(task, evaluate, landmark_facts, stats)
+    root = _make_root(task, evaluate, landmark_facts, memo, stats)
     if root.h is None:
         return SearchResult(UNSOLVABLE_AT_ROOT, None, stats)
 
     best = root
     helpful_only = True
     while True:
-        outcome, node = _plateau(task, best, evaluate, landmark_facts, stats,
+        outcome, node = _plateau(task, best, evaluate, landmark_facts, memo, stats,
                                  budget, plateau_depth, helpful_only)
         if outcome == "goal":
             return SearchResult(SOLVED, node.plan(), stats)
@@ -134,7 +159,7 @@ def ehc(task: GroundTask, evaluate, landmark_facts: frozenset[int] = frozenset()
 
 
 def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
-             stats: SearchStats, budget: Budget, depth_cap: int,
+             memo: Memo, stats: SearchStats, budget: Budget, depth_cap: int,
              helpful_only: bool):
     """Breadth-first search for a state strictly better than the origin."""
     queue: list[tuple[SearchNode, int]] = [(origin, 0)]
@@ -153,7 +178,7 @@ def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
         for action_id in candidate_ids:
             if not applicable(node.state, task.actions[action_id]):
                 continue
-            child = _child(task, node, action_id, evaluate, landmark_facts, stats)
+            child = _child(task, node, action_id, evaluate, landmark_facts, memo, stats)
             if is_goal(child.state, task):
                 return "goal", child
             if child.h is None:
@@ -170,12 +195,13 @@ def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
 def wastar(task: GroundTask, evaluate, weight: Fraction = Fraction(5),
            landmark_facts: frozenset[int] = frozenset(),
            budget: Budget | None = None,
-           stats: SearchStats | None = None) -> SearchResult:
+           stats: SearchStats | None = None, memo: Memo | None = None) -> SearchResult:
     budget = budget or Budget()
     stats = stats or SearchStats()
+    memo = {} if memo is None else memo
     if is_goal(task.initial, task):
         return SearchResult(SOLVED, [], stats)
-    root = _make_root(task, evaluate, landmark_facts, stats)
+    root = _make_root(task, evaluate, landmark_facts, memo, stats)
     if root.h is None:
         return SearchResult(UNSOLVABLE_AT_ROOT, None, stats)
 
@@ -196,7 +222,7 @@ def wastar(task: GroundTask, evaluate, weight: Fraction = Fraction(5),
         for action in task.actions:
             if not applicable(node.state, action):
                 continue
-            child = _child(task, node, action.id, evaluate, landmark_facts, stats)
+            child = _child(task, node, action.id, evaluate, landmark_facts, memo, stats)
             if child.h is None and not is_goal(child.state, task):
                 continue
             child_key = child.key()

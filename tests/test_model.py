@@ -1,6 +1,10 @@
 """Grounding, LNF normalisation, strict-inequality rewriting, and semantics."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -320,3 +324,26 @@ def test_strict_less_than_rewrite():
     rewritten = model.rewrite_strict_inequalities(task)
     cond = rewritten.actions[0].numeric_preconditions[0]
     assert cond.op == LE and cond.rhs == 4
+
+
+def test_condition_hash_is_not_carried_through_pickle():
+    """A condition caches its hash, but str hashes are salted per process: an
+    unpickled condition must hash like one built in the receiving process."""
+    cond = model.NumericCondition(
+        model.LinearExpr.build({0: Fraction(1, 2), 2: Fraction(-3)}), GE, Fraction(7, 3))
+    assert hash(cond) == hash((cond.expr, cond.op, cond.rhs))  # cache now filled
+    payload = pickle.dumps(cond)
+    script = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from flowplan.model import GE, LinearExpr, NumericCondition\n"
+        "fresh = NumericCondition(LinearExpr.build({0: Fraction(1, 2), 2: Fraction(-3)}),"
+        " GE, Fraction(7, 3))\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "print({fresh: 'found'}.get(loaded, 'missing'))\n")
+    for seed in ("1", "2"):  # at least one differs from this process's salt
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", script], input=payload,
+                             capture_output=True, env=env, timeout=60, check=True)
+        assert run.stdout.decode().strip() == "found", run.stderr.decode()
+    assert pickle.loads(payload) == cond

@@ -1,10 +1,13 @@
 """Graph expansion in both modes, termination, cost propagation, and the
 production-shortfall penalty."""
 
-from flowplan import rpg
+import logging
+
+from flowplan import generators, model, rpg
 from flowplan.analysis import analyse
-from flowplan.lpmodel import HeuristicConfig
-from flowplan.model import GE, LE
+from flowplan.fixtures import FIXTURE_NAMES, fixture
+from flowplan.lpmodel import FlowModel, HeuristicConfig
+from flowplan.model import EQ, GE, LE
 
 from bruteforce import all_plans
 from microtasks import random_pc_task
@@ -153,6 +156,108 @@ def test_lp_intervals_subset_of_unbounded_interval_mode():
                 if iv_hi is not None:
                     assert lp_hi is not None and lp_hi <= iv_hi, \
                         f"seed {seed} layer {layer} var {var}"
+
+
+def _contains(outer, inner) -> bool:
+    """Interval `outer` contains interval `inner` (None is infinity)."""
+    (lo, hi), (inner_lo, inner_hi) = outer, inner
+    return ((lo is None or (inner_lo is not None and lo <= inner_lo))
+            and (hi is None or (inner_hi is not None and hi >= inner_hi)))
+
+
+def _assert_monotone(graph, label):
+    for layer in range(1, len(graph.numeric_layers)):
+        for var, (before, after) in enumerate(zip(graph.numeric_layers[layer - 1],
+                                                  graph.numeric_layers[layer])):
+            assert _contains(after, before), \
+                f"{label}: var {var} shrank from {before} to {after} at layer {layer}"
+
+
+def _tiny_pivot_limit(monkeypatch, limit):
+    original = FlowModel.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.model.pivot_limit = limit
+
+    monkeypatch.setattr(FlowModel, "__init__", init)
+
+
+def test_lp_bounds_widen_monotonically_when_queries_hit_the_pivot_limit(
+        monkeypatch, caplog):
+    """A bound query that hits the LP limit reports infinity; the next layer
+    must keep that side infinite instead of re-asking without a clamp."""
+    builder = TaskBuilder()
+    v = builder.var("(v)", 10)
+    first = builder.fact("(first)")
+    second = builder.fact("(second)")
+    builder.action("inc", effects=[(v, "increase", 1)])
+    builder.action("step1", add=[first])
+    builder.action("step2", pre=[first], add=[second])
+    builder.action("dec", pre=[second], num_pre=[builder.condition({v: 1}, GE, 1)],
+                   effects=[(v, "decrease", 1)])
+    # v = 3 stays unsatisfiable until dec arrives, so v's upper side keeps
+    # being relevant after its query reported infinity
+    builder.goal(conditions=[builder.condition({v: 1}, EQ, 3)])
+    task = builder.build()
+    analysed = analyse(task)
+    infinite_then_kept = 0
+    for limit in range(1, 6):
+        _tiny_pivot_limit(monkeypatch, limit)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="flowplan"):
+            graph = rpg.expand(analysed, task.initial, HeuristicConfig(), rpg.LPRPG)
+        _assert_monotone(graph, f"pivot limit {limit}")
+        if any("bound query" in r.getMessage() for r in caplog.records):
+            infinite_then_kept += graph.numeric_layers[2][v][1] is None
+    assert infinite_then_kept >= 2  # the degraded path was taken, not skipped
+
+
+def _equivalence_tasks():
+    for name in FIXTURE_NAMES:
+        yield name, model.parse_and_ground(*fixture(name))
+    for family, size in ((generators.MARKET_TRADER, 2), (generators.MINI_SETTLERS, 2),
+                         (generators.PUMP_CATALYST, 2)):
+        yield f"{family}-{size}", model.parse_and_ground(
+            *generators.generate(family, size, 1))
+
+
+def _check_condition_first(analysed, graph, label):
+    first = graph.condition_first_layer
+    for layer in range(graph.final_layer + 1):
+        intervals = graph.numeric_layers[layer]
+        for cond in analysed.conditions:
+            recorded = cond in first and first[cond] <= layer
+            assert recorded == rpg.condition_satisfiable(cond, intervals), \
+                f"{label}: layer {layer}, {cond}"
+
+
+def test_condition_first_matches_interval_satisfiability(monkeypatch):
+    """expand reads satisfiability from condition_first; that is exact only
+    because layers widen monotonically."""
+    graphs = 0
+    for name, task in _equivalence_tasks():
+        analysed = analyse(task)
+        states = [analysed.task.initial] + [
+            model.apply_effects(analysed.task.initial, action)
+            for action in analysed.task.actions
+            if model.applicable(analysed.task.initial, action)][:3]
+        for mode in (rpg.METRICFF, rpg.METRICFF_UNBOUNDED, rpg.LPRPG):
+            for index, state in enumerate(states):
+                graph = rpg.expand(analysed, state, HeuristicConfig(), mode)
+                label = f"{name} {mode} state {index}"
+                _assert_monotone(graph, label)
+                _check_condition_first(analysed, graph, label)
+                graphs += 1
+    # the degraded LP path too: limited queries report infinite bounds
+    _tiny_pivot_limit(monkeypatch, 2)
+    for name, task in _equivalence_tasks():
+        analysed = analyse(task)
+        graph = rpg.expand(analysed, analysed.task.initial, HeuristicConfig(), rpg.LPRPG)
+        _assert_monotone(graph, f"{name} pivot limit 2")
+        _check_condition_first(analysed, graph, f"{name} pivot limit 2")
+        graphs += 1
+    assert graphs >= 60
 
 
 # -- cost propagation ------------------------------------------------------------

@@ -233,3 +233,74 @@ def test_lp_planner_agrees_with_brute_force_on_bounded_tasks():
             assert search.validate(task, outcome.plan).ok
         elif outcome.status == search.SOLVED:
             assert len(outcome.plan) > 6  # only deeper solutions can exist
+
+
+# -- per-run evaluation memo -------------------------------------------------------
+
+
+class _NoMemo(dict):
+    """A memo that forgets every entry: each lookup evaluates afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _recording_evaluator(monkeypatch):
+    """Patch Evaluator.__call__ to record (key, h, helpful) per call."""
+    calls = []
+    original = planner.Evaluator.__call__
+
+    def recording(self, state, achieved=frozenset()):
+        result = original(self, state, achieved)
+        calls.append(((state.facts, state.values, achieved), result.h, result.helpful))
+        return result
+
+    monkeypatch.setattr(planner.Evaluator, "__call__", recording)
+    return calls
+
+
+def _memo_free_run(task, mode):
+    """plan_task's search sequence (EHC, then WA* when EHC is exhausted),
+    with every evaluation computed."""
+    analysed = analyse(task)
+    evaluate = planner.Evaluator(analysed, HeuristicConfig(), mode)
+    stats = search.SearchStats()
+    result = search.ehc(analysed.task, evaluate, evaluate.landmark_facts,
+                        stats=stats, memo=_NoMemo())
+    if result.status == search.EXHAUSTED:
+        result = search.wastar(analysed.task, evaluate, Fraction(5),
+                               evaluate.landmark_facts, stats=stats, memo=_NoMemo())
+    return result, stats
+
+
+def test_memo_keeps_search_identical_and_evaluates_each_key_once(monkeypatch):
+    from flowplan import generators
+    cases = [
+        (generators.generate(generators.MINI_SETTLERS, 2, 1), planner.MODE_METRICFF),
+        (generators.generate(generators.MARKET_TRADER, 2, 1), planner.MODE_LPRPG),
+        # EHC exhausts here, so WA* runs on the memo EHC filled
+        (fixture(HELPFUL_DISTORTION), planner.MODE_METRICFF),
+    ]
+    repeats = 0
+    for (domain, problem), mode in cases:
+        task = model.parse_and_ground(domain, problem)
+        calls = _recording_evaluator(monkeypatch)
+        fresh, fresh_stats = _memo_free_run(task, mode)
+        fresh_calls = list(calls)
+        calls.clear()
+        outcome = planner.plan_task(task, mode=mode)
+
+        assert outcome.plan == fresh.plan
+        assert outcome.stats.expansions == fresh_stats.expansions
+        by_key = {}
+        for key, h, helpful in fresh_calls:
+            # a repeated key evaluates to what its first evaluation gave,
+            # which is what the memo hands back
+            assert by_key.setdefault(key, (h, helpful)) == (h, helpful)
+        memo_keys = [key for key, _, _ in calls]
+        assert len(memo_keys) == len(set(memo_keys))  # hits never reach the evaluator
+        assert set(memo_keys) == set(by_key)
+        assert all(by_key[key] == (h, helpful) for key, h, helpful in calls)
+        assert outcome.stats.evaluations == len(by_key) == len(calls)
+        repeats += len(fresh_calls) - len(by_key)
+    assert repeats > 0
