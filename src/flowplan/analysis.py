@@ -526,6 +526,26 @@ def relevant_conditions(conditions: tuple[NumericCondition, ...]) -> tuple[
             {var: tuple(c) for var, c in down.items()})
 
 
+def tracked_variables(conditions: tuple[NumericCondition, ...]) -> frozenset[int]:
+    """Variables appearing in any numeric precondition or goal; flow models
+    exclude the others entirely."""
+    return frozenset(var for cond in conditions for var, _ in cond.expr.terms)
+
+
+def positive_signature(action: GroundAction) -> frozenset:
+    """Beneficial effects: added facts plus variables the action can raise.
+
+    Used for the helpful-action closure; consumption side effects do not
+    make two actions interchangeable.
+    """
+    sig: set = set(action.add_effects)
+    for effect in action.numeric_effects:
+        delta = effect.delta()
+        if effect.op == "assign" or delta is None or delta > 0:
+            sig.add(("num", effect.variable))
+    return frozenset(sig)
+
+
 def fact_adders(task: GroundTask) -> dict[int, tuple[int, ...]]:
     """Fact id -> ids of the actions adding it, ascending."""
     adders: dict[int, list[int]] = {}
@@ -540,8 +560,9 @@ class AnalysedTask:
     """Ground task after strict-inequality and assignment rewriting, with analysis.
 
     The static structure that every heuristic evaluation reads (collected
-    conditions, relevant-condition maps, fact adders) is derived from `task`
-    once, here, rather than per state.
+    conditions, relevant-condition maps, tracked variables and the actions
+    that affect an untracked one, fact adders, positive signatures) is
+    derived from `task` once, here, rather than per state.
     """
 
     task: GroundTask
@@ -553,15 +574,27 @@ class AnalysedTask:
         init=False, repr=False, compare=False)
     relevant_down: dict[int, tuple[NumericCondition, ...]] = field(
         init=False, repr=False, compare=False)
+    tracked: frozenset[int] = field(init=False, repr=False, compare=False)
+    # ids of the actions with a numeric effect on an untracked variable
+    untracked_affectors: frozenset[int] = field(init=False, repr=False, compare=False)
     adders: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    signatures: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         conditions = collect_conditions(self.task)
         up, down = relevant_conditions(conditions)
+        tracked = tracked_variables(conditions)
+        actions = self.task.actions
         object.__setattr__(self, "conditions", conditions)
         object.__setattr__(self, "relevant_up", up)
         object.__setattr__(self, "relevant_down", down)
+        object.__setattr__(self, "tracked", tracked)
+        object.__setattr__(self, "untracked_affectors", frozenset(
+            a.id for a in actions
+            if any(e.variable not in tracked for e in a.numeric_effects)))
         object.__setattr__(self, "adders", fact_adders(self.task))
+        object.__setattr__(self, "signatures",
+                           tuple(positive_signature(a) for a in actions))
 
 
 def analyse(task: GroundTask, cap: Fraction = DEFAULT_COUNT_CAP,

@@ -63,31 +63,15 @@ def _optimistic_value(cond: NumericCondition, state: State, counts: dict[int, Fr
     return total
 
 
-def positive_signature(action: GroundAction) -> frozenset:
-    """Beneficial effects: added facts plus variables the action can raise.
+def helpful_closure(task: GroundTask, state: State, chosen: set[int],
+                    signatures: tuple[frozenset, ...]) -> frozenset[int]:
+    """Applicable actions sharing a beneficial effect with a layer-1 choice.
 
-    Used for the helpful-action closure; consumption side effects do not
-    make two actions interchangeable.
-    """
-    sig: set = set(action.add_effects)
-    for effect in action.numeric_effects:
-        delta = effect.delta()
-        if effect.op == "assign" or delta is None or delta > 0:
-            sig.add(("num", effect.variable))
-    return frozenset(sig)
-
-
-def helpful_closure(task: GroundTask, state: State, chosen: set[int]) -> frozenset[int]:
-    """Applicable actions sharing a beneficial effect with a layer-1 choice."""
-    signatures = [positive_signature(task.actions[a]) for a in chosen]
-    helpful = set()
-    for action in task.actions:
-        if not applicable(state, action):
-            continue
-        sig = positive_signature(action)
-        if any(sig & other for other in signatures):
-            helpful.add(action.id)
-    return frozenset(helpful)
+    `signatures` holds `analysis.positive_signature` per action id."""
+    wanted = frozenset().union(*(signatures[a] for a in chosen))
+    return frozenset(action.id for action in task.actions
+                     if not signatures[action.id].isdisjoint(wanted)
+                     and applicable(state, action))
 
 
 def _achiever(task: GroundTask, graph: RPGraph, fact: int) -> int:
@@ -215,7 +199,7 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
         if steps > max_steps:
             raise RuntimeError("extraction did not converge")
 
-    helpful = helpful_closure(task, graph.state, ha)
+    helpful = helpful_closure(task, graph.state, ha, graph.signatures)
     return HeuristicResult(h, helpful, tuple(trace))
 
 
@@ -256,8 +240,10 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     rhs = cond.rhs
     raising = cond.op in (GE, GT)
 
+    # the interval layer is fixed, so the expression's range is too
+    lo, hi = expr_range(cond.expr.terms, intervals)
+
     def reachable(bound: Fraction) -> bool:
-        lo, hi = expr_range(cond.expr.terms, intervals)
         if raising:
             if hi is None:
                 return True
@@ -506,5 +492,5 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
                 return DEAD_END
             absorb_counts(counts, weight, layer)
 
-    helpful = helpful_closure(task, state, ha)
+    helpful = helpful_closure(task, state, ha, graph.signatures)
     return HeuristicResult(h, helpful, tuple(trace))

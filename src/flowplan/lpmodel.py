@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import mpsolver as mp
 from .analysis import AnalysedTask, CATALYTIC
 from .errors import SolverError
-from .model import GE, GT, LE, LT, EQ, GroundTask, NumericCondition, State
+from .model import GE, GT, LE, LT, EQ, NumericCondition, State
 
 log = logging.getLogger(__name__)
 
@@ -77,18 +77,6 @@ class LandmarkView:
     disjunctive: tuple[frozenset[int], ...] = ()
 
 
-def tracked_variables(task: GroundTask) -> frozenset[int]:
-    """Variables appearing in any numeric precondition or goal; others are
-    excluded from the LP entirely."""
-    seen: set[int] = set()
-    for action in task.actions:
-        for cond in action.numeric_preconditions:
-            seen.update(v for v, _ in cond.expr.terms)
-    for cond in task.goal_conditions:
-        seen.update(v for v, _ in cond.expr.terms)
-    return frozenset(seen)
-
-
 class FlowModel:
     """Mutable flow encoding for a growing action layer.
 
@@ -106,7 +94,7 @@ class FlowModel:
         self.state = state
         self.counters = counters if counters is not None else mp.Counters()
         self.model = mp.MPModel(self.counters)
-        self.tracked = tracked_variables(self.task)
+        self.tracked = analysed.tracked
         self.action_col: dict[int, int] = {}
         self.post_col: dict[int, int] = {}
         self.up_col: dict[int, int] = {}

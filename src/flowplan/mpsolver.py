@@ -2,13 +2,15 @@
 
 The simplex works on exact rationals, so identical models always produce
 identical solutions and the optimum is exact whenever the inputs are
-exact. Dense two-phase tableau with implicit variable upper bounds
-(bound-flip substitution); entering column by most-negative reduced cost
-with Bland's lowest-index rule as the anti-cycling fallback after a run
-of degenerate pivots. Models containing integer or binary variables are
-solved by depth-first branch-and-bound over the simplex relaxation:
-branch on the lowest-index fractional variable, floor branch first,
-prune on bound.
+exact. Two-phase tableau whose rows are sparse (a dict of nonzero
+coefficients per row, so pivots, bound flips and pricing touch nonzeros
+only), with implicit variable upper bounds (bound-flip substitution);
+entering column by most-negative reduced cost with Bland's lowest-index
+rule as the anti-cycling fallback after a run of degenerate pivots.
+Models containing integer or binary variables are solved by depth-first
+branch-and-bound over the simplex relaxation: branch on the lowest-index
+fractional variable, floor branch first, prune on bound. `Counters`
+accumulates solves, pivots and branch-and-bound nodes.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -41,6 +43,8 @@ DEFAULT_NODE_LIMIT = 100_000
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+_REVERSED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def _frac(value) -> Fraction:
@@ -54,6 +58,8 @@ class Counters:
     solves: int = 0
     build_time: float = 0.0
     solve_time: float = 0.0
+    pivots: int = 0      # simplex pivots, bound flips included, over all relaxations
+    bb_nodes: int = 0    # branch-and-bound nodes whose relaxation was solved
 
 
 @dataclass
@@ -81,8 +87,6 @@ class _Constraint:
 
 class MPModel:
     def __init__(self, counters: Counters | None = None,
-                 feasibility_tol: Fraction = Fraction(1, 10**6),
-                 integrality_tol: Fraction = Fraction(1, 10**6),
                  pivot_limit: int = DEFAULT_PIVOT_LIMIT,
                  node_limit: int = DEFAULT_NODE_LIMIT):
         self.variables: list[_Variable] = []
@@ -90,8 +94,6 @@ class MPModel:
         self.objective: dict[int, Fraction] = {}
         self.sense = MINIMIZE
         self.counters = counters if counters is not None else Counters()
-        self.feasibility_tol = feasibility_tol
-        self.integrality_tol = integrality_tol
         self.pivot_limit = pivot_limit
         self.node_limit = node_limit
         self._undo: list[tuple] = []
@@ -206,25 +208,26 @@ class MPModel:
         return lb, ub
 
     def check_assignment(self, values: list[Fraction]) -> list[str]:
-        """Constraint/bound violations of a full assignment (within tolerance)."""
-        tol = self.feasibility_tol
+        """Bound, integrality and constraint violations of a full assignment.
+
+        Values are exact rationals, so every test is exact: no tolerance.
+        """
         problems = []
         for index, var in enumerate(self.variables):
             lb, ub = self.effective_bounds(index)
             value = _frac(values[index])
-            if lb is not None and value < lb - tol:
+            if lb is not None and value < lb:
                 problems.append(f"{var.name} = {value} below lower bound {lb}")
-            if ub is not None and value > ub + tol:
+            if ub is not None and value > ub:
                 problems.append(f"{var.name} = {value} above upper bound {ub}")
-            if var.kind in (INTEGER, BINARY):
-                if abs(value - _nearest_integer(value)) > self.integrality_tol:
-                    problems.append(f"{var.name} = {value} not integral")
+            if var.kind in (INTEGER, BINARY) and value.denominator != 1:
+                problems.append(f"{var.name} = {value} not integral")
         for constraint in self.constraints:
             total = sum((w * _frac(values[c]) for c, w in constraint.coeffs.items()),
                         _ZERO)
-            ok = (total <= constraint.rhs + tol if constraint.op == "<="
-                  else total >= constraint.rhs - tol if constraint.op == ">="
-                  else abs(total - constraint.rhs) <= tol)
+            ok = (total <= constraint.rhs if constraint.op == "<="
+                  else total >= constraint.rhs if constraint.op == ">="
+                  else total == constraint.rhs)
             if not ok:
                 problems.append(
                     f"{constraint.name}: {total} {constraint.op} {constraint.rhs} violated")
@@ -296,7 +299,10 @@ class MPModel:
             lo.append(lb)
             hi.append(ub)
         simplex = _Simplex(self, lo, hi)
-        return simplex.run()
+        try:
+            return simplex.run()
+        finally:
+            self.counters.pivots += simplex.pivots
 
     def _branch_and_bound(self) -> MPSolution:
         integer_cols = [i for i, v in enumerate(self.variables)
@@ -314,6 +320,7 @@ class MPModel:
                 break
             bounds = stack.pop()
             nodes += 1
+            self.counters.bb_nodes += 1
             relaxed = self._solve_relaxation(bounds)
             if relaxed.status == LIMIT:
                 hit_limit = True
@@ -371,17 +378,13 @@ def _better(a: Fraction, b: Fraction, minimize: bool) -> bool:
     return a < b if minimize else a > b
 
 
-def _nearest_integer(value: Fraction) -> Fraction:
-    return Fraction(floor(value + Fraction(1, 2)))
-
-
 def _sanitize(name: str) -> str:
     out = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
     return out if out and not out[0].isdigit() else "v_" + out
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex with implicit upper bounds
+# Two-phase simplex over sparse rows with implicit upper bounds
 
 
 class _Simplex:
@@ -392,6 +395,12 @@ class _Simplex:
     bound-flip substitution (a nonbasic variable conceptually sitting at
     its upper bound is replaced by its complement, so all nonbasic
     variables read 0).
+
+    Each tableau row is a dict from column to nonzero coefficient: flow
+    models are a few percent dense, so every loop below (crash, pivot,
+    bound flip, reduced costs, ratio test) touches nonzeros only, and an
+    entry that cancels to zero is deleted. Zeros carry no information in
+    exact arithmetic, so the pivot sequence is that of a dense tableau.
     """
 
     def __init__(self, model: MPModel, lo: list[Fraction | None], hi: list[Fraction | None]):
@@ -399,6 +408,7 @@ class _Simplex:
         self.lo = lo
         self.hi = hi
         self.pivot_limit = model.pivot_limit
+        self.pivots = 0
         # columns: per model variable one or two transformed columns
         self.col_of: list[list[tuple[int, int]]] = []  # model var -> [(col, sign)]
         self.offset: list[Fraction] = []               # model var -> additive offset
@@ -426,98 +436,80 @@ class _Simplex:
 
     def run(self) -> MPSolution:
         model = self.model
-        rows: list[list[Fraction]] = []
+        nstruct = self.nstruct
+        tableau: list[dict[int, Fraction]] = []
         rhs: list[Fraction] = []
-        ops: list[str] = []
+        basis: list[int] = []
+        # rows with rhs normalised to >= 0; a <= row gets a basic slack, a
+        # >= row a surplus (coefficient -1), both numbered in row order
+        ncols = nstruct
         for constraint in model.constraints:
-            row = [_ZERO] * self.nstruct
+            row: dict[int, Fraction] = {}
             shift = _ZERO
             for var, weight in constraint.coeffs.items():
-                shift += weight * self.offset[var]
+                offset = self.offset[var]
+                if offset:
+                    shift += weight * offset
                 for col, sign in self.col_of[var]:
-                    row[col] += weight * sign
-            rows.append(row)
-            rhs.append(constraint.rhs - shift)
-            ops.append(constraint.op)
-
-        # normalise rhs >= 0, add slack columns, remember artificial needs
-        m = len(rows)
-        self.flipped = [False] * self.nstruct
-        slack_cols: list[int | None] = [None] * m
-        needs_artificial: list[bool] = [False] * m
-        ncols = self.nstruct
-        for i in range(m):
-            if rhs[i] < 0:
-                rows[i] = [-x for x in rows[i]]
-                rhs[i] = -rhs[i]
-                ops[i] = {"<=": ">=", ">=": "<=", "=": "="}[ops[i]]
-            if ops[i] == "<=":
-                slack_cols[i] = ncols
+                    row[col] = weight if sign == 1 else -weight
+            value = constraint.rhs - shift
+            op = constraint.op
+            if value < 0:
+                row = {col: -x for col, x in row.items()}
+                value = -value
+                op = _REVERSED[op]
+            if op == "<=":
+                row[ncols] = _ONE
+                basis.append(ncols)
                 ncols += 1
-            elif ops[i] == ">=":
-                slack_cols[i] = ncols  # surplus, coefficient -1
-                ncols += 1
-                needs_artificial[i] = True
             else:
-                needs_artificial[i] = True
-        nslack_end = ncols
-
-        tableau: list[list[Fraction]] = []
-        for i in range(m):
-            row = rows[i] + [_ZERO] * (nslack_end - self.nstruct)
-            if slack_cols[i] is not None:
-                row[slack_cols[i]] = _ONE if ops[i] == "<=" else Fraction(-1)
+                if op == ">=":
+                    row[ncols] = _MINUS_ONE
+                    ncols += 1
+                basis.append(-1)
             tableau.append(row)
-        self.upper.extend([None] * (nslack_end - self.nstruct))
-        self.flipped.extend([False] * (nslack_end - self.nstruct))
+            rhs.append(value)
+        self.upper.extend([None] * (ncols - nstruct))
 
-        basis: list[int] = [-1] * m
-        # crash: slacks for <= rows; singleton structural columns for the rest
+        # crash: singleton structural columns for rows still without a basis
         occurrences: dict[int, list[int]] = {}
-        for i in range(m):
-            for j in range(self.nstruct):
-                if tableau[i][j] != 0:
+        for i, row in enumerate(tableau):
+            for j in row:
+                if j < nstruct:
                     occurrences.setdefault(j, []).append(i)
-        for i in range(m):
-            if ops[i] == "<=":
-                basis[i] = slack_cols[i]
-        for j in range(self.nstruct):
-            hit = occurrences.get(j, [])
-            if len(hit) != 1:
+        for j in sorted(occurrences):
+            hit = occurrences[j]
+            if len(hit) != 1 or basis[hit[0]] != -1:
                 continue
             i = hit[0]
-            if basis[i] != -1 or not needs_artificial[i]:
-                continue
             coeff = tableau[i][j]
             value = rhs[i] / coeff
             limit = self.upper[j]
             if value < 0 or (limit is not None and value > limit):
                 continue
-            inv = 1 / coeff
-            tableau[i] = [x * inv for x in tableau[i]]
+            if coeff != 1:
+                inv = 1 / coeff
+                tableau[i] = {col: x * inv for col, x in tableau[i].items()}
             rhs[i] = value
             basis[i] = j
-            needs_artificial[i] = False
 
         artificial_cols: list[int] = []
-        for i in range(m):
+        for i, row in enumerate(tableau):
             if basis[i] == -1:
-                col = len(self.upper)
-                for r in range(m):
-                    tableau[r].append(_ONE if r == i else _ZERO)
+                row[ncols] = _ONE
+                basis[i] = ncols
+                artificial_cols.append(ncols)
                 self.upper.append(None)
-                self.flipped.append(False)
-                artificial_cols.append(col)
-                basis[i] = col
+                ncols += 1
 
         self.tableau = tableau
         self.rhs = rhs
         self.basis = basis
-        self.ncols = len(self.upper)
-        self.pivots = 0
+        self.ncols = ncols
+        self.flipped = [False] * ncols
 
         if artificial_cols:
-            cost = [_ZERO] * self.ncols
+            cost = [_ZERO] * ncols
             for col in artificial_cols:
                 cost[col] = _ONE
             status = self._optimize(cost)
@@ -529,8 +521,8 @@ class _Simplex:
             for col in artificial_cols:
                 self.upper[col] = _ZERO  # pin artificials at zero for phase 2
 
-        cost = [_ZERO] * self.ncols
-        sign = _ONE if self.model.sense == MINIMIZE else Fraction(-1)
+        cost = [_ZERO] * ncols
+        sign = _ONE if self.model.sense == MINIMIZE else _MINUS_ONE
         for var, weight in self.model.objective.items():
             for col, col_sign in self.col_of[var]:
                 cost[col] += sign * weight * col_sign
@@ -550,13 +542,11 @@ class _Simplex:
         for j, flip in enumerate(self.flipped):
             if flip:
                 reduced[j] = -reduced[j]
-        for i, b in enumerate(self.basis):
+        for row, b in zip(self.tableau, self.basis):
             cb = reduced[b]
             if cb:
-                row = self.tableau[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        reduced[j] -= cb * row[j]
+                for j, x in row.items():
+                    reduced[j] -= cb * x
         return reduced
 
     def _objective_value(self, cost: list[Fraction]) -> Fraction:
@@ -568,32 +558,35 @@ class _Simplex:
                 if self.flipped[b]:
                     value = (self.upper[b] or _ZERO) - value
                 total += coeff * value
+        basic = set(self.basis)
         for j, flip in enumerate(self.flipped):
-            if flip and cost[j] and j not in self.basis:
+            if flip and cost[j] and j not in basic:
                 total += cost[j] * (self.upper[j] or _ZERO)
         return total
 
     def _optimize(self, cost: list[Fraction]) -> str:
         reduced = self._reduced_costs(cost)
-        basic = set(self.basis)
-        m = len(self.tableau)
+        tableau, rhs, basis, upper = self.tableau, self.rhs, self.basis, self.upper
+        basic = set(basis)
         degenerate_streak = 0
-        bland_threshold = 4 * (m + self.ncols)
+        bland_threshold = 4 * (len(tableau) + self.ncols)
         bland = False
         while True:
             if self.pivots >= self.pivot_limit:
                 return LIMIT
+            # pricing: basic columns have reduced cost 0, so the sign test on
+            # the numerator rejects them and every zero without a comparison
             entering = -1
             if bland:
-                for j in range(self.ncols):
-                    if j not in basic and reduced[j] < 0:
+                for j, r in enumerate(reduced):
+                    if r.numerator < 0 and j not in basic:
                         entering = j
                         break
             else:
                 best = _ZERO
-                for j in range(self.ncols):
-                    if j not in basic and reduced[j] < best:
-                        best = reduced[j]
+                for j, r in enumerate(reduced):
+                    if r.numerator < 0 and r < best and j not in basic:
+                        best = r
                         entering = j
             if entering == -1:
                 return OPTIMAL
@@ -603,24 +596,24 @@ class _Simplex:
             best_t: Fraction | None = None
             leave_row = -1
             leave_to_upper = False
-            for i in range(m):
-                a = self.tableau[i][entering]
-                if a > 0:
-                    t = self.rhs[i] / a          # basic variable falls to 0
+            for i, row in enumerate(tableau):
+                a = row.get(entering)
+                if a is None:
+                    continue
+                if a.numerator > 0:
+                    t = rhs[i] / a               # basic variable falls to 0
                     hits_upper = False
-                elif a < 0:
-                    cap = self.upper[self.basis[i]]
+                else:
+                    cap = upper[basis[i]]
                     if cap is None:
                         continue
-                    t = (cap - self.rhs[i]) / (-a)  # basic variable climbs to cap
+                    t = (cap - rhs[i]) / (-a)    # basic variable climbs to cap
                     hits_upper = True
-                else:
-                    continue
                 if (best_t is None or t < best_t or
-                        (t == best_t and self.basis[i] < self.basis[leave_row])):
+                        (t == best_t and basis[i] < basis[leave_row])):
                     best_t, leave_row, leave_to_upper = t, i, hits_upper
 
-            limit = self.upper[entering]         # entering hits its own bound
+            limit = upper[entering]              # entering hits its own bound
             if limit is not None and (best_t is None or limit <= best_t):
                 self.pivots += 1
                 degenerate_streak = degenerate_streak + 1 if limit == 0 else 0
@@ -635,16 +628,14 @@ class _Simplex:
             degenerate_streak = degenerate_streak + 1 if best_t == 0 else 0
             bland = degenerate_streak > bland_threshold
 
-            leaving = self.basis[leave_row]
+            leaving = basis[leave_row]
             self._pivot(leave_row, entering)
             basic.discard(leaving)
             basic.add(entering)
             factor = reduced[entering]
             if factor:
-                row = self.tableau[leave_row]
-                for j in range(self.ncols):
-                    if row[j]:
-                        reduced[j] -= factor * row[j]
+                for j, x in tableau[leave_row].items():
+                    reduced[j] -= factor * x
             reduced[entering] = _ZERO
             if leave_to_upper:
                 # leaving variable exits at its upper bound; flip so the
@@ -656,29 +647,39 @@ class _Simplex:
         bound = self.upper[col]
         if bound is None:
             raise SolverError("cannot flip a column without an upper bound")
-        for i in range(len(self.tableau)):
-            a = self.tableau[i][col]
-            if a:
+        for i, row in enumerate(self.tableau):
+            a = row.get(col)
+            if a is not None:
                 self.rhs[i] -= a * bound
-                self.tableau[i][col] = -a
+                row[col] = -a
         self.flipped[col] = not self.flipped[col]
 
     def _pivot(self, row: int, col: int) -> None:
-        pivot_row = self.tableau[row]
-        pivot = pivot_row[col]
-        inv = 1 / pivot
+        tableau, rhs = self.tableau, self.rhs
+        pivot_row = tableau[row]
+        inv = 1 / pivot_row[col]
         if inv != 1:
-            self.tableau[row] = pivot_row = [x * inv for x in pivot_row]
-            self.rhs[row] *= inv
-        pr_rhs = self.rhs[row]
-        for i in range(len(self.tableau)):
+            tableau[row] = pivot_row = {j: x * inv for j, x in pivot_row.items()}
+            rhs[row] *= inv
+        pr_rhs = rhs[row]
+        pivot_items = list(pivot_row.items())
+        for i, target in enumerate(tableau):
             if i == row:
                 continue
-            factor = self.tableau[i][col]
-            if factor:
-                target = self.tableau[i]
-                self.tableau[i] = [a - factor * b for a, b in zip(target, pivot_row)]
-                self.rhs[i] -= factor * pr_rhs
+            factor = target.get(col)
+            if factor is None:
+                continue
+            for j, b in pivot_items:
+                value = target.get(j)
+                if value is None:
+                    target[j] = -factor * b
+                else:
+                    value -= factor * b
+                    if value:
+                        target[j] = value
+                    else:
+                        del target[j]  # includes the entering column itself
+            rhs[i] -= factor * pr_rhs
         self.basis[row] = col
 
     def _drive_out(self, artificial_cols: list[int]) -> None:
@@ -686,14 +687,9 @@ class _Simplex:
         for i in range(len(self.tableau)):
             if self.basis[i] not in artificial:
                 continue
-            row = self.tableau[i]
-            pivot_col = -1
-            for j in range(self.ncols):
-                if j not in artificial and row[j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col != -1:
-                self._pivot(i, pivot_col)
+            candidates = [j for j in self.tableau[i] if j not in artificial]
+            if candidates:
+                self._pivot(i, min(candidates))
             # an all-zero row is redundant; its artificial stays basic at 0
 
     def _extract_values(self) -> list[Fraction]:
@@ -710,6 +706,8 @@ class _Simplex:
         for var in range(len(self.model.variables)):
             total = self.offset[var]
             for col, sign in self.col_of[var]:
-                total += sign * transformed[col]
+                value = transformed[col]
+                if value:
+                    total = total + value if sign == 1 else total - value
             values.append(total)
         return values

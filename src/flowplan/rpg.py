@@ -87,6 +87,7 @@ class RPGraph:
     final_layer: int
     flow: FlowModel | None
     adders: dict[int, tuple[int, ...]]  # fact -> adding action ids, from the analysis
+    signatures: tuple[frozenset, ...]   # action id -> positive signature, from the analysis
 
     def actions_at(self, layer: int) -> frozenset[int]:
         return self.action_layers[min(layer, len(self.action_layers) - 1)]
@@ -219,7 +220,7 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
 
     graph = RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
                     first_fact_layer, first_action_layer, condition_first,
-                    RELAXED_UNSOLVABLE, 0, flow, analysed.adders)
+                    RELAXED_UNSOLVABLE, 0, flow, analysed.adders, analysed.signatures)
 
     def goal_reached(layer: int) -> bool:
         if not task.goal_facts <= fact_layers[layer]:
@@ -315,10 +316,13 @@ def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, layer_actions,
     intervals = list(previous)
     if not new_actions:
         return intervals
-    # interval arithmetic still covers variables excluded from the LP
-    untracked_update = _interval_update(task, sorted(layer_actions), previous, False)
+    # interval arithmetic still covers variables excluded from the LP; an
+    # untracked variable's interval moves only with the actions affecting it
+    affectors = analysed.untracked_affectors
+    untracked_update = _interval_update(
+        task, sorted(a for a in layer_actions if a in affectors), previous, False)
     for var in range(len(task.var_names)):
-        if var not in flow.tracked:
+        if var not in analysed.tracked:
             intervals[var] = untracked_update[var]
             continue
         lo, hi = previous[var]

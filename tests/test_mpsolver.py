@@ -1,5 +1,6 @@
 """Solver tests: scratch integrity, spec examples, and brute-force oracles."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -299,3 +300,153 @@ def test_oracles_with_negative_lower_bounds():
         assert got.status == want_status, f"trial {trial}"
         if want_objective is not None:
             assert got.objective == want_objective, f"trial {trial}"
+
+
+def test_check_assignment_is_exact():
+    """Values are exact rationals, so a violation of any size is reported."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 4, kind=mp.INTEGER)
+    y = model.add_variable(0, None)
+    model.add_constraint({x: 1, y: 1}, "=", 3)
+    tiny = Fraction(1, 10**9)
+    assert model.check_assignment([Fraction(1), Fraction(2)]) == []
+    problems = model.check_assignment([Fraction(1) + tiny, Fraction(2)])
+    assert any("not integral" in line for line in problems)
+    assert any("c0" in line for line in problems)
+    assert any("below lower bound" in line
+               for line in model.check_assignment([Fraction(3), -tiny]))
+
+
+# -- sparse tableau rows ---------------------------------------------------------
+
+
+def _run_simplex(model):
+    """Solve the relaxation through `_Simplex` directly, keeping the simplex
+    so a test can inspect its final tableau."""
+    bounds = [model.effective_bounds(i) for i in range(len(model.variables))]
+    simplex = mp._Simplex(model, [lb for lb, _ in bounds], [ub for _, ub in bounds])
+    return simplex.run(), simplex
+
+
+def _assert_rows_hold_nonzeros_only(simplex):
+    for row in simplex.tableau:
+        assert all(value != 0 for value in row.values()), row
+
+
+def test_redundant_equality_keeps_its_artificial_basic_at_zero():
+    model = mp.MPModel()
+    x = model.add_variable(0, None)
+    y = model.add_variable(0, None)
+    model.add_constraint({x: 1, y: 1}, "=", 2)
+    model.add_constraint({x: 2, y: 2}, "=", 4)  # twice the first row
+    model.set_objective({x: 1, y: 3}, mp.MAXIMIZE)
+    solution, simplex = _run_simplex(model)
+    assert (solution.status, solution.objective, solution.values) == (mp.OPTIMAL, 6, (0, 2))
+    assert lp_by_vertex_enumeration(model) == (mp.OPTIMAL, 6)
+    # equality rows get no slack, so every column past the structural ones
+    # is an artificial; phase 2 pins artificials to an upper bound of 0
+    stuck = [i for i, b in enumerate(simplex.basis) if b >= simplex.nstruct]
+    assert len(stuck) == 1
+    row = stuck[0]
+    assert simplex.upper[simplex.basis[row]] == 0 and simplex.rhs[row] == 0
+    # _drive_out found no structural nonzero: x and y cancelled and are gone
+    assert all(col >= simplex.nstruct for col in simplex.tableau[row])
+    _assert_rows_hold_nonzeros_only(simplex)
+
+
+def test_pivot_deletes_entries_that_cancel_to_zero():
+    model = mp.MPModel()
+    x = model.add_variable(0, None)
+    y = model.add_variable(0, None)
+    z = model.add_variable(0, 3)
+    model.add_constraint({x: 1, y: 1}, "<=", 4)
+    model.add_constraint({x: 1, y: 1, z: 1}, "<=", 6)
+    model.set_objective({x: 1}, mp.MAXIMIZE)
+    solution, simplex = _run_simplex(model)
+    assert solution.objective == 4
+    # x entered on the first row; subtracting it from the second cancelled
+    # both x and y there exactly
+    assert simplex.basis[0] == x
+    assert x not in simplex.tableau[1] and y not in simplex.tableau[1]
+    assert simplex.tableau[1][z] == 1
+    _assert_rows_hold_nonzeros_only(simplex)
+
+
+def test_bound_flip_on_a_column_in_no_row():
+    model = mp.MPModel()
+    x = model.add_variable(0, 5)   # appears in no constraint
+    y = model.add_variable(-2, 4)
+    model.add_constraint({y: 1}, "<=", 3)
+    model.set_objective({x: 1, y: 1}, mp.MAXIMIZE)
+    solution, simplex = _run_simplex(model)
+    assert solution.values == (5, 3) and solution.objective == 8
+    assert simplex.flipped[x] and all(x not in row for row in simplex.tableau)
+    # the flip of x and the pivot of y both count as pivots
+    assert simplex.pivots == 2
+    assert model.solve().values == (5, 3)
+    assert model.counters.pivots == 2 and model.counters.bb_nodes == 0
+
+
+def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
+    model = mp.MPModel()
+    x = model.add_variable(None, None, kind=mp.INTEGER)  # free: split in two columns
+    y = model.add_variable(-3, 2, kind=mp.INTEGER)       # shifted by its lower bound
+    z = model.add_variable(None, 1, kind=mp.INTEGER)     # mirrored about its upper bound
+    model.add_constraint({x: 2}, ">=", -5)
+    model.add_constraint({x: 2}, "<=", 7)
+    model.add_constraint({z: 1}, ">=", -4)
+    model.add_constraint({x: 2, y: 3, z: 1}, "<=", Fraction(1, 2))
+    model.add_constraint({x: 1, y: -2, z: -3}, ">=", Fraction(-13, 2))
+    model.set_objective({x: 3, y: 2, z: 1}, mp.MAXIMIZE)
+    solution = model.solve()
+    best = max(3 * a + 2 * b + c
+               for a in range(-3, 5) for b in range(-4, 4) for c in range(-5, 3)
+               if model.check_assignment([Fraction(a), Fraction(b), Fraction(c)]) == [])
+    assert solution.status == mp.OPTIMAL and solution.objective == best
+    assert model.check_assignment(list(solution.values)) == []
+    assert model.counters.bb_nodes > 1  # the root relaxation was fractional
+
+
+# Pivots, B&B nodes and a digest of every solve's (status, objective, values)
+# over whole plan_task runs, recorded from the dense-tableau simplex that the
+# sparse one replaced. Any change to the pivot rules (entering choice, ratio
+# tie-break, Bland switch, bound flips) moves at least one of them.
+PINNED_RUNS = (
+    ("market-trader", 2, False, 50, 197, 10,
+     "6e3ec0e23702803fefd773a1c9873ad911e1d710c74f04aabb2c30b80bdf5458"),
+    ("mini-settlers", 2, False, 49, 212, 10,
+     "905385888a0bbb8dd2890eb4988cf588be0b3d08d7d506581fa5d036500de7b1"),
+    ("pump-catalyst", 3, True, 29, 255, 13,
+     "580e4def308bc8e9b3a276cded993d0f4a8bc65e0bda054ae49ca2bb94146149"),
+)
+
+
+@pytest.mark.parametrize("family,size,all_props,solves,pivots,nodes,digest", PINNED_RUNS,
+                         ids=[f"{run[0]}-{run[1]}" for run in PINNED_RUNS])
+def test_solver_behaviour_over_plan_task_is_pinned(monkeypatch, family, size, all_props,
+                                                   solves, pivots, nodes, digest):
+    from flowplan import generators, model as task_model, planner
+    from flowplan.lpmodel import HeuristicConfig
+
+    records: list[str] = []
+    totals = {"pivots": 0, "bb_nodes": 0}
+    real_solve = mp.MPModel.solve
+
+    def recording_solve(self):
+        before = (self.counters.pivots, self.counters.bb_nodes)
+        solution = real_solve(self)
+        totals["pivots"] += self.counters.pivots - before[0]
+        totals["bb_nodes"] += self.counters.bb_nodes - before[1]
+        records.append(repr((solution.status, str(solution.objective),
+                             tuple(str(v) for v in solution.values))))
+        return solution
+
+    monkeypatch.setattr(mp.MPModel, "solve", recording_solve)
+    task = task_model.parse_and_ground(*generators.generate(family, size, 1))
+    outcome = planner.plan_task(
+        task, mode=planner.MODE_LPRPG,
+        config=HeuristicConfig(include_all_propositions=all_props))
+    assert outcome.status == "solved"
+    assert len(records) == outcome.stats.lp_solves == solves
+    assert totals == {"pivots": pivots, "bb_nodes": nodes}
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest

@@ -374,3 +374,32 @@ def test_penalty_dead_end_without_producer():
     task = builder.build()
     consume = task.action_named("(consume)").id
     assert rpg.sapa_penalty(task.initial, {consume: 4}, task) is None
+
+
+def test_lp_mode_untracked_intervals_match_full_interval_update():
+    """LP mode feeds interval arithmetic only the actions that affect an
+    untracked variable; the untracked intervals must equal those of a step
+    over the whole layer."""
+    tasks = [model.parse_and_ground(*fixture("pump-unsolvable")),
+             model.parse_and_ground(*generators.generate(
+                 generators.PUMP_CATALYST, 2, 1, threshold=3))]
+    tasks += [task for _, task in _equivalence_tasks()]
+    moved = 0
+    for task in tasks:
+        analysed = analyse(task)
+        untracked = [v for v in range(len(analysed.task.var_names))
+                     if v not in analysed.tracked]
+        assert analysed.untracked_affectors == frozenset(
+            a.id for a in analysed.task.actions
+            if any(e.variable in untracked for e in a.numeric_effects))
+        graph = rpg.expand(analysed, analysed.task.initial, HeuristicConfig(), rpg.LPRPG)
+        for layer in range(1, len(graph.numeric_layers)):
+            actions = graph.action_layers[layer]
+            if actions == graph.action_layers[layer - 1]:
+                continue  # no new action: the layer is copied, not recomputed
+            previous = graph.numeric_layers[layer - 1]
+            full = rpg._interval_update(analysed.task, sorted(actions), previous, False)
+            for var in untracked:
+                assert graph.numeric_layers[layer][var] == full[var]
+                moved += full[var] != previous[var]
+    assert moved > 0
