@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .model import (
-    GE, GT, LE, LT, EQ,
+    FLIP, GE, GT, LE, LT, EQ,
     GroundAction, GroundTask, NumericCondition, NumericEffect, State,
 )
 
@@ -89,9 +89,7 @@ def _threshold_form(cond: NumericCondition) -> tuple[int, str, Fraction] | None:
         return None
     weight = cond.expr.terms[0][1]
     bound = cond.rhs / weight
-    op = cond.op
-    if weight < 0:
-        op = {GE: LE, GT: LT, LE: GE, LT: GT, EQ: EQ}[op]
+    op = cond.op if weight > 0 else FLIP[cond.op]
     return var, op, bound
 
 
@@ -555,14 +553,26 @@ def fact_adders(task: GroundTask) -> dict[int, tuple[int, ...]]:
     return {fact: tuple(ids) for fact, ids in adders.items()}
 
 
+def best_production(task: GroundTask) -> dict[int, Fraction]:
+    """Variable -> the largest constant increase one action application makes."""
+    best: dict[int, Fraction] = {}
+    for action in task.actions:
+        for effect in action.numeric_effects:
+            delta = effect.delta()
+            if delta is not None and delta > best.get(effect.variable, 0):
+                best[effect.variable] = delta
+    return best
+
+
 @dataclass(frozen=True)
 class AnalysedTask:
     """Ground task after strict-inequality and assignment rewriting, with analysis.
 
     The static structure that every heuristic evaluation reads (collected
     conditions, relevant-condition maps, tracked variables and the actions
-    that affect an untracked one, fact adders, positive signatures) is
-    derived from `task` once, here, rather than per state.
+    that affect an untracked one, fact adders, positive signatures, the best
+    single-action production per variable) is derived from `task` once,
+    here, rather than per state.
     """
 
     task: GroundTask
@@ -579,6 +589,7 @@ class AnalysedTask:
     untracked_affectors: frozenset[int] = field(init=False, repr=False, compare=False)
     adders: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     signatures: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
+    best_production: dict[int, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         conditions = collect_conditions(self.task)
@@ -595,6 +606,7 @@ class AnalysedTask:
         object.__setattr__(self, "adders", fact_adders(self.task))
         object.__setattr__(self, "signatures",
                            tuple(positive_signature(a) for a in actions))
+        object.__setattr__(self, "best_production", best_production(self.task))
 
 
 def analyse(task: GroundTask, cap: Fraction = DEFAULT_COUNT_CAP,

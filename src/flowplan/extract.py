@@ -1,11 +1,16 @@
 """Relaxed-plan extraction from an expanded planning graph.
 
-Two extractors share the deepest-first subgoal queue idea: the classic
-regression that walks numeric subgoals back through in-layer effects, and
-the LP-guided variant that satisfies numeric subgoal sets by temporarily
-constraining the layer's flow model and reading off the action counts,
-weighting each enqueued precondition by how much of the supporting action
-was used.
+Both extractors run FF's deepest-first subgoal queue (Hoffmann, *The
+Metric-FF Planning System*, JAIR 2003), kept once in `_Extraction`: per
+graph layer it holds the open facts and numeric subgoal sets with their
+weights, takes the deepest layer first, achieves each fact with its
+earliest adder and enqueues that action's preconditions. The extractors
+differ only in the numeric step that satisfies a layer's numeric subgoals:
+regression walks each bound back through in-layer effects and re-queues the
+residual one layer down; the LP-guided step constrains the layer's flow
+model, absorbs the action counts it returns (weighting each enqueued
+precondition by how much of the supporting action was used) and moves an
+infeasible set one layer up.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from .lpmodel import (
     HeuristicConfig, LandmarkView, WEIGHT_HADD, WEIGHT_HMAX, layer_weights,
 )
 from .model import (
-    GE, GT, LE, LT, EQ,
-    GroundAction, GroundTask, LinearExpr, NumericCondition, State, applicable,
+    FLIP, GE, GT, LE, LT, EQ,
+    GroundAction, GroundTask, LinearExpr, NumericCondition, State, applicable, compare,
 )
 from .rpg import (
     GOALS_REACHED, RPGraph,
-    condition_satisfiable, expr_range, propagate_costs,
+    condition_satisfiable, expr_range, propagate_costs, range_satisfies,
 )
 
 log = logging.getLogger(__name__)
@@ -90,9 +95,7 @@ def _normalise_single(cond: NumericCondition) -> NumericCondition:
     weight = cond.expr.terms[0][1]
     if weight == 1:
         return cond
-    op = cond.op
-    if weight < 0:
-        op = {GE: LE, GT: LT, LE: GE, LT: GT, EQ: EQ}[op]
+    op = cond.op if weight > 0 else FLIP[cond.op]
     return NumericCondition(LinearExpr.build({var: Fraction(1)}), op, cond.rhs / weight)
 
 
@@ -107,6 +110,87 @@ def _split_equalities(conds) -> list[NumericCondition]:
     return out
 
 
+# numeric subgoal tuple -> the largest weight it was enqueued with
+Subgoals = dict[tuple[NumericCondition, ...], Fraction]
+
+
+class _Extraction:
+    """FF's deepest-first subgoal queue over one goal-reaching graph.
+
+    `buckets` maps a layer to the weight of each open fact and of each open
+    numeric subgoal tuple there; `run` empties it deepest layer first. An
+    extraction seeds the goals, then `run` achieves facts itself and hands
+    each layer's numeric subgoals to the extractor's numeric step. Unit
+    counts and weights are the int 1, which keeps regression extraction,
+    where every count and weight is 1, off Fraction arithmetic.
+    """
+
+    def __init__(self, graph: RPGraph, task: GroundTask):
+        self.graph = graph
+        self.task = task
+        self.h = Fraction(0)
+        self.trace: list[tuple[int, Fraction, int, Fraction]] = []
+        self.plan_counts: dict[int, Fraction] = {}
+        self.helpful_choices: set[int] = set()
+        self.buckets: dict[int, tuple[dict[int, Fraction], Subgoals]] = {}
+
+    def push_fact(self, fact: int, weight: Fraction) -> None:
+        layer = self.graph.first_fact_layer.get(fact, 0)
+        if layer > 0:
+            facts = self.buckets.setdefault(layer, ({}, {}))[0]
+            facts[fact] = max(facts.get(fact, weight), weight)
+
+    def push_conditions(self, conds: tuple[NumericCondition, ...], layer: int | None,
+                        weight: Fraction) -> None:
+        if layer is None or layer <= 0 or not conds:
+            return
+        subgoals = self.buckets.setdefault(layer, ({}, {}))[1]
+        subgoals[conds] = max(subgoals.get(conds, weight), weight)
+
+    def choose(self, action_id: int, layer: int, count: Fraction, weight: Fraction,
+               helpful: bool, numeric: bool) -> None:
+        """Add `count` applications chosen at `layer` to the relaxed plan and
+        enqueue the action's preconditions at weight * min(count, 1), its
+        numeric ones only when `numeric` is set."""
+        self.h += weight * count
+        self.trace.append((action_id, count, layer, weight))
+        self.plan_counts[action_id] = self.plan_counts.get(action_id, 0) + count
+        if helpful:
+            self.helpful_choices.add(action_id)
+        action = self.task.actions[action_id]
+        weight = weight * min(count, 1)
+        for fact in action.preconditions:
+            self.push_fact(fact, weight)
+        if numeric:
+            for cond in _split_equalities(action.numeric_preconditions):
+                hold = self.graph.first_hold_layer(cond)
+                if hold:
+                    self.push_conditions((_normalise_single(cond),), hold, weight)
+
+    def run(self, numeric_step, out_of_budget=None) -> HeuristicResult | None:
+        """Empty the queue; None when `out_of_budget()` holds at the top of a
+        bucket, DEAD_END when `numeric_step(layer, subgoals)` returns False."""
+        graph, task, buckets = self.graph, self.task, self.buckets
+        while buckets:
+            if out_of_budget is not None and out_of_budget():
+                return None
+            layer = max(buckets)
+            facts, subgoals = buckets.pop(layer)
+            while facts:
+                fact = min(facts)
+                weight = facts.pop(fact)
+                action_id = _achiever(task, graph, fact)
+                # the achiever's first action layer is `layer`, so layer 1
+                # means it is applicable in the evaluated state
+                self.choose(action_id, layer, 1, weight, helpful=layer == 1, numeric=True)
+                for other in task.actions[action_id].add_effects:
+                    facts.pop(other, None)
+            if subgoals and not numeric_step(layer, subgoals):
+                return DEAD_END
+        helpful = helpful_closure(task, graph.state, self.helpful_choices, graph.signatures)
+        return HeuristicResult(self.h, helpful, tuple(self.trace))
+
+
 # ---------------------------------------------------------------------------
 # Classic regression extraction
 
@@ -114,93 +198,39 @@ def _split_equalities(conds) -> list[NumericCondition]:
 def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
     """Regression extraction over interval layers (also the LP-mode fallback)."""
     assert graph.status == GOALS_REACHED
-    h = Fraction(0)
-    ha: set[int] = set()
-    trace: list[tuple[int, Fraction, int, Fraction]] = []
-    buckets: dict[int, dict] = {}
-
-    def bucket(layer: int) -> dict:
-        return buckets.setdefault(layer, {"prop": set(), "num": []})
-
-    def queue_condition(cond: NumericCondition, layer: int) -> None:
-        cond = _normalise_single(cond)
-        entry = bucket(layer)
-        if cond not in entry["num"]:
-            entry["num"].append(cond)
-
-    def queue_action_preconditions(action: GroundAction) -> None:
-        for fact in sorted(action.preconditions):
-            layer = graph.first_fact_layer.get(fact, 0)
-            if layer > 0:
-                bucket(layer)["prop"].add(fact)
-        for cond in _split_equalities(action.numeric_preconditions):
-            layer = graph.first_hold_layer(cond)
-            if layer is not None and layer > 0:
-                queue_condition(cond, layer)
+    queue = _Extraction(graph, task)
 
     def choose(action_id: int, layer: int) -> None:
-        nonlocal h
-        h += 1
-        trace.append((action_id, Fraction(1), layer, Fraction(1)))
-        if layer == 1:
-            ha.add(action_id)
-        queue_action_preconditions(task.actions[action_id])
+        queue.choose(action_id, layer, 1, 1, helpful=layer == 1, numeric=True)
 
-    for fact in sorted(task.goal_facts):
-        layer = graph.first_fact_layer.get(fact, 0)
-        if layer > 0:
-            bucket(layer)["prop"].add(fact)
-    for cond in _split_equalities(task.goal_conditions):
-        layer = graph.first_hold_layer(cond)
-        if layer is not None and layer > 0:
-            queue_condition(cond, layer)
-
-    max_steps = 100_000
-    steps = 0
-    while buckets:
-        layer = max(buckets)
-        entry = buckets.pop(layer)
-        prop = entry["prop"]
-        while prop:
-            fact = min(prop)
-            prop.discard(fact)
-            action_id = _achiever(task, graph, fact)
-            choose(action_id, layer)
-            prop -= task.actions[action_id].add_effects
-
-        num = entry["num"]
+    def regress(layer: int, subgoals: Subgoals) -> bool:
+        num = [cond for (cond,) in subgoals]
         remaining: list[NumericCondition] = []
         # assignment achievers first: one assign can discharge several bounds
-        for cond in num:
+        for cond in list(num):
             var = cond.single_variable()
-            satisfied = False
             if var is not None and cond.expr.terms[0][1] == 1:
                 assigner = _find_assigner(task, graph, layer, var, cond)
                 if assigner is not None:
                     choose(assigner[0], layer)
                     k = assigner[1]
-                    num_after = []
-                    for other in num:
-                        if other is cond or _discharged_by_assign(other, var, k, cond.op):
-                            continue
-                        num_after.append(other)
-                    num = num_after
+                    num = [other for other in num if other is not cond
+                           and not _discharged_by_assign(other, var, k, cond.op)]
                     remaining = [c for c in remaining
                                  if not _discharged_by_assign(c, var, k, cond.op)]
-                    satisfied = True
-            if not satisfied and cond in num:
+                    continue
+            if cond in num:
                 remaining.append(cond)
-
         for cond in remaining:
             residual = _regress(graph, task, cond, layer, choose)
-            if layer - 1 >= 1 and residual is not None:
-                queue_condition(residual, layer - 1)
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError("extraction did not converge")
+            queue.push_conditions((residual,), layer - 1, 1)
+        return True
 
-    helpful = helpful_closure(task, graph.state, ha, graph.signatures)
-    return HeuristicResult(h, helpful, tuple(trace))
+    for fact in task.goal_facts:
+        queue.push_fact(fact, 1)
+    for cond in _split_equalities(task.goal_conditions):
+        queue.push_conditions((_normalise_single(cond),), graph.first_hold_layer(cond), 1)
+    return queue.run(regress)
 
 
 def _find_assigner(task: GroundTask, graph: RPGraph, layer: int, var: int,
@@ -213,9 +243,7 @@ def _find_assigner(task: GroundTask, graph: RPGraph, layer: int, var: int,
             if not effect.magnitude.is_constant():
                 continue
             k = effect.magnitude.constant
-            if (cond.op == GE and k >= cond.rhs) or (cond.op == GT and k > cond.rhs):
-                return action_id, k
-            if (cond.op == LE and k <= cond.rhs) or (cond.op == LT and k < cond.rhs):
+            if compare(cond.op, k, cond.rhs):
                 return action_id, k
     return None
 
@@ -234,7 +262,7 @@ def _discharged_by_assign(cond: NumericCondition, var: int, k: Fraction, op: str
 
 
 def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: int,
-             choose) -> NumericCondition | None:
+             choose) -> NumericCondition:
     """Walk a residual bound back through in-layer effects (largest first)."""
     intervals = graph.numeric_layers[layer - 1]
     rhs = cond.rhs
@@ -243,18 +271,10 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     # the interval layer is fixed, so the expression's range is too
     lo, hi = expr_range(cond.expr.terms, intervals)
 
-    def reachable(bound: Fraction) -> bool:
-        if raising:
-            if hi is None:
-                return True
-            return hi > bound if cond.op == GT else hi >= bound
-        if lo is None:
-            return True
-        return lo < bound if cond.op == LT else lo <= bound
-
+    weights = dict(cond.expr.terms)
     movers = []
     for action_id in sorted(graph.actions_at(layer)):
-        delta = _expr_delta(task.actions[action_id], cond.expr, intervals)
+        delta = _expr_delta(task.actions[action_id], weights, intervals)
         if delta is None:
             continue
         if raising and delta > 0:
@@ -265,7 +285,7 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
 
     index = 0
     guard = 0
-    while not reachable(rhs):
+    while not range_satisfies(lo, hi, cond.op, rhs):
         if not movers:
             return NumericCondition(cond.expr, cond.op, rhs)
         delta, action_id = movers[index % len(movers)]
@@ -278,10 +298,10 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     return NumericCondition(cond.expr, cond.op, rhs)
 
 
-def _expr_delta(action: GroundAction, expr: LinearExpr,
+def _expr_delta(action: GroundAction, weights: dict[int, Fraction],
                 intervals) -> Fraction | None:
-    """Optimistic net change of a weighted sum from one application."""
-    weights = dict(expr.terms)
+    """Optimistic net change of a weighted sum (variable -> weight) from one
+    application."""
     total = Fraction(0)
     touched = False
     for effect in action.numeric_effects:
@@ -325,22 +345,20 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
     weights = layer_weights(config, graph.first_action_layer, action_costs)
 
     first_layer_ids = frozenset(graph.actions_at(1))
-    goal_achievers: set[int] = set()
     lm_facts = set(landmarks.conjunctive)
     for group in landmarks.disjunctive:
         lm_facts.update(group)
-    for action in task.actions:
-        if action.id not in graph.first_action_layer:
-            continue
-        targets = (task.goal_facts | lm_facts) - state.facts
-        if action.add_effects & targets:
-            goal_achievers.add(action.id)
+    targets = (task.goal_facts | lm_facts) - state.facts
+    goal_achievers = frozenset(
+        a.id for a in task.actions
+        if a.id in graph.first_action_layer and a.add_effects & targets)
     numeric_goal_vars = {v for cond in task.goal_conditions for v, _ in cond.expr.terms}
     numeric_affectors = frozenset(
         a.id for a in task.actions
         if a.id in graph.first_action_layer and
         any(analysed.classification.delta_of(a.id, v) != 0 for v in numeric_goal_vars))
 
+    queue = _Extraction(graph, task)
     lp_calls = 0
 
     def solve_layer(layer: int, extra_conditions) -> dict[int, Fraction] | None:
@@ -359,7 +377,7 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
                     coeffs, op, rhs = flow.condition_row(cond)
                     model.add_constraint(coeffs, op, rhs, name="subgoal")
             flow.apply_integrality(config, first_layer_ids,
-                                   frozenset(goal_achievers), numeric_affectors)
+                                   goal_achievers, numeric_affectors)
             flow.set_action_objective(weights)
             solution = model.solve()
         finally:
@@ -376,14 +394,10 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
                 counts[action_id] = value
         return counts
 
-    h = Fraction(0)
-    ha: set[int] = set()
-    trace: list[tuple[int, Fraction, int, Fraction]] = []
-    plan_counts: dict[int, Fraction] = {}
-    buckets: dict[int, dict] = {}
-
-    def bucket(layer: int) -> dict:
-        return buckets.setdefault(layer, {"prop": {}, "num": {}})
+    def absorb(counts: dict[int, Fraction], layer: int, weight: Fraction) -> None:
+        for action_id in sorted(counts):
+            queue.choose(action_id, layer, counts[action_id], weight,
+                         helpful=action_id in first_layer_ids, numeric=False)
 
     def covered(cond: NumericCondition) -> bool:
         """Already satisfiable in the state, or reachable under some ordering
@@ -391,52 +405,23 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
         produce-first / consume-first bound)."""
         if condition_satisfiable(cond, graph.numeric_layers[0]):
             return True
-        value = _optimistic_value(cond, state, plan_counts, analysed.classification)
-        if cond.op == GE:
-            return value >= cond.rhs
-        if cond.op == GT:
-            return value > cond.rhs
-        if cond.op == LE:
-            return value <= cond.rhs
-        if cond.op == LT:
-            return value < cond.rhs
-        return False
+        value = _optimistic_value(cond, state, queue.plan_counts, analysed.classification)
+        return compare(cond.op, value, cond.rhs)
 
-    def push_prop(fact: int, layer: int, weight: Fraction) -> None:
-        if layer <= 0:
-            return
-        entry = bucket(layer)["prop"]
-        entry[fact] = max(entry.get(fact, Fraction(0)), weight)
-
-    def push_num(conds: tuple[NumericCondition, ...], layer: int, weight: Fraction) -> None:
-        if layer <= 0 or not conds:
-            return
-        entry = bucket(layer)["num"]
-        entry[conds] = max(entry.get(conds, Fraction(0)), weight)
-
-    def enqueue_preconditions(action: GroundAction, weight: Fraction,
-                              include_numeric: bool) -> None:
-        for fact in sorted(action.preconditions):
-            layer = graph.first_fact_layer.get(fact, 0)
-            push_prop(fact, layer, weight)
-        if include_numeric:
-            for cond in _split_equalities(action.numeric_preconditions):
-                layer = graph.first_hold_layer(cond)
-                if layer is not None:
-                    push_num((_normalise_single(cond),), layer, weight)
-
-    def absorb_counts(counts: dict[int, Fraction], weight: Fraction, layer: int) -> None:
-        nonlocal h
-        for action_id in sorted(counts):
-            count = counts[action_id]
-            h += weight * count
-            trace.append((action_id, count, layer, weight))
-            plan_counts[action_id] = plan_counts.get(action_id, Fraction(0)) + count
-            if action_id in first_layer_ids:
-                ha.add(action_id)
-            enqueue_preconditions(task.actions[action_id],
-                                  weight * min(count, Fraction(1)),
-                                  include_numeric=False)
+    def satisfy(layer: int, subgoals: Subgoals) -> bool:
+        for conds in sorted(subgoals, key=str):
+            weight = subgoals[conds]
+            live = [c for c in conds if not covered(c)]
+            if not live:
+                continue
+            counts = solve_layer(layer, live)
+            if counts is not None:
+                absorb(counts, layer, weight)
+            elif layer + 1 <= final:
+                queue.push_conditions(conds, layer + 1, weight)
+            else:
+                return False
+        return True
 
     # Goals covered by the goal-checking model are satisfied by its solution;
     # goals outside it go through the queue.
@@ -444,53 +429,19 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
         counts = solve_layer(final, "goal-check")
         if counts is None:
             return DEAD_END
-        absorb_counts(counts, Fraction(1), final)
+        absorb(counts, final, 1)
     if not config.include_prop_goals:
-        for fact in sorted(task.goal_facts):
-            layer = graph.first_fact_layer.get(fact, 0)
-            push_prop(fact, layer, Fraction(1))
+        for fact in task.goal_facts:
+            queue.push_fact(fact, 1)
     if not config.include_numeric_goal_conjunct:
         goals = tuple(_normalise_single(c) for c in _split_equalities(task.goal_conditions)
                       if not condition_satisfiable(c, graph.numeric_layers[0]))
-        if len(goals) > 1:
-            push_num(goals, final, Fraction(1))
-        elif goals:
-            layer = graph.first_hold_layer(goals[0])
-            if layer is not None:
-                push_num(goals, layer, Fraction(1))
+        layer = graph.first_hold_layer(goals[0]) if len(goals) == 1 else final
+        queue.push_conditions(goals, layer, 1)
 
-    while buckets:
-        if lp_calls > config.lp_call_budget:
-            log.warning("per-state LP budget exceeded during extraction; "
-                        "falling back to regression extraction")
-            return extract_metricff(graph, task)
-        layer = max(buckets)
-        entry = buckets.pop(layer)
-        prop = entry["prop"]
-        while prop:
-            fact = min(prop)
-            weight = prop.pop(fact)
-            h += weight
-            action_id = _achiever(task, graph, fact)
-            trace.append((action_id, Fraction(1), layer, weight))
-            plan_counts[action_id] = plan_counts.get(action_id, Fraction(0)) + 1
-            if action_id in first_layer_ids:
-                ha.add(action_id)
-            enqueue_preconditions(task.actions[action_id], weight, include_numeric=True)
-            for other in task.actions[action_id].add_effects:
-                prop.pop(other, None)
-        for conds in sorted(entry["num"], key=str):
-            weight = entry["num"][conds]
-            live = [c for c in conds if not covered(c)]
-            if not live:
-                continue
-            counts = solve_layer(layer, live)
-            if counts is None:
-                if layer + 1 <= final:
-                    push_num(conds, layer + 1, weight)
-                    continue
-                return DEAD_END
-            absorb_counts(counts, weight, layer)
-
-    helpful = helpful_closure(task, state, ha, graph.signatures)
-    return HeuristicResult(h, helpful, tuple(trace))
+    result = queue.run(satisfy, lambda: lp_calls > config.lp_call_budget)
+    if result is None:
+        log.warning("per-state LP budget exceeded during extraction; "
+                    "falling back to regression extraction")
+        return extract_metricff(graph, task)
+    return result

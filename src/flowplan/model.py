@@ -20,7 +20,21 @@ DEFAULT_GROUND_ACTION_CAP = 1_000_000
 
 GE, GT, LE, LT, EQ = ">=", ">", "<=", "<", "="
 
-_FLIP = {GE: LE, GT: LT, LE: GE, LT: GT, EQ: EQ}  # for multiplying by a negative
+# the operator after multiplying both sides of a comparison by a negative
+FLIP = {GE: LE, GT: LT, LE: GE, LT: GT, EQ: EQ}
+
+
+def compare(op: str, lhs: Fraction, rhs: Fraction) -> bool:
+    """Whether `lhs op rhs` holds."""
+    if op == GE:
+        return lhs >= rhs
+    if op == GT:
+        return lhs > rhs
+    if op == LE:
+        return lhs <= rhs
+    if op == LT:
+        return lhs < rhs
+    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -86,16 +100,7 @@ class NumericCondition:
         return NumericCondition, (self.expr, self.op, self.rhs)
 
     def holds(self, values: tuple[Fraction, ...]) -> bool:
-        lhs = self.expr.evaluate(values)
-        if self.op == GE:
-            return lhs >= self.rhs
-        if self.op == GT:
-            return lhs > self.rhs
-        if self.op == LE:
-            return lhs <= self.rhs
-        if self.op == LT:
-            return lhs < self.rhs
-        return lhs == self.rhs
+        return compare(self.op, self.expr.evaluate(values), self.rhs)
 
     def single_variable(self) -> int | None:
         """The variable id if the condition is w*v op c with one term, else None."""
@@ -375,7 +380,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
         for raw_condition in raw["num_pre"]:
             coeffs, op, rhs = raw_condition
             if not coeffs:
-                if not _constant_holds(op, Fraction(0), rhs):
+                if not compare(op, Fraction(0), rhs):
                     statically_false = True
                     break
                 continue  # statically true: drop
@@ -410,7 +415,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
     for raw_condition in goal_conditions_raw:
         coeffs, op, rhs = raw_condition
         if not coeffs:
-            if not _constant_holds(op, Fraction(0), rhs):
+            if not compare(op, Fraction(0), rhs):
                 # keep an unsatisfiable marker condition so the goal test fails
                 goal_conditions.append(NumericCondition(LinearExpr(), op, rhs))
             continue
@@ -436,18 +441,6 @@ def _normalise_comparison(comparison: pddl.ComparisonAST, builder: _LinearBuilde
     coeffs = {k: w for k, w in coeffs.items() if w != 0}
     rhs = right_k - left_k
     return coeffs, comparison.op, rhs
-
-
-def _constant_holds(op: str, lhs: Fraction, rhs: Fraction) -> bool:
-    if op == GE:
-        return lhs >= rhs
-    if op == GT:
-        return lhs > rhs
-    if op == LE:
-        return lhs <= rhs
-    if op == LT:
-        return lhs < rhs
-    return lhs == rhs
 
 
 def _instantiate(schema: pddl.ActionAST, binding: dict[str, str]) -> dict | None:
@@ -511,7 +504,7 @@ def rewrite_strict_inequalities(task: GroundTask) -> GroundTask:
             if eps is not None:
                 # normalise to v op' bound, then check the grid alignment
                 bound = cond.rhs / weight
-                op = cond.op if weight > 0 else _FLIP[cond.op]
+                op = cond.op if weight > 0 else FLIP[cond.op]
                 init = task.initial.values[var]
                 if (bound / eps).denominator == 1 and (init / eps).denominator == 1:
                     if op == GT:

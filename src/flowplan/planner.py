@@ -94,7 +94,7 @@ class Evaluator:
             counts: dict[int, int] = {}
             for action_id, count, _, _ in result.trace:
                 counts[action_id] = counts.get(action_id, 0) + int(count)
-            penalty = rpg.sapa_penalty(state, counts, self.analysed.task)
+            penalty = rpg.sapa_penalty(state, counts, self.analysed)
             if penalty is None:
                 return extract.DEAD_END
             if penalty:

@@ -50,17 +50,23 @@ def expr_range(cond_terms, intervals: list[Interval]) -> Interval:
     return lo, hi
 
 
+def range_satisfies(lo: Fraction | None, hi: Fraction | None, op: str,
+                    rhs: Fraction) -> bool:
+    """Whether some value in [lo, hi] (None: unbounded) satisfies `value op rhs`."""
+    if op == GE:
+        return hi is None or hi >= rhs
+    if op == GT:
+        return hi is None or hi > rhs
+    if op == LE:
+        return lo is None or lo <= rhs
+    if op == LT:
+        return lo is None or lo < rhs
+    return (lo is None or lo <= rhs) and (hi is None or hi >= rhs)
+
+
 def condition_satisfiable(cond: NumericCondition, intervals: list[Interval]) -> bool:
     lo, hi = expr_range(cond.expr.terms, intervals)
-    if cond.op == GE:
-        return hi is None or hi >= cond.rhs
-    if cond.op == GT:
-        return hi is None or hi > cond.rhs
-    if cond.op == LE:
-        return lo is None or lo <= cond.rhs
-    if cond.op == LT:
-        return lo is None or lo < cond.rhs
-    return (lo is None or lo <= cond.rhs) and (hi is None or hi >= cond.rhs)
+    return range_satisfies(lo, hi, cond.op, cond.rhs)
 
 
 def _relevant_extremum(cond: NumericCondition, intervals: list[Interval]):
@@ -403,7 +409,7 @@ def propagate_costs(graph: RPGraph, task: GroundTask, variant: str) -> dict[int,
 
 
 def sapa_penalty(state: State, action_counts: dict[int, int],
-                 task: GroundTask) -> int | None:
+                 analysed: AnalysedTask) -> int | None:
     """Extra actions needed to cover the relaxed plan's net consumption.
 
     For each variable the relaxed plan overdraws, adds ceil(shortfall /
@@ -413,7 +419,7 @@ def sapa_penalty(state: State, action_counts: dict[int, int],
     consumption: dict[int, Fraction] = {}
     production: dict[int, Fraction] = {}
     for action_id, count in action_counts.items():
-        for effect in task.actions[action_id].numeric_effects:
+        for effect in analysed.task.actions[action_id].numeric_effects:
             delta = effect.delta()
             if delta is None:
                 continue
@@ -423,14 +429,6 @@ def sapa_penalty(state: State, action_counts: dict[int, int],
             elif delta < 0:
                 consumption[effect.variable] = consumption.get(effect.variable, Fraction(0)) \
                     - delta * count
-    best_production: dict[int, Fraction] = {}
-    for action in task.actions:
-        for effect in action.numeric_effects:
-            delta = effect.delta()
-            if delta is not None and delta > 0:
-                best = best_production.get(effect.variable)
-                if best is None or delta > best:
-                    best_production[effect.variable] = delta
     penalty = 0
     for var, consumed in sorted(consumption.items()):
         produced = production.get(var, Fraction(0))
@@ -438,7 +436,7 @@ def sapa_penalty(state: State, action_counts: dict[int, int],
         shortfall = consumed - produced - stock
         if shortfall <= 0:
             continue
-        best = best_production.get(var)
+        best = analysed.best_production.get(var)
         if best is None:
             return None
         penalty += math.ceil(shortfall / best)

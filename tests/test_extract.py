@@ -1,13 +1,17 @@
 """Relaxed-plan extraction: the regression extractor, the LP-guided extractor,
 and their agreement on purely propositional tasks."""
 
+import hashlib
+import logging
 import random
 from fractions import Fraction
+
+import pytest
 
 from flowplan import extract, model, rpg
 from flowplan.analysis import analyse
 from flowplan.fixtures import (
-    CRT, CRT_WITH_PRODUCER, FIVE_CART, RESOURCE_PERSISTENCE, fixture,
+    CRT, CRT_WITH_PRODUCER, FIVE_CART, PUMP, RESOURCE_PERSISTENCE, fixture,
 )
 from flowplan.lpmodel import (
     HeuristicConfig, INTS_FIRST_LAYER, INTS_MINIMAL, LandmarkView,
@@ -73,6 +77,25 @@ def test_assignment_achiever_handles_bound_subgoal():
     result = extract.extract_metricff(graph, task)
     assert result.h == 1
     assert [a for a, _, _, _ in result.trace] == [0]
+
+
+def test_regression_numeric_choice_is_helpful_only_at_layer_one():
+    """Regression marks a numeric choice helpful only when it is made at
+    layer 1: harvest is applicable, but its magnitude needs grown stock, so
+    the goal first holds at layer 2 and harvest is chosen there only."""
+    builder = TaskBuilder()
+    v = builder.var("(v)", 0)
+    w = builder.var("(w)", 1)
+    builder.action("grow", effects=[(w, "increase", 3)])
+    builder.action("harvest", effects=[(v, "increase", ({w: 1}, 0))])
+    builder.goal(conditions=[builder.condition({v: 1}, GE, 4)])
+    task = builder.build()
+    _, graph = graph_for(task, rpg.METRICFF)
+    harvest = task.action_named("(harvest)").id
+    assert harvest in graph.actions_at(1)
+    result = extract.extract_metricff(graph, task)
+    assert result.trace == ((harvest, 1, 2, 1),)
+    assert result.helpful == frozenset()
 
 
 def test_five_cart_lp_extraction_first_layer_integrality():
@@ -162,6 +185,56 @@ def test_helpful_actions_are_applicable():
             assert applicable(task.initial, task.actions[action_id]), name
 
 
+def _pump_lp_graph(config):
+    """The pump fixture with numeric goals kept out of the goal-check LP, so
+    extraction solves the goal check and then one queued numeric subgoal,
+    whose root relaxation is fractional."""
+    task = model.parse_and_ground(*fixture(PUMP))
+    return graph_for(task, rpg.LPRPG, config)
+
+
+def test_lp_budget_exceeded_falls_back_to_regression(caplog):
+    config = HeuristicConfig(include_numeric_goal_conjunct=False)
+    analysed, graph = _pump_lp_graph(config)
+    counters = graph.flow.model.counters
+    before = counters.solves
+    lp = extract.extract_lprpg(graph, analysed, LandmarkView(), config)
+    assert counters.solves - before == 2  # goal check, then the queued subgoal
+
+    budget = HeuristicConfig(include_numeric_goal_conjunct=False, lp_call_budget=0)
+    analysed, graph = _pump_lp_graph(budget)
+    counters = graph.flow.model.counters
+    before = counters.solves
+    with caplog.at_level(logging.WARNING, logger="flowplan.extract"):
+        result = extract.extract_lprpg(graph, analysed, LandmarkView(), budget)
+    assert counters.solves - before == 1  # the goal check spends the budget
+    assert result == extract.extract_metricff(graph, analysed.task)
+    assert result != lp
+    assert [r.getMessage() for r in caplog.records].count(
+        "per-state LP budget exceeded during extraction; "
+        "falling back to regression extraction") == 1
+
+
+def test_mip_limit_during_extraction_adds_no_counts(monkeypatch, caplog):
+    config = HeuristicConfig(include_numeric_goal_conjunct=False)
+    analysed, graph = _pump_lp_graph(config)
+    counters = graph.flow.model.counters
+    before = counters.bb_nodes
+    full = extract.extract_lprpg(graph, analysed, LandmarkView(), config)
+    # one node for the goal check, more than one for the fractional subgoal
+    assert counters.bb_nodes - before > 2
+    assert full.h == 3 and len(full.trace) == 3
+
+    analysed, graph = _pump_lp_graph(config)
+    monkeypatch.setattr(graph.flow.model, "node_limit", 1)
+    with caplog.at_level(logging.WARNING, logger="flowplan.extract"):
+        result = extract.extract_lprpg(graph, analysed, LandmarkView(), config)
+    assert [r.getMessage() for r in caplog.records] == [
+        "MIP limit during extraction; treating subgoal as satisfied"]
+    # the goal check absorbed nothing, and the limited solve adds no counts
+    assert result.h == 0 and result.trace == () and result.helpful == frozenset()
+
+
 def _random_strips_task(seed: int):
     rng = random.Random(seed)
     builder = TaskBuilder()
@@ -210,3 +283,58 @@ def test_metricff_extraction_total_on_goals_reached():
             continue
         result = extract.extract_metricff(graph, task)
         assert result.h is not None and result.h >= 0
+
+
+# Evaluations, h-value sum and a digest of every computed evaluation's
+# (h, sorted helpful, trace) plus the plan, over whole plan_task runs,
+# recorded before the two extractors were merged into one skeleton. Any
+# change to achiever choice, queue order, weights or helpful actions moves
+# at least one of them.
+_NO_LP_GOALS = dict(weight_scheme="hadd", include_prop_goals=False,
+                    include_landmarks=False, include_all_propositions=False,
+                    include_numeric_goal_conjunct=False)
+PINNED_EXTRACTIONS = (
+    ("metricff", "mini-settlers", 2, {}, 76, 214,
+     "baf6cf922af0a6fedc0f6b9bf0362d9927e1da505c0a515b875ae338ee96d464"),
+    ("metricff-sapa", "mini-settlers", 2, {}, 49, 156,
+     "23ee6a204352eeca5263acd802497ccb5ef6370891cd9f84d4428d87f3821b99"),
+    ("lprpg", "market-trader", 2, {}, 11, 52,
+     "7ed36f58afcaa3dbcd9807146c0a4469b17e77b7d6b54c952a063f69b1af1787"),
+    ("lprpg", "pump-catalyst", 3, {"include_all_propositions": True}, 5, 10,
+     "5b2a047bc3dbdce2ef726f8dbe8f998850d4d0774b4904617d27e34b73a03e9b"),
+    ("lprpg", "mini-settlers", 3, _NO_LP_GOALS, 28, 173,
+     "db176acb06749a6765d9f4b9cc41cfc34ecf112023a735f1594b9a305452aeaa"),
+)
+
+
+@pytest.mark.parametrize(
+    "mode,family,size,options,evaluations,h_sum,digest", PINNED_EXTRACTIONS,
+    ids=["metricff-mini-settlers-2", "metricff-sapa-mini-settlers-2",
+         "lprpg-market-trader-2", "lprpg-allprops-pump-catalyst-3",
+         "lprpg-hadd-no-lp-goals-mini-settlers-3"])
+def test_extraction_over_plan_task_is_pinned(monkeypatch, mode, family, size, options,
+                                             evaluations, h_sum, digest):
+    from flowplan import generators, planner
+
+    records: list[str] = []
+    hs: list[Fraction] = []
+    real_call = planner.Evaluator.__call__
+
+    def recording_call(self, state, achieved=frozenset()):
+        result = real_call(self, state, achieved)
+        hs.append(result.h or Fraction(0))
+        records.append(repr((str(result.h), sorted(result.helpful),
+                             tuple((a, str(c), layer, str(w))
+                                   for a, c, layer, w in result.trace))))
+        return result
+
+    monkeypatch.setattr(planner.Evaluator, "__call__", recording_call)
+    config = HeuristicConfig(**options)
+    if mode == planner.MODE_LPRPG:
+        assert config.uses_goal_check() == (options is not _NO_LP_GOALS)
+    task = model.parse_and_ground(*generators.generate(family, size, 1))
+    outcome = planner.plan_task(task, mode=mode, config=config)
+    assert outcome.status == "solved"
+    records.append(repr(outcome.plan))
+    assert (len(hs), sum(hs)) == (evaluations, h_sum)
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest

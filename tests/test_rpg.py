@@ -352,10 +352,10 @@ def test_penalty_formula():
     # c = 5, p = 1 (one produce of... delta 2 would be p=2; use half a produce)
     # direct arithmetic: c=5, p=1 via... build counts for c=5 consumes, and
     # production 1 cannot arise from +2 producer, so check the c=5,p=2 case
-    penalty = rpg.sapa_penalty(task.initial, {consume: 5, produce: 1}, task)
+    penalty = rpg.sapa_penalty(task.initial, {consume: 5, produce: 1}, analyse(task))
     # consumption 5, production 2, stock 1 -> shortfall 2, best producer 2
     assert penalty == 1
-    penalty = rpg.sapa_penalty(task.initial, {consume: 5}, task)
+    penalty = rpg.sapa_penalty(task.initial, {consume: 5}, analyse(task))
     # shortfall 4 over best single production 2 -> 2 extra actions
     assert penalty == 2
 
@@ -363,7 +363,7 @@ def test_penalty_formula():
 def test_penalty_zero_without_shortfall():
     task, v = penalty_task()
     consume = task.action_named("(consume)").id
-    assert rpg.sapa_penalty(task.initial, {consume: 1}, task) == 0
+    assert rpg.sapa_penalty(task.initial, {consume: 1}, analyse(task)) == 0
 
 
 def test_penalty_dead_end_without_producer():
@@ -373,7 +373,7 @@ def test_penalty_dead_end_without_producer():
                    effects=[(v, "decrease", 1)])
     task = builder.build()
     consume = task.action_named("(consume)").id
-    assert rpg.sapa_penalty(task.initial, {consume: 4}, task) is None
+    assert rpg.sapa_penalty(task.initial, {consume: 4}, analyse(task)) is None
 
 
 def test_lp_mode_untracked_intervals_match_full_interval_update():
