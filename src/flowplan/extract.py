@@ -208,6 +208,8 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
         remaining: list[NumericCondition] = []
         # assignment achievers first: one assign can discharge several bounds
         for cond in list(num):
+            if cond not in num:
+                continue  # discharged by an earlier assigner
             var = cond.single_variable()
             if var is not None and cond.expr.terms[0][1] == 1:
                 assigner = _find_assigner(task, graph, layer, var, cond)
@@ -219,8 +221,7 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
                     remaining = [c for c in remaining
                                  if not _discharged_by_assign(c, var, k, cond.op)]
                     continue
-            if cond in num:
-                remaining.append(cond)
+            remaining.append(cond)
         for cond in remaining:
             residual = _regress(graph, task, cond, layer, choose)
             queue.push_conditions((residual,), layer - 1, 1)

@@ -6,7 +6,8 @@ flow-conservation row per variable. Optional rows encode one-shot sets,
 catalytic bounds and switches, propositional goals, landmarks, the
 full-proposition encoding, and the numeric goal conjunct. The model
 grows monotonically as RPG layers add actions; temporary rows (goal
-checks, subgoal constraints, bound clamps) are scratch-scoped.
+checks, subgoal constraints) are scratch-scoped, and bound queries add
+no rows at all.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ class LandmarkView:
 class FlowModel:
     """Mutable flow encoding for a growing action layer.
 
-    Build with `build_flow`, extend with `extend`; every query that needs
-    extra rows (bounds, goal checks, subgoals) pushes a scratch mark and
-    pops it afterwards, so the persistent model only ever contains the
-    flow skeleton for the current layer.
+    Build with the constructor, extend with `extend`; every query that
+    needs extra rows (goal checks, subgoals) or an objective pushes a
+    scratch mark and pops it afterwards, so the persistent model only ever
+    contains the flow skeleton for the current layer.
     """
 
     def __init__(self, analysed: AnalysedTask, state: State,
@@ -249,17 +250,10 @@ class FlowModel:
         """
         start = time.perf_counter()
         task, state = self.task, self.state
-        adders: dict[int, list[int]] = {}
-        for action_id in layer_action_ids:
-            for fact in task.actions[action_id].add_effects:
-                adders.setdefault(fact, []).append(action_id)
 
         def achiever_row(facts, name: str) -> None:
-            coeffs: dict[int, Fraction] = {}
-            for fact in facts:
-                for action_id in adders.get(fact, []):
-                    col = self.action_col[action_id]
-                    coeffs[col] = Fraction(1)
+            coeffs = {self.action_col[a]: Fraction(1) for fact in facts
+                      for a in self._layer_adders(fact, layer_action_ids)}
             self.model.add_constraint(coeffs, ">=", Fraction(1), name=name)
 
         if config.include_numeric_goal_conjunct:
@@ -278,11 +272,13 @@ class FlowModel:
                 if not (group & state.facts):
                     achiever_row(sorted(group), f"disjlandmark{index}")
         if config.include_all_propositions:
-            self._add_all_propositions(layer_action_ids, adders)
+            self._add_all_propositions(layer_action_ids)
         self.counters.build_time += time.perf_counter() - start
 
-    def _add_all_propositions(self, layer_action_ids: frozenset[int],
-                              adders: dict[int, list[int]]) -> None:
+    def _layer_adders(self, fact: int, layer_action_ids: frozenset[int]) -> list[int]:
+        return [a for a in self.analysed.adders.get(fact, ()) if a in layer_action_ids]
+
+    def _add_all_propositions(self, layer_action_ids: frozenset[int]) -> None:
         """Binary fact columns: adders cover the fact, big-M links requirers."""
         task, state = self.task, self.state
         requirers: dict[int, list[int]] = {}
@@ -294,7 +290,8 @@ class FlowModel:
             name = task.fact_names[fact]
             fcol = self.model.add_variable(Fraction(0), Fraction(1), kind=mp.BINARY,
                                            name=f"fact {name}")
-            add_coeffs = {self.action_col[a]: Fraction(1) for a in adders.get(fact, [])}
+            add_coeffs = {self.action_col[a]: Fraction(1)
+                          for a in self._layer_adders(fact, layer_action_ids)}
             add_coeffs[fcol] = Fraction(-1)
             self.model.add_constraint(add_coeffs, ">=", Fraction(0), name=f"covers {name}")
             users = requirers[fact]
@@ -353,24 +350,20 @@ class FlowModel:
                     previous: Fraction | None) -> Fraction | None:
         """Max/min of a tracked variable's post-value over the current layer.
 
-        Returns None for an unbounded direction. The previous layer's bound
-        enters as a temporary constraint so the result can never be tighter
-        than it (bounds widen monotonically as layers grow); a previous bound
-        already beyond the layer optimum is simply kept.
+        Returns None for an unbounded direction. The optimum is widened from
+        the previous bound by max/min, so bounds widen as layers grow. That
+        equals the LP with a `post >= previous` row (`<=` for min): when the
+        optimum falls short of `previous`, no point meets that row, and an
+        infeasible clamped LP keeps `previous`.
         """
         if direction == "max" and not self.has_increaser.get(var):
             return previous if previous is not None else self.state.values[var]
         if direction == "min" and not self.has_decreaser.get(var):
             return previous if previous is not None else self.state.values[var]
-        col = self.post_col[var]
+        sense = mp.MAXIMIZE if direction == "max" else mp.MINIMIZE
         self.model.push_scratch()
         try:
-            if previous is not None:
-                op = ">=" if direction == "max" else "<="
-                self.model.add_constraint({col: Fraction(1)}, op, previous,
-                                          name="monotone clamp")
-            sense = mp.MAXIMIZE if direction == "max" else mp.MINIMIZE
-            self.model.set_objective({col: Fraction(1)}, sense)
+            self.model.set_objective({self.post_col[var]: Fraction(1)}, sense)
             solution = self.model.solve()
         finally:
             self.model.pop_scratch()
@@ -381,10 +374,13 @@ class FlowModel:
             return None
         if solution.status != mp.OPTIMAL:
             if previous is not None:
-                return previous  # the clamp itself binds: keep the wider bound
+                return previous
             raise SolverError(
                 f"bound query infeasible for {self.task.var_names[var]} ({direction})")
-        return solution.objective
+        optimum = solution.objective
+        if previous is None:
+            return optimum
+        return max(previous, optimum) if direction == "max" else min(previous, optimum)
 
 
 def layer_weights(config: HeuristicConfig, first_action_layer: dict[int, int],

@@ -689,6 +689,7 @@ class _Simplex:
                 continue
             candidates = [j for j in self.tableau[i] if j not in artificial]
             if candidates:
+                self.pivots += 1
                 self._pivot(i, min(candidates))
             # an all-zero row is redundant; its artificial stays basic at 0
 

@@ -5,8 +5,8 @@ effect once per layer (the classic metric relaxation); the unbounded
 variant lets effects repeat arbitrarily within a layer. LP mode asks the
 flow model for bounds instead, with the standard work-avoidance rules:
 reuse a bound while every condition it could help is already satisfiable,
-track only variables that occur in conditions or goals, clamp against the
-previous layer, and skip directions with no in-layer effect.
+track only variables that occur in conditions or goals, widen from the
+previous layer's bound, and skip directions with no in-layer effect.
 """
 
 from __future__ import annotations
@@ -108,20 +108,17 @@ class RPGraph:
         computes the complete picture for tests and debug dumps."""
         assert self.flow is not None, "lp_bounds needs an LP-mode graph"
         flow = self.flow
-        layer_set = frozenset(self.actions_at(layer))
         out: list[Interval] = []
         flow.model.push_scratch()
         try:
-            flow.restrict_to(layer_set)
+            flow.restrict_to(frozenset(self.actions_at(layer)))
             for var in range(len(self.numeric_layers[0])):
                 if var not in flow.tracked:
                     out.append(self.interval_at(layer, var))
                     continue
-                has_inc = any(flow.cls.delta_of(a, var) > 0 for a in layer_set)
-                has_dec = any(flow.cls.delta_of(a, var) < 0 for a in layer_set)
                 base = self.state.values[var]
-                hi = flow.query_bound(var, "max", None) if has_inc else base
-                lo = flow.query_bound(var, "min", None) if has_dec else base
+                hi = flow.query_bound(var, "max", base)
+                lo = flow.query_bound(var, "min", base)
                 out.append((lo, hi))
         finally:
             flow.model.pop_scratch()
@@ -310,9 +307,10 @@ def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, layer_actions,
                      new_actions) -> list[Interval]:
     """Next numeric layer in LP mode, applying the four skip rules.
 
-    A side that is already infinite stays infinite without a query: a bound
-    query that hit the LP limit reports infinity, and re-asking the next
-    layer without a clamp could return a finite bound, which would shrink the
+    Each query widens from the previous layer's bound. A side that is
+    already infinite stays infinite without a query: a bound query that hit
+    the LP limit reports infinity, and re-asking the next layer with nothing
+    to widen from could return a finite bound, which would shrink the
     interval and break the monotone widening `expand` relies on.
     """
     task = analysed.task

@@ -24,6 +24,7 @@ import heapq
 import itertools
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -162,10 +163,10 @@ def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
              memo: Memo, stats: SearchStats, budget: Budget, depth_cap: int,
              helpful_only: bool):
     """Breadth-first search for a state strictly better than the origin."""
-    queue: list[tuple[SearchNode, int]] = [(origin, 0)]
+    queue: deque[tuple[SearchNode, int]] = deque([(origin, 0)])
     closed = {origin.key()}
     while queue:
-        node, depth = queue.pop(0)
+        node, depth = queue.popleft()
         if depth >= depth_cap:
             continue
         if budget.exceeded(stats):

@@ -79,6 +79,23 @@ def test_assignment_achiever_handles_bound_subgoal():
     assert [a for a, _, _, _ in result.trace] == [0]
 
 
+def test_one_assignment_discharges_every_bound_it_satisfies():
+    """v := 5 satisfies both goals, so the assignment pass chooses it once
+    and does not re-choose it for the bound it already discharged."""
+    builder = TaskBuilder()
+    v = builder.var("(v)", 0)
+    trigger = builder.fact("(armed)", initially_true=True)
+    builder.action("charge", pre=[trigger], delete=[trigger],
+                   effects=[(v, "assign", 5)])
+    builder.goal(conditions=[builder.condition({v: 1}, GE, 4),
+                             builder.condition({v: 1}, GE, 3)])
+    task = builder.build()
+    _, graph = graph_for(task, rpg.METRICFF)
+    result = extract.extract_metricff(graph, task)
+    assert result.h == 1
+    assert [a for a, _, _, _ in result.trace] == [0]
+
+
 def test_regression_numeric_choice_is_helpful_only_at_layer_one():
     """Regression marks a numeric choice helpful only when it is made at
     layer 1: harvest is applicable, but its magnitude needs grown stock, so

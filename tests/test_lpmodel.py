@@ -325,6 +325,68 @@ def test_query_bound_monotone_clamp():
     assert flow.query_bound(v0, "max", Fraction(5)) >= 5
 
 
+def _clamped_bound(flow, var, direction, previous):
+    """The bound query as a clamped LP: `post >= previous` (`<=` for min) as
+    a scratch row, so the optimum can never fall short of `previous`."""
+    if direction == "max" and not flow.has_increaser.get(var):
+        return previous if previous is not None else flow.state.values[var]
+    if direction == "min" and not flow.has_decreaser.get(var):
+        return previous if previous is not None else flow.state.values[var]
+    col = flow.post_col[var]
+    flow.model.push_scratch()
+    try:
+        if previous is not None:
+            op = ">=" if direction == "max" else "<="
+            flow.model.add_constraint({col: 1}, op, previous, name="clamp")
+        sense = mp.MAXIMIZE if direction == "max" else mp.MINIMIZE
+        flow.model.set_objective({col: 1}, sense)
+        solution = flow.model.solve()
+    finally:
+        flow.model.pop_scratch()
+    if solution.status in (mp.UNBOUNDED, mp.LIMIT):
+        return None
+    if solution.status != mp.OPTIMAL:
+        assert previous is not None, "the unclamped bound LP is feasible at zero counts"
+        return previous
+    return solution.objective
+
+
+@pytest.mark.parametrize("family,size,all_props", [
+    ("market-trader", 2, False), ("mini-settlers", 2, False), ("pump-catalyst", 3, True)])
+def test_bound_queries_equal_the_clamped_query(monkeypatch, family, size, all_props):
+    """Every bound query of a plan_task run returns what the clamped LP on
+    the same model returns. Each query is also re-asked with previous bounds
+    one unit either side of its result and with none, so the widening is
+    exercised where the clamp binds too."""
+    from flowplan import generators, planner
+    real_query = FlowModel.query_bound
+    kept = []
+
+    def checking_query(self, var, direction, previous):
+        result = real_query(self, var, direction, previous)
+        counters = self.model.counters
+        self.model.counters = mp.Counters()  # probes leave the run's stats alone
+        try:
+            probes = [previous, None]
+            if result is not None:
+                probes += [result - 1, result + 1]
+            for probe in probes:
+                got = result if probe == previous else real_query(self, var, direction, probe)
+                assert got == _clamped_bound(self, var, direction, probe), \
+                    (self.task.var_names[var], direction, probe)
+                kept.append(probe is not None and got == probe != result)
+        finally:
+            self.model.counters = counters
+        return result
+
+    monkeypatch.setattr(FlowModel, "query_bound", checking_query)
+    task = model.parse_and_ground(*generators.generate(family, size, 1))
+    outcome = planner.plan_task(task, mode=planner.MODE_LPRPG,
+                                config=HeuristicConfig(include_all_propositions=all_props))
+    assert outcome.status == "solved"
+    assert any(kept)  # some probe lay beyond the optimum and was kept
+
+
 def test_interval_relaxation_is_looser_than_lp_on_fragment():
     from flowplan import rpg
     task, v0, v1 = exchange_task()

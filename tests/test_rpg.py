@@ -186,13 +186,24 @@ def _tiny_pivot_limit(monkeypatch, limit):
 def test_lp_bounds_widen_monotonically_when_queries_hit_the_pivot_limit(
         monkeypatch, caplog):
     """A bound query that hits the LP limit reports infinity; the next layer
-    must keep that side infinite instead of re-asking without a clamp."""
+    must keep that side infinite instead of re-asking with nothing to widen
+    from."""
     builder = TaskBuilder()
     v = builder.var("(v)", 10)
     first = builder.fact("(first)")
     second = builder.fact("(second)")
-    builder.action("inc", effects=[(v, "increase", 1)])
+    # three one-shot top-ups: v's layer-1 upper bound takes three bound
+    # flips, so pivot limits 1-3 trip it
+    for name in ("a", "b", "c"):
+        token = builder.fact(f"(token-{name})", initially_true=True)
+        builder.action(f"top-up-{name}", pre=[token], delete=[token],
+                       num_pre=[builder.condition({v: 1}, LE, 19)],
+                       effects=[(v, "increase", 1)])
     builder.action("step1", add=[first])
+    # bulk reaches v's cap of 20 in one pivot, so a layer-2 query asked
+    # afresh would come back finite under limits 2 and 3
+    builder.action("bulk", pre=[first], num_pre=[builder.condition({v: 1}, LE, 15)],
+                   effects=[(v, "increase", 5)])
     builder.action("step2", pre=[first], add=[second])
     builder.action("dec", pre=[second], num_pre=[builder.condition({v: 1}, GE, 1)],
                    effects=[(v, "decrease", 1)])
