@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .model import (
-    FLIP, GE, GT, LE, LT, EQ,
+    GE, GT, LE, LT, EQ,
     GroundAction, GroundTask, NumericCondition, NumericEffect, State,
 )
 
@@ -82,17 +82,6 @@ class LandmarkSet:
 # Classification
 
 
-def _threshold_form(cond: NumericCondition) -> tuple[int, str, Fraction] | None:
-    """Normalise a single-variable condition to (var, op, bound) with weight 1."""
-    var = cond.single_variable()
-    if var is None:
-        return None
-    weight = cond.expr.terms[0][1]
-    bound = cond.rhs / weight
-    op = cond.op if weight > 0 else FLIP[cond.op]
-    return var, op, bound
-
-
 def classify(task: GroundTask) -> PCClassification:
     """Classify every variable against the producer/consumer definitions.
 
@@ -121,7 +110,7 @@ def classify(task: GroundTask) -> PCClassification:
         # conditions on each variable, normalised to weight-1 thresholds
         conditions_on: dict[int, list[tuple[str, Fraction] | None]] = {}
         for cond in action.numeric_preconditions:
-            form = _threshold_form(cond)
+            form = cond.threshold()
             if form is None:
                 # multi-variable condition: allowed for unaffected variables,
                 # outside the definitions for affected ones
@@ -229,12 +218,10 @@ def classify(task: GroundTask) -> PCClassification:
 
 def detect_one_shot_sets(task: GroundTask) -> list[OneShotSet]:
     """Maximal sets of actions sharing a never-re-added precondition fact they delete."""
-    added_somewhere: set[int] = set()
-    for action in task.actions:
-        added_somewhere.update(action.add_effects)
+    adders = fact_adders(task)
     sets: list[OneShotSet] = []
     for fact in range(len(task.fact_names)):
-        if fact in added_somewhere:
+        if fact in adders:
             continue
         members = tuple(sorted(
             a.id for a in task.actions
@@ -303,16 +290,11 @@ def rewrite_assignments(task: GroundTask, cls: PCClassification) -> GroundTask:
     if not assigners:
         return task
 
-    adders: dict[int, set[int]] = {f: set() for f in range(len(task.fact_names))}
-    for action in task.actions:
-        for fact in action.add_effects:
-            adders[fact].add(action.id)
+    adders = fact_adders(task)
 
     def references(action: GroundAction, var: int) -> bool:
-        for cond in action.numeric_preconditions:
-            if any(v == var for v, _ in cond.expr.terms):
-                return True
-        return any(e.variable == var for e in action.numeric_effects)
+        return references_precondition(action, var) or \
+            any(e.variable == var for e in action.numeric_effects)
 
     rewritable: dict[int, Fraction] = {}  # var -> pre-assignment value
     for var, actions in sorted(assigners.items()):
@@ -339,7 +321,7 @@ def rewrite_assignments(task: GroundTask, cls: PCClassification) -> GroundTask:
                                                    for a in actions))
         gate = None
         for fact in sorted(gate_candidates):
-            if fact in task.initial.facts or adders[fact] != member_ids:
+            if fact in task.initial.facts or set(adders.get(fact, ())) != member_ids:
                 continue
             if all(fact in b.preconditions
                    for b in task.actions
@@ -348,7 +330,7 @@ def rewrite_assignments(task: GroundTask, cls: PCClassification) -> GroundTask:
                 break
         shared_consumed = frozenset.intersection(
             *(frozenset(m.preconditions & m.del_effects) for m in actions))
-        one_shot = any(not adders[fact] for fact in shared_consumed)
+        one_shot = any(fact not in adders for fact in shared_consumed)
         if gate is not None and one_shot:
             rewritable[var] = init
         else:
@@ -421,13 +403,10 @@ def extract_landmarks(task: GroundTask, state: State,
     """Backward-chain verified delete-relaxation landmarks from the goal facts."""
     goal_facts = [g for g in sorted(task.goal_facts) if g not in state.facts]
     cap = max_landmarks_per_goal * max(1, len(task.goal_facts))
-    adders: dict[int, list[GroundAction]] = {}
-    for action in task.actions:
-        for fact in action.add_effects:
-            adders.setdefault(fact, []).append(action)
+    adders = fact_adders(task)
 
     def verified(candidate_facts: frozenset[int]) -> bool:
-        banned = frozenset(a.id for f in candidate_facts for a in adders.get(f, []))
+        banned = frozenset(a for f in candidate_facts for a in adders.get(f, ()))
         reachable = relaxed_reachable_facts(task, state, banned)
         return not (task.goal_facts <= reachable and
                     all(g in reachable for g in goal_facts))
@@ -445,9 +424,10 @@ def extract_landmarks(task: GroundTask, state: State,
             continue
         conjunctive.append(fact)
         # first achievers: adders still reachable once the fact's adders are banned
-        banned = frozenset(a.id for a in adders.get(fact, []))
+        banned = frozenset(adders.get(fact, ()))
         reachable = relaxed_reachable_facts(task, state, banned)
-        first = [a for a in adders.get(fact, []) if a.preconditions <= reachable]
+        first = [task.actions[a] for a in adders.get(fact, ())
+                 if task.actions[a].preconditions <= reachable]
         if not first:
             continue
         common = frozenset.intersection(*(a.preconditions for a in first))

@@ -105,17 +105,20 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="write the root state's flow model in LP format")
 
 
+def stats_row(row: planner.RunStats, config: str) -> list:
+    """One stats CSV row in the STATS_HEADER columns of schema version 1."""
+    return [STATS_SCHEMA_VERSION, row.problem_id, config, int(row.solved), row.status,
+            row.plan_length, row.expansions, row.evaluations, row.lp_solves,
+            f"{row.lp_build_time:.6f}", f"{row.lp_solve_time:.6f}", f"{row.wall_time:.6f}"]
+
+
 def append_stats(path: Path, row: planner.RunStats) -> None:
     new_file = not path.exists()
     with path.open("a", newline="") as handle:
         writer = csv.writer(handle)
         if new_file:
             writer.writerow(STATS_HEADER)
-        writer.writerow([STATS_SCHEMA_VERSION, row.problem_id, row.fingerprint,
-                         int(row.solved), row.status, row.plan_length,
-                         row.expansions, row.evaluations, row.lp_solves,
-                         f"{row.lp_build_time:.6f}", f"{row.lp_solve_time:.6f}",
-                         f"{row.wall_time:.6f}"])
+        writer.writerow(stats_row(row, row.fingerprint))
 
 
 def _dump_debug(args, outcome: planner.PlanOutcome) -> None:
@@ -147,9 +150,7 @@ def _dump_debug(args, outcome: planner.PlanOutcome) -> None:
         return
     config = build_config(args)
     evaluator = planner.Evaluator(analysed, config, outcome.effective_mode, Counters())
-    mode = {planner.MODE_LPRPG: rpg.LPRPG,
-            planner.MODE_LPRPG_FF: rpg.METRICFF_UNBOUNDED}.get(
-        outcome.effective_mode, rpg.METRICFF)
+    mode = planner.RPG_MODES[outcome.effective_mode]
     view = evaluator.landmark_view(task.initial, task.initial.facts
                                    & evaluator.landmark_facts)
     graph = rpg.expand(analysed, task.initial, config, mode, Counters(), view)
@@ -257,7 +258,7 @@ BUILTIN_CONFIGS: dict[str, dict] = {
 }
 
 
-def config_from_dict(spec: dict) -> tuple[str, HeuristicConfig, dict]:
+def config_from_dict(spec: dict) -> tuple[str, HeuristicConfig]:
     mode = spec.get("heuristic", planner.MODE_LPRPG)
     scheme, k = parse_weight(spec.get("weight", "k:3"))
     config = HeuristicConfig(
@@ -269,7 +270,7 @@ def config_from_dict(spec: dict) -> tuple[str, HeuristicConfig, dict]:
         include_all_propositions=spec.get("lp_all_props", False),
         include_numeric_goal_conjunct=spec.get("lp_num_goal_conjunct", True),
     )
-    return mode, config, spec
+    return mode, config
 
 
 def bench_one(job: tuple) -> list:
@@ -278,15 +279,11 @@ def bench_one(job: tuple) -> list:
     try:
         task = model.parse_and_ground(Path(domain_path).read_text(),
                                       Path(problem_path).read_text())
-        mode, config, _ = config_from_dict(spec)
+        mode, config = config_from_dict(spec)
         outcome = planner.plan_task(task, mode=mode, config=config,
                                     budget=search.Budget(expansions, seconds),
                                     problem_id=problem_id)
-        row = outcome.stats
-        return [STATS_SCHEMA_VERSION, problem_id, f"{config_name}:{row.fingerprint}",
-                int(row.solved), row.status, row.plan_length, row.expansions,
-                row.evaluations, row.lp_solves, f"{row.lp_build_time:.6f}",
-                f"{row.lp_solve_time:.6f}", f"{row.wall_time:.6f}"]
+        return stats_row(outcome.stats, f"{config_name}:{outcome.stats.fingerprint}")
     except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
         log.warning("bench cell %s/%s failed: %s", problem_id, config_name, exc)
         return [STATS_SCHEMA_VERSION, problem_id, config_name, 0,

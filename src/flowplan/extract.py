@@ -25,7 +25,7 @@ from .lpmodel import (
     HeuristicConfig, LandmarkView, WEIGHT_HADD, WEIGHT_HMAX, layer_weights,
 )
 from .model import (
-    FLIP, GE, GT, LE, LT, EQ,
+    GE, GT, LE, LT, EQ,
     GroundAction, GroundTask, LinearExpr, NumericCondition, State, applicable, compare,
 )
 from .rpg import (
@@ -89,14 +89,11 @@ def _achiever(task: GroundTask, graph: RPGraph, fact: int) -> int:
 
 def _normalise_single(cond: NumericCondition) -> NumericCondition:
     """Rewrite w*v op c to v op' c/w so queue entries merge cleanly."""
-    var = cond.single_variable()
-    if var is None:
+    form = cond.threshold()
+    if form is None or cond.expr.terms[0][1] == 1:
         return cond
-    weight = cond.expr.terms[0][1]
-    if weight == 1:
-        return cond
-    op = cond.op if weight > 0 else FLIP[cond.op]
-    return NumericCondition(LinearExpr.build({var: Fraction(1)}), op, cond.rhs / weight)
+    var, op, bound = form
+    return NumericCondition(LinearExpr.build({var: Fraction(1)}), op, bound)
 
 
 def _split_equalities(conds) -> list[NumericCondition]:
@@ -270,7 +267,7 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     raising = cond.op in (GE, GT)
 
     # the interval layer is fixed, so the expression's range is too
-    lo, hi = expr_range(cond.expr.terms, intervals)
+    lo, hi = expr_range(cond.expr, intervals)
 
     weights = dict(cond.expr.terms)
     movers = []
@@ -311,11 +308,7 @@ def _expr_delta(action: GroundAction, weights: dict[int, Fraction],
             continue
         if effect.op == "assign":
             return None  # assignments are handled by the dedicated pass
-        mag_lo, mag_hi = expr_range(effect.magnitude.terms, intervals)
-        if mag_lo is not None:
-            mag_lo += effect.magnitude.constant
-        if mag_hi is not None:
-            mag_hi += effect.magnitude.constant
+        mag_lo, mag_hi = expr_range(effect.magnitude, intervals)
         signed = weight if effect.op == "increase" else -weight
         best = mag_hi if signed > 0 else mag_lo
         if best is None:

@@ -108,6 +108,14 @@ class NumericCondition:
             return self.expr.terms[0][0]
         return None
 
+    def threshold(self) -> tuple[int, str, Fraction] | None:
+        """(v, op', c/w) for a single-variable condition w*v op c, else None;
+        op' is op with its direction flipped when w is negative."""
+        if len(self.expr.terms) != 1:
+            return None
+        var, weight = self.expr.terms[0]
+        return var, self.op if weight > 0 else FLIP[self.op], self.rhs / weight
+
     def render(self, var_names: list[str]) -> str:
         return f"{self.expr.render(var_names)} {self.op} {self.rhs}"
 
@@ -497,19 +505,16 @@ def rewrite_strict_inequalities(task: GroundTask) -> GroundTask:
     def rewrite(cond: NumericCondition) -> NumericCondition:
         if cond.op not in (GT, LT):
             return cond
-        var = cond.single_variable()
-        if var is not None:
-            weight = cond.expr.terms[0][1]
+        form = cond.threshold()
+        if form is not None:
+            var, op, bound = form
             eps = eps_for(var)
-            if eps is not None:
-                # normalise to v op' bound, then check the grid alignment
-                bound = cond.rhs / weight
-                op = cond.op if weight > 0 else FLIP[cond.op]
-                init = task.initial.values[var]
-                if (bound / eps).denominator == 1 and (init / eps).denominator == 1:
-                    if op == GT:
-                        return NumericCondition(LinearExpr.build({var: Fraction(1)}), GE, bound + eps)
-                    return NumericCondition(LinearExpr.build({var: Fraction(1)}), LE, bound - eps)
+            # check the grid alignment of the normalised threshold
+            if eps is not None and (bound / eps).denominator == 1 \
+                    and (task.initial.values[var] / eps).denominator == 1:
+                if op == GT:
+                    return NumericCondition(LinearExpr.build({var: Fraction(1)}), GE, bound + eps)
+                return NumericCondition(LinearExpr.build({var: Fraction(1)}), LE, bound - eps)
         flagged.append(cond.render(list(task.var_names)))
         return cond
 

@@ -7,10 +7,14 @@ coefficients per row, so pivots, bound flips and pricing touch nonzeros
 only), with implicit variable upper bounds (bound-flip substitution);
 entering column by most-negative reduced cost with Bland's lowest-index
 rule as the anti-cycling fallback after a run of degenerate pivots.
-Models containing integer or binary variables are solved by depth-first
-branch-and-bound over the simplex relaxation: branch on the lowest-index
-fractional variable, floor branch first, prune on bound. `Counters`
-accumulates solves, pivots and branch-and-bound nodes.
+Phase 1 minimises the sum of the artificial columns; once it ends, the
+artificials leave the tableau, so phase 2 never prices one (Chvátal,
+*Linear Programming*, 1983). Models containing integer or binary
+variables are solved by depth-first branch-and-bound over the simplex
+relaxation: every node carries the full list of column bounds, and a
+branch on the lowest-index fractional variable replaces one side of its
+bounds, floor branch first, prune on bound. `Counters` accumulates
+solves, pivots and branch-and-bound nodes.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -276,44 +280,35 @@ class MPModel:
         start = time.perf_counter()
         self.counters.solves += 1
         try:
+            bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
             if any(v.kind in (INTEGER, BINARY) for v in self.variables):
-                return self._branch_and_bound()
-            return self._solve_relaxation({})
+                return self._branch_and_bound(bounds)
+            return self._solve_relaxation(bounds)
         finally:
             self.counters.solve_time += time.perf_counter() - start
 
-    def _solve_relaxation(self, extra_bounds: dict[int, tuple[Fraction | None, Fraction | None]]
+    def _solve_relaxation(self, bounds: list[tuple[Fraction | None, Fraction | None]]
                           ) -> MPSolution:
-        lo: list[Fraction | None] = []
-        hi: list[Fraction | None] = []
-        for index in range(len(self.variables)):
-            lb, ub = self.effective_bounds(index)
-            if index in extra_bounds:
-                extra_lb, extra_ub = extra_bounds[index]
-                if extra_lb is not None:
-                    lb = extra_lb if lb is None else max(lb, extra_lb)
-                if extra_ub is not None:
-                    ub = extra_ub if ub is None else min(ub, extra_ub)
+        for lb, ub in bounds:
             if lb is not None and ub is not None and lb > ub:
                 return MPSolution(INFEASIBLE, None, ())
-            lo.append(lb)
-            hi.append(ub)
-        simplex = _Simplex(self, lo, hi)
+        simplex = _Simplex(self, bounds)
         try:
             return simplex.run()
         finally:
             self.counters.pivots += simplex.pivots
 
-    def _branch_and_bound(self) -> MPSolution:
+    def _branch_and_bound(self, bounds: list[tuple[Fraction | None, Fraction | None]]
+                          ) -> MPSolution:
         integer_cols = [i for i, v in enumerate(self.variables)
                         if v.kind in (INTEGER, BINARY)]
         minimize = self.sense == MINIMIZE
         best: MPSolution | None = None
         nodes = 0
         hit_limit = False
-        # depth-first stack of extra bound dictionaries; floor branch pushed
+        # depth-first stack of per-column bound lists; floor branch pushed
         # last so it is explored first
-        stack: list[dict[int, tuple[Fraction | None, Fraction | None]]] = [{}]
+        stack = [bounds]
         while stack:
             if nodes >= self.node_limit:
                 hit_limit = True
@@ -346,32 +341,20 @@ class MPModel:
                 if best is None or _better(candidate.objective, best.objective, minimize):
                     best = candidate
                 continue
+            # the relaxed value lies within the node's bounds, so ceil(value)
+            # is at least lb and floor(value) at most ub: each branch only
+            # replaces one side of the column's bounds
             col, value = fractional
-            down = Fraction(floor(value))
-            up = Fraction(ceil(value))
-            ceil_bounds = dict(bounds)
-            ceil_bounds[col] = (_merge_lb(bounds.get(col), up), _merge_ub(bounds.get(col)))
-            floor_bounds = dict(bounds)
-            floor_bounds[col] = (_merge_lb(bounds.get(col), None), _merge_ub(bounds.get(col), down))
+            lb, ub = bounds[col]
+            ceil_bounds = list(bounds)
+            ceil_bounds[col] = (Fraction(ceil(value)), ub)
+            floor_bounds = list(bounds)
+            floor_bounds[col] = (lb, Fraction(floor(value)))
             stack.append(ceil_bounds)
             stack.append(floor_bounds)
         if best is not None:
             return best
         return MPSolution(LIMIT if hit_limit else INFEASIBLE, None, ())
-
-
-def _merge_lb(existing: tuple | None, new_lb: Fraction | None = None) -> Fraction | None:
-    current = existing[0] if existing else None
-    if new_lb is None:
-        return current
-    return new_lb if current is None else max(current, new_lb)
-
-
-def _merge_ub(existing: tuple | None, new_ub: Fraction | None = None) -> Fraction | None:
-    current = existing[1] if existing else None
-    if new_ub is None:
-        return current
-    return new_ub if current is None else min(current, new_ub)
 
 
 def _better(a: Fraction, b: Fraction, minimize: bool) -> bool:
@@ -401,12 +384,18 @@ class _Simplex:
     bound flip, reduced costs, ratio test) touches nonzeros only, and an
     entry that cancels to zero is deleted. Zeros carry no information in
     exact arithmetic, so the pivot sequence is that of a dense tableau.
+
+    Rows the crash leaves without a basic column get an artificial one.
+    Phase 1 is infeasible exactly when an artificial is still basic at a
+    nonzero value. `_drive_out` then pivots basic artificials out where the
+    row allows; the entries of every nonbasic artificial are deleted, so
+    phase 2 prices none of them, and an artificial left basic in a
+    redundant row keeps an upper bound of 0. The tableau therefore holds no
+    copy of B^-1 after phase 1.
     """
 
-    def __init__(self, model: MPModel, lo: list[Fraction | None], hi: list[Fraction | None]):
+    def __init__(self, model: MPModel, bounds: list[tuple[Fraction | None, Fraction | None]]):
         self.model = model
-        self.lo = lo
-        self.hi = hi
         self.pivot_limit = model.pivot_limit
         self.pivots = 0
         # columns: per model variable one or two transformed columns
@@ -415,8 +404,7 @@ class _Simplex:
         self.upper: list[Fraction | None] = []         # transformed upper bounds
         self.flipped: list[bool] = []
         ncols = 0
-        for index in range(len(model.variables)):
-            lb, ub = lo[index], hi[index]
+        for lb, ub in bounds:
             if lb is not None:
                 self.col_of.append([(ncols, 1)])
                 self.offset.append(lb)
@@ -509,17 +497,27 @@ class _Simplex:
         self.flipped = [False] * ncols
 
         if artificial_cols:
+            artificial = set(artificial_cols)
             cost = [_ZERO] * ncols
             for col in artificial_cols:
                 cost[col] = _ONE
             status = self._optimize(cost)
             if status == LIMIT:
                 return MPSolution(LIMIT, None, ())
-            if self._objective_value(cost) > 0:
+            # artificials have no upper bound in phase 1, so none is flipped
+            # and the phase-1 objective is the sum of the basic ones' rhs
+            if any(value and b in artificial for value, b in zip(rhs, basis)):
                 return MPSolution(INFEASIBLE, None, ())
             self._drive_out(artificial_cols)
+            # phase 2 never lets an artificial re-enter: a nonbasic one leaves
+            # the tableau, and one still basic in a redundant row stays
+            # pinned at zero
+            leaving = artificial.difference(basis)
+            for row in tableau:
+                for col in leaving.intersection(row):
+                    del row[col]
             for col in artificial_cols:
-                self.upper[col] = _ZERO  # pin artificials at zero for phase 2
+                self.upper[col] = _ZERO
 
         cost = [_ZERO] * ncols
         sign = _ONE if self.model.sense == MINIMIZE else _MINUS_ONE
@@ -548,21 +546,6 @@ class _Simplex:
                 for j, x in row.items():
                     reduced[j] -= cb * x
         return reduced
-
-    def _objective_value(self, cost: list[Fraction]) -> Fraction:
-        total = _ZERO
-        for i, b in enumerate(self.basis):
-            coeff = cost[b]
-            if coeff:
-                value = self.rhs[i]
-                if self.flipped[b]:
-                    value = (self.upper[b] or _ZERO) - value
-                total += coeff * value
-        basic = set(self.basis)
-        for j, flip in enumerate(self.flipped):
-            if flip and cost[j] and j not in basic:
-                total += cost[j] * (self.upper[j] or _ZERO)
-        return total
 
     def _optimize(self, cost: list[Fraction]) -> str:
         reduced = self._reduced_costs(cost)

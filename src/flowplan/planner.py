@@ -28,6 +28,14 @@ MODE_LPRPG_FF = "lprpg-ff"
 
 MODES = (MODE_LPRPG, MODE_METRICFF, MODE_METRICFF_SAPA, MODE_LPRPG_FF)
 
+# the planning graph each heuristic mode expands
+RPG_MODES = {
+    MODE_LPRPG: rpg.LPRPG,
+    MODE_METRICFF: rpg.METRICFF,
+    MODE_METRICFF_SAPA: rpg.METRICFF,
+    MODE_LPRPG_FF: rpg.METRICFF_UNBOUNDED,
+}
+
 
 def config_fingerprint(mode: str, config: HeuristicConfig) -> str:
     parts = [mode]
@@ -85,8 +93,8 @@ class Evaluator:
             if graph.status != rpg.GOALS_REACHED:
                 return extract.DEAD_END
             return extract.extract_lprpg(graph, self.analysed, view, self.config)
-        mode = rpg.METRICFF_UNBOUNDED if self.mode == MODE_LPRPG_FF else rpg.METRICFF
-        graph = rpg.expand(self.analysed, state, self.config, mode, self.counters)
+        graph = rpg.expand(self.analysed, state, self.config, RPG_MODES[self.mode],
+                           self.counters)
         if graph.status != rpg.GOALS_REACHED:
             return extract.DEAD_END
         result = extract.extract_metricff(graph, self.analysed.task)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import mpsolver as mp
 from .analysis import AnalysedTask
 from .lpmodel import FlowModel, HeuristicConfig, LandmarkView
-from .model import GE, GT, LE, LT, GroundTask, NumericCondition, State
+from .model import GE, GT, LE, LT, GroundTask, LinearExpr, NumericCondition, State
 
 log = logging.getLogger(__name__)
 
@@ -33,11 +33,11 @@ RELAXED_UNSOLVABLE = "relaxed-unsolvable"
 Interval = tuple[Fraction | None, Fraction | None]
 
 
-def expr_range(cond_terms, intervals: list[Interval]) -> Interval:
-    """Range of a weighted sum over box intervals; None encodes infinity."""
-    lo: Fraction | None = Fraction(0)
-    hi: Fraction | None = Fraction(0)
-    for var, weight in cond_terms:
+def expr_range(expr: LinearExpr, intervals: list[Interval]) -> Interval:
+    """Range of a linear expression over box intervals; None encodes infinity."""
+    lo: Fraction | None = expr.constant
+    hi: Fraction | None = expr.constant
+    for var, weight in expr.terms:
         var_lo, var_hi = intervals[var]
         if weight > 0:
             term_lo, term_hi = var_lo, var_hi
@@ -65,13 +65,13 @@ def range_satisfies(lo: Fraction | None, hi: Fraction | None, op: str,
 
 
 def condition_satisfiable(cond: NumericCondition, intervals: list[Interval]) -> bool:
-    lo, hi = expr_range(cond.expr.terms, intervals)
+    lo, hi = expr_range(cond.expr, intervals)
     return range_satisfies(lo, hi, cond.op, cond.rhs)
 
 
 def _relevant_extremum(cond: NumericCondition, intervals: list[Interval]):
     """The side of the expression range that could satisfy the condition."""
-    lo, hi = expr_range(cond.expr.terms, intervals)
+    lo, hi = expr_range(cond.expr, intervals)
     if cond.op in (GE, GT):
         return ("hi", hi)
     if cond.op in (LE, LT):
@@ -162,11 +162,7 @@ def _interval_update(task: GroundTask, layer_actions, intervals: list[Interval],
         for effect in task.actions[action_id].numeric_effects:
             var = effect.variable
             base_lo, base_hi = intervals[var]
-            mag_lo, mag_hi = expr_range(effect.magnitude.terms, intervals)
-            if mag_lo is not None:
-                mag_lo += effect.magnitude.constant
-            if mag_hi is not None:
-                mag_hi += effect.magnitude.constant
+            mag_lo, mag_hi = expr_range(effect.magnitude, intervals)
             cur_lo, cur_hi = new[var]
             if effect.op == "assign":
                 reach_lo, reach_hi = mag_lo, mag_hi
