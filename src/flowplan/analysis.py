@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .model import (
     GE, GT, LE, LT, EQ,
-    GroundAction, GroundTask, NumericCondition, NumericEffect, State,
+    GroundAction, GroundTask, Number, NumericCondition, NumericEffect, State, divide,
 )
 
 log = logging.getLogger(__name__)
@@ -24,7 +23,7 @@ PRODUCER_CONSUMER = "producer-consumer"
 CATALYTIC = "catalytic-extended"
 NON_CONFORMING = "non-conforming"
 
-DEFAULT_COUNT_CAP = Fraction(1_000_000)
+DEFAULT_COUNT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class CatalyticGroup:
 
     variable: int
     op: str  # ">=" or "<="
-    threshold: Fraction
+    threshold: Number
     actions: tuple[int, ...]
 
 
@@ -41,14 +40,14 @@ class CatalyticGroup:
 class PCClassification:
     status: dict[int, str]
     reasons: dict[int, str]                      # why a variable is non-conforming
-    ub: dict[int, Fraction | None]               # None encodes +infinity
-    lb: dict[int, Fraction | None]               # None encodes -infinity
+    ub: dict[int, Number | None]                 # None encodes +infinity
+    lb: dict[int, Number | None]                 # None encodes -infinity
     prod: dict[int, list[int]]
     cons: dict[int, list[int]]
-    delta: dict[int, dict[int, Fraction]]        # action id -> {var id: signed change}
-    max_prod: dict[tuple[int, int], Fraction | None]
-    min_cons: dict[tuple[int, int], Fraction | None]
-    count_bound: dict[int, Fraction] = field(default_factory=dict)
+    delta: dict[int, dict[int, Number]]          # action id -> {var id: signed change}
+    max_prod: dict[tuple[int, int], Number | None]
+    min_cons: dict[tuple[int, int], Number | None]
+    count_bound: dict[int, Number] = field(default_factory=dict)
     catalytic_groups: tuple[CatalyticGroup, ...] = ()
 
     def conforming(self) -> bool:
@@ -59,8 +58,8 @@ class PCClassification:
                 for v in sorted(self.status)
                 if self.status[v] == NON_CONFORMING]
 
-    def delta_of(self, action_id: int, var: int) -> Fraction:
-        return self.delta.get(action_id, {}).get(var, Fraction(0))
+    def delta_of(self, action_id: int, var: int) -> Number:
+        return self.delta.get(action_id, {}).get(var, 0)
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,12 @@ def classify(task: GroundTask) -> PCClassification:
     reasons: dict[int, str] = {}
     prod: dict[int, list[int]] = {v: [] for v in range(n_vars)}
     cons: dict[int, list[int]] = {v: [] for v in range(n_vars)}
-    delta: dict[int, dict[int, Fraction]] = {}
-    max_prod: dict[tuple[int, int], Fraction | None] = {}
-    min_cons: dict[tuple[int, int], Fraction | None] = {}
-    producer_ubs: dict[int, list[Fraction | None]] = {v: [] for v in range(n_vars)}
-    consumer_lbs: dict[int, list[Fraction]] = {v: [] for v in range(n_vars)}
-    catalytic: dict[tuple[int, str, Fraction], list[int]] = {}
+    delta: dict[int, dict[int, Number]] = {}
+    max_prod: dict[tuple[int, int], Number | None] = {}
+    min_cons: dict[tuple[int, int], Number | None] = {}
+    producer_ubs: dict[int, list[Number | None]] = {v: [] for v in range(n_vars)}
+    consumer_lbs: dict[int, list[Number]] = {v: [] for v in range(n_vars)}
+    catalytic: dict[tuple[int, str, Number], list[int]] = {}
 
     def mark(var: int, reason: str) -> None:
         if status[var] != NON_CONFORMING:
@@ -108,7 +107,7 @@ def classify(task: GroundTask) -> PCClassification:
     for action in task.actions:
         affected: dict[int, NumericEffect] = {e.variable: e for e in action.numeric_effects}
         # conditions on each variable, normalised to weight-1 thresholds
-        conditions_on: dict[int, list[tuple[str, Fraction] | None]] = {}
+        conditions_on: dict[int, list[tuple[str, Number] | None]] = {}
         for cond in action.numeric_preconditions:
             form = cond.threshold()
             if form is None:
@@ -122,7 +121,7 @@ def classify(task: GroundTask) -> PCClassification:
             var, op, bound = form
             conditions_on.setdefault(var, []).append((op, bound))
 
-        deltas: dict[int, Fraction] = {}
+        deltas: dict[int, Number] = {}
         for var, effect in affected.items():
             change = effect.delta()
             if change is None:
@@ -177,8 +176,8 @@ def classify(task: GroundTask) -> PCClassification:
                     catalytic.setdefault((var, GE, bound), []).append(action.id)
                     catalytic.setdefault((var, LE, bound), []).append(action.id)
 
-    ub: dict[int, Fraction | None] = {}
-    lb: dict[int, Fraction | None] = {}
+    ub: dict[int, Number | None] = {}
+    lb: dict[int, Number | None] = {}
     for var in range(n_vars):
         ubs = producer_ubs[var]
         if any(u is None for u in ubs):
@@ -233,7 +232,7 @@ def detect_one_shot_sets(task: GroundTask) -> list[OneShotSet]:
 
 def compute_count_bounds(task: GroundTask, cls: PCClassification,
                          one_shot_sets: list[OneShotSet] | None = None,
-                         cap: Fraction = DEFAULT_COUNT_CAP) -> PCClassification:
+                         cap: Number = DEFAULT_COUNT_CAP) -> PCClassification:
     """Fill per-action count upper bounds U_a into the classification.
 
     An action consuming a producer-less variable w is bounded by how far w
@@ -248,18 +247,18 @@ def compute_count_bounds(task: GroundTask, cls: PCClassification,
         if oss.fact in task.initial.facts:
             one_shot_members.update(oss.actions)
 
-    bounds: dict[int, Fraction] = {}
+    bounds: dict[int, Number] = {}
     for action in task.actions:
         best = cap
         for var, change in cls.delta.get(action.id, {}).items():
             if change >= 0 or cls.prod[var]:
                 continue
-            floor = cls.lb[var] if cls.lb[var] is not None else Fraction(0)
+            floor = cls.lb[var] if cls.lb[var] is not None else 0
             budget = task.initial.values[var] - floor
-            bound = max(Fraction(0), budget) / -change
+            bound = divide(max(0, budget), -change)
             best = min(best, bound)
         if action.id in one_shot_members:
-            best = min(best, Fraction(1))
+            best = min(best, 1)
         bounds[action.id] = best
     cls.count_bound = bounds
     return cls
@@ -296,7 +295,7 @@ def rewrite_assignments(task: GroundTask, cls: PCClassification) -> GroundTask:
         return references_precondition(action, var) or \
             any(e.variable == var for e in action.numeric_effects)
 
-    rewritable: dict[int, Fraction] = {}  # var -> pre-assignment value
+    rewritable: dict[int, Number] = {}  # var -> pre-assignment value
     for var, actions in sorted(assigners.items()):
         init = task.initial.values[var]
         if any(not e.magnitude.is_constant()
@@ -533,9 +532,18 @@ def fact_adders(task: GroundTask) -> dict[int, tuple[int, ...]]:
     return {fact: tuple(ids) for fact, ids in adders.items()}
 
 
-def best_production(task: GroundTask) -> dict[int, Fraction]:
+def variable_affectors(task: GroundTask) -> dict[int, tuple[int, ...]]:
+    """Variable id -> ids of the actions with a numeric effect on it, ascending."""
+    affectors: dict[int, list[int]] = {}
+    for action in task.actions:
+        for effect in action.numeric_effects:
+            affectors.setdefault(effect.variable, []).append(action.id)
+    return {var: tuple(ids) for var, ids in affectors.items()}
+
+
+def best_production(task: GroundTask) -> dict[int, Number]:
     """Variable -> the largest constant increase one action application makes."""
-    best: dict[int, Fraction] = {}
+    best: dict[int, Number] = {}
     for action in task.actions:
         for effect in action.numeric_effects:
             delta = effect.delta()
@@ -550,9 +558,9 @@ class AnalysedTask:
 
     The static structure that every heuristic evaluation reads (collected
     conditions, relevant-condition maps, tracked variables and the actions
-    that affect an untracked one, fact adders, positive signatures, the best
-    single-action production per variable) is derived from `task` once,
-    here, rather than per state.
+    that affect an untracked one, fact adders, the actions affecting each
+    variable, positive signatures, the best single-action production per
+    variable) is derived from `task` once, here, rather than per state.
     """
 
     task: GroundTask
@@ -568,8 +576,9 @@ class AnalysedTask:
     # ids of the actions with a numeric effect on an untracked variable
     untracked_affectors: frozenset[int] = field(init=False, repr=False, compare=False)
     adders: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    affectors: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     signatures: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
-    best_production: dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    best_production: dict[int, Number] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         conditions = collect_conditions(self.task)
@@ -580,16 +589,17 @@ class AnalysedTask:
         object.__setattr__(self, "relevant_up", up)
         object.__setattr__(self, "relevant_down", down)
         object.__setattr__(self, "tracked", tracked)
+        affectors = variable_affectors(self.task)
+        object.__setattr__(self, "affectors", affectors)
         object.__setattr__(self, "untracked_affectors", frozenset(
-            a.id for a in actions
-            if any(e.variable not in tracked for e in a.numeric_effects)))
+            a for var, ids in affectors.items() if var not in tracked for a in ids))
         object.__setattr__(self, "adders", fact_adders(self.task))
         object.__setattr__(self, "signatures",
                            tuple(positive_signature(a) for a in actions))
         object.__setattr__(self, "best_production", best_production(self.task))
 
 
-def analyse(task: GroundTask, cap: Fraction = DEFAULT_COUNT_CAP,
+def analyse(task: GroundTask, cap: Number = DEFAULT_COUNT_CAP,
             with_landmarks: bool = True) -> AnalysedTask:
     """Run the full static pipeline on a strict-rewritten ground task."""
     preliminary = classify(task)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mpsolver as mp
 from .analysis import AnalysedTask
@@ -26,7 +25,8 @@ from .lpmodel import (
 )
 from .model import (
     GE, GT, LE, LT, EQ,
-    GroundAction, GroundTask, LinearExpr, NumericCondition, State, applicable, compare,
+    GroundAction, GroundTask, LinearExpr, Number, NumericCondition, State, applicable,
+    compare,
 )
 from .rpg import (
     GOALS_REACHED, RPGraph,
@@ -38,9 +38,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class HeuristicResult:
-    h: Fraction | None  # None encodes an unreachable goal (dead end)
+    h: Number | None  # None encodes an unreachable goal (dead end)
     helpful: frozenset[int]
-    trace: tuple[tuple[int, Fraction, int, Fraction], ...]  # action, count, layer, weight
+    trace: tuple[tuple[int, Number, int, Number], ...]  # action, count, layer, weight
 
     @property
     def dead_end(self) -> bool:
@@ -50,12 +50,12 @@ class HeuristicResult:
 DEAD_END = HeuristicResult(None, frozenset(), ())
 
 
-def _optimistic_value(cond: NumericCondition, state: State, counts: dict[int, Fraction],
-                      cls) -> Fraction:
+def _optimistic_value(cond: NumericCondition, state: State, counts: dict[int, Number],
+                      cls) -> Number:
     """Best value the condition's expression can reach under some ordering of
     the actions already in the relaxed plan (producers first for >=,
     consumers first for <=)."""
-    total = Fraction(0)
+    total = 0
     want_high = cond.op in (GE, GT)
     for var, weight in cond.expr.terms:
         raise_var = (weight > 0) == want_high
@@ -93,7 +93,7 @@ def _normalise_single(cond: NumericCondition) -> NumericCondition:
     if form is None or cond.expr.terms[0][1] == 1:
         return cond
     var, op, bound = form
-    return NumericCondition(LinearExpr.build({var: Fraction(1)}), op, bound)
+    return NumericCondition(LinearExpr.build({var: 1}), op, bound)
 
 
 def _split_equalities(conds) -> list[NumericCondition]:
@@ -108,7 +108,7 @@ def _split_equalities(conds) -> list[NumericCondition]:
 
 
 # numeric subgoal tuple -> the largest weight it was enqueued with
-Subgoals = dict[tuple[NumericCondition, ...], Fraction]
+Subgoals = dict[tuple[NumericCondition, ...], Number]
 
 
 class _Extraction:
@@ -125,26 +125,26 @@ class _Extraction:
     def __init__(self, graph: RPGraph, task: GroundTask):
         self.graph = graph
         self.task = task
-        self.h = Fraction(0)
-        self.trace: list[tuple[int, Fraction, int, Fraction]] = []
-        self.plan_counts: dict[int, Fraction] = {}
+        self.h = 0
+        self.trace: list[tuple[int, Number, int, Number]] = []
+        self.plan_counts: dict[int, Number] = {}
         self.helpful_choices: set[int] = set()
-        self.buckets: dict[int, tuple[dict[int, Fraction], Subgoals]] = {}
+        self.buckets: dict[int, tuple[dict[int, Number], Subgoals]] = {}
 
-    def push_fact(self, fact: int, weight: Fraction) -> None:
+    def push_fact(self, fact: int, weight: Number) -> None:
         layer = self.graph.first_fact_layer.get(fact, 0)
         if layer > 0:
             facts = self.buckets.setdefault(layer, ({}, {}))[0]
             facts[fact] = max(facts.get(fact, weight), weight)
 
     def push_conditions(self, conds: tuple[NumericCondition, ...], layer: int | None,
-                        weight: Fraction) -> None:
+                        weight: Number) -> None:
         if layer is None or layer <= 0 or not conds:
             return
         subgoals = self.buckets.setdefault(layer, ({}, {}))[1]
         subgoals[conds] = max(subgoals.get(conds, weight), weight)
 
-    def choose(self, action_id: int, layer: int, count: Fraction, weight: Fraction,
+    def choose(self, action_id: int, layer: int, count: Number, weight: Number,
                helpful: bool, numeric: bool) -> None:
         """Add `count` applications chosen at `layer` to the relaxed plan and
         enqueue the action's preconditions at weight * min(count, 1), its
@@ -232,9 +232,12 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
 
 
 def _find_assigner(task: GroundTask, graph: RPGraph, layer: int, var: int,
-                   cond: NumericCondition) -> tuple[int, Fraction] | None:
+                   cond: NumericCondition) -> tuple[int, Number] | None:
     """An in-layer action assigning var a constant that satisfies the bound."""
-    for action_id in sorted(graph.actions_at(layer)):
+    layer_actions = graph.actions_at(layer)
+    for action_id in graph.affectors.get(var, ()):
+        if action_id not in layer_actions:
+            continue
         for effect in task.actions[action_id].numeric_effects:
             if effect.variable != var or effect.op != "assign":
                 continue
@@ -246,7 +249,7 @@ def _find_assigner(task: GroundTask, graph: RPGraph, layer: int, var: int,
     return None
 
 
-def _discharged_by_assign(cond: NumericCondition, var: int, k: Fraction, op: str) -> bool:
+def _discharged_by_assign(cond: NumericCondition, var: int, k: Number, op: str) -> bool:
     if cond.single_variable() != var or cond.expr.terms[0][1] != 1:
         return False
     if op in (GE, GT):
@@ -269,9 +272,13 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     # the interval layer is fixed, so the expression's range is too
     lo, hi = expr_range(cond.expr, intervals)
 
+    # only an action with an effect on one of the expression's variables
+    # can move it; every other in-layer action has delta 0
     weights = dict(cond.expr.terms)
+    layer_actions = graph.actions_at(layer)
     movers = []
-    for action_id in sorted(graph.actions_at(layer)):
+    for action_id in {a for var in weights for a in graph.affectors.get(var, ())
+                      if a in layer_actions}:
         delta = _expr_delta(task.actions[action_id], weights, intervals)
         if delta is None:
             continue
@@ -296,11 +303,11 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     return NumericCondition(cond.expr, cond.op, rhs)
 
 
-def _expr_delta(action: GroundAction, weights: dict[int, Fraction],
-                intervals) -> Fraction | None:
+def _expr_delta(action: GroundAction, weights: dict[int, Number],
+                intervals) -> Number | None:
     """Optimistic net change of a weighted sum (variable -> weight) from one
     application."""
-    total = Fraction(0)
+    total = 0
     touched = False
     for effect in action.numeric_effects:
         weight = weights.get(effect.variable)
@@ -315,7 +322,7 @@ def _expr_delta(action: GroundAction, weights: dict[int, Fraction],
             return None if not touched else total
         total += signed * best
         touched = True
-    return total if touched else Fraction(0)
+    return total if touched else 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +362,7 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
     queue = _Extraction(graph, task)
     lp_calls = 0
 
-    def solve_layer(layer: int, extra_conditions) -> dict[int, Fraction] | None:
+    def solve_layer(layer: int, extra_conditions) -> dict[int, Number] | None:
         """Counts from the layer-restricted model, or None if infeasible."""
         nonlocal lp_calls
         lp_calls += 1
@@ -381,14 +388,14 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
             return {}
         if solution.status != mp.OPTIMAL:
             return None
-        counts: dict[int, Fraction] = {}
+        counts: dict[int, Number] = {}
         for action_id, col in flow.action_col.items():
             value = solution.values[col]
             if value > 0:
                 counts[action_id] = value
         return counts
 
-    def absorb(counts: dict[int, Fraction], layer: int, weight: Fraction) -> None:
+    def absorb(counts: dict[int, Number], layer: int, weight: Number) -> None:
         for action_id in sorted(counts):
             queue.choose(action_id, layer, counts[action_id], weight,
                          helpful=action_id in first_layer_ids, numeric=False)

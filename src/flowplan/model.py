@@ -1,9 +1,14 @@
 """Ground task representation and exact state-transition semantics.
 
-All numeric values are exact rationals (fractions.Fraction); floating
-point never enters the model layer. Fact and variable ids are assigned
-lexicographically so that grounding the same files twice produces
-identical tasks.
+All numeric values are exact: an `int` where the value is integral and a
+`fractions.Fraction` otherwise, normalised by `exact` where grounding
+creates them. Sums, differences, products, `min` and `max` of ints stay
+ints, and an int mixed with a Fraction gives an exact Fraction; `int / int`
+is a float, so every division goes through `divide`. `mpsolver` works on
+Fractions throughout. Floating point never enters the model layer.
+
+Fact and variable ids are assigned lexicographically so that grounding
+the same files twice produces identical tasks.
 """
 
 from __future__ import annotations
@@ -23,8 +28,23 @@ GE, GT, LE, LT, EQ = ">=", ">", "<=", "<", "="
 # the operator after multiplying both sides of a comparison by a negative
 FLIP = {GE: LE, GT: LT, LE: GE, LT: GT, EQ: EQ}
 
+# an exact value: int where integral, Fraction otherwise (see `exact`)
+Number = int | Fraction
 
-def compare(op: str, lhs: Fraction, rhs: Fraction) -> bool:
+
+def exact(x: Number) -> Number:
+    """The int numerator of a Fraction with denominator 1, else x unchanged."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def divide(a: Number, b: Number) -> Number:
+    """The exact quotient a / b."""
+    return exact(Fraction(a) / b)
+
+
+def compare(op: str, lhs: Number, rhs: Number) -> bool:
     """Whether `lhs op rhs` holds."""
     if op == GE:
         return lhs >= rhs
@@ -45,18 +65,18 @@ class LinearExpr:
     variable id so equal expressions serialize identically.
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
-    constant: Fraction = Fraction(0)
+    terms: tuple[tuple[int, Number], ...] = ()
+    constant: Number = 0
 
     @staticmethod
-    def build(coeffs: dict[int, Fraction], constant: Fraction = Fraction(0)) -> "LinearExpr":
+    def build(coeffs: dict[int, Number], constant: Number = 0) -> "LinearExpr":
         terms = tuple(sorted((v, w) for v, w in coeffs.items() if w != 0))
         return LinearExpr(terms, constant)
 
-    def coefficients(self) -> dict[int, Fraction]:
+    def coefficients(self) -> dict[int, Number]:
         return dict(self.terms)
 
-    def evaluate(self, values: tuple[Fraction, ...]) -> Fraction:
+    def evaluate(self, values: tuple[Number, ...]) -> Number:
         total = self.constant
         for var, weight in self.terms:
             total += weight * values[var]
@@ -65,7 +85,7 @@ class LinearExpr:
     def is_constant(self) -> bool:
         return not self.terms
 
-    def shift(self, delta: Fraction) -> "LinearExpr":
+    def shift(self, delta: Number) -> "LinearExpr":
         return LinearExpr(self.terms, self.constant + delta)
 
     def render(self, var_names: list[str]) -> str:
@@ -83,11 +103,11 @@ class NumericCondition:
 
     expr: LinearExpr
     op: str
-    rhs: Fraction
+    rhs: Number
 
     def __hash__(self) -> int:
         # Conditions key the planning graph's per-layer dicts; hashing the
-        # Fraction fields on every lookup is the cost, so hash them once.
+        # number fields on every lookup is the cost, so hash them once.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.expr, self.op, self.rhs))
@@ -99,7 +119,7 @@ class NumericCondition:
         # `op` is a str, and str hashes are salted per process.
         return NumericCondition, (self.expr, self.op, self.rhs)
 
-    def holds(self, values: tuple[Fraction, ...]) -> bool:
+    def holds(self, values: tuple[Number, ...]) -> bool:
         return compare(self.op, self.expr.evaluate(values), self.rhs)
 
     def single_variable(self) -> int | None:
@@ -108,13 +128,13 @@ class NumericCondition:
             return self.expr.terms[0][0]
         return None
 
-    def threshold(self) -> tuple[int, str, Fraction] | None:
+    def threshold(self) -> tuple[int, str, Number] | None:
         """(v, op', c/w) for a single-variable condition w*v op c, else None;
         op' is op with its direction flipped when w is negative."""
         if len(self.expr.terms) != 1:
             return None
         var, weight = self.expr.terms[0]
-        return var, self.op if weight > 0 else FLIP[self.op], self.rhs / weight
+        return var, self.op if weight > 0 else FLIP[self.op], divide(self.rhs, weight)
 
     def render(self, var_names: list[str]) -> str:
         return f"{self.expr.render(var_names)} {self.op} {self.rhs}"
@@ -128,7 +148,7 @@ class NumericEffect:
     op: str
     magnitude: LinearExpr
 
-    def delta(self) -> Fraction | None:
+    def delta(self) -> Number | None:
         """Signed constant change, or None if non-constant or an assignment."""
         if self.op == "assign" or not self.magnitude.is_constant():
             return None
@@ -153,7 +173,7 @@ class GroundAction:
 @dataclass(frozen=True)
 class State:
     facts: frozenset[int]
-    values: tuple[Fraction, ...]
+    values: tuple[Number, ...]
 
 
 @dataclass(frozen=True)
@@ -202,19 +222,19 @@ class _LinearBuilder:
     def __init__(self, binding: dict[str, str]):
         self.binding = binding
 
-    def fold(self, expr: pddl.NumExpr) -> tuple[dict[str, Fraction], Fraction]:
+    def fold(self, expr: pddl.NumExpr) -> tuple[dict[str, Number], Number]:
         if expr.op == "const":
-            return {}, expr.value
+            return {}, exact(expr.value)
         if expr.op == "fluent":
-            return {_ground_fluent(expr.fluent, self.binding): Fraction(1)}, Fraction(0)
+            return {_ground_fluent(expr.fluent, self.binding): 1}, 0
         if expr.op == "+":
-            coeffs: dict[str, Fraction] = {}
-            const = Fraction(0)
+            coeffs: dict[str, Number] = {}
+            const = 0
             for child in expr.children:
                 child_coeffs, child_const = self.fold(child)
                 const += child_const
                 for key, weight in child_coeffs.items():
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + weight
+                    coeffs[key] = coeffs.get(key, 0) + weight
             return coeffs, const
         if expr.op == "-":
             if len(expr.children) == 1:
@@ -225,7 +245,7 @@ class _LinearBuilder:
                 child_coeffs, child_const = self.fold(child)
                 const -= child_const
                 for key, weight in child_coeffs.items():
-                    coeffs[key] = coeffs.get(key, Fraction(0)) - weight
+                    coeffs[key] = coeffs.get(key, 0) - weight
             return coeffs, const
         if expr.op == "*":
             left_c, left_k = self.fold(expr.children[0])
@@ -244,7 +264,8 @@ class _LinearBuilder:
                     "non-linear expression", "division by a fluent expression")
             if right_k == 0:
                 raise GroundingError("division by zero in a numeric expression")
-            return {k: w / right_k for k, w in left_c.items()}, left_k / right_k
+            return ({k: divide(w, right_k) for k, w in left_c.items()},
+                    divide(left_k, right_k))
         raise GroundingError(f"unknown expression operator {expr.op}")
 
 
@@ -297,7 +318,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
                 raw_actions.append(ground_action)
 
     init_fact_names = {_ground_atom(atom, {}) for atom in problem.init_atoms}
-    init_value_names = {_ground_fluent(fluent, {}): value
+    init_value_names = {_ground_fluent(fluent, {}): exact(value)
                         for fluent, value in problem.init_values.items()}
     goal_fact_names = {_ground_atom(atom, {}) for atom in problem.goal_atoms}
 
@@ -322,7 +343,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
     # quantities rather than extra variables.
     dynamic: set[str] = {var for action in raw_actions for var, _, _, _ in action["num_eff"]}
 
-    def fold_static(coeffs: dict[str, Fraction], const: Fraction):
+    def fold_static(coeffs: dict[str, Number], const: Number):
         folded = {}
         for var, weight in coeffs.items():
             if var in dynamic:
@@ -336,7 +357,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
     for action in raw_actions:
         new_pre = []
         for coeffs, op, rhs in action["num_pre"]:
-            folded, shift = fold_static(coeffs, Fraction(0))
+            folded, shift = fold_static(coeffs, 0)
             new_pre.append((folded, op, rhs - shift))
         action["num_pre"] = new_pre
         new_eff = []
@@ -346,7 +367,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
         action["num_eff"] = new_eff
     folded_goals = []
     for coeffs, op, rhs in goal_conditions_raw:
-        folded, shift = fold_static(coeffs, Fraction(0))
+        folded, shift = fold_static(coeffs, 0)
         folded_goals.append((folded, op, rhs - shift))
     goal_conditions_raw = folded_goals
 
@@ -388,7 +409,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
         for raw_condition in raw["num_pre"]:
             coeffs, op, rhs = raw_condition
             if not coeffs:
-                if not compare(op, Fraction(0), rhs):
+                if not compare(op, 0, rhs):
                     statically_false = True
                     break
                 continue  # statically true: drop
@@ -423,7 +444,7 @@ def ground(domain: pddl.DomainAST, problem: pddl.ProblemAST,
     for raw_condition in goal_conditions_raw:
         coeffs, op, rhs = raw_condition
         if not coeffs:
-            if not compare(op, Fraction(0), rhs):
+            if not compare(op, 0, rhs):
                 # keep an unsatisfiable marker condition so the goal test fails
                 goal_conditions.append(NumericCondition(LinearExpr(), op, rhs))
             continue
@@ -445,7 +466,7 @@ def _normalise_comparison(comparison: pddl.ComparisonAST, builder: _LinearBuilde
     right_c, right_k = builder.fold(comparison.right)
     coeffs = dict(left_c)
     for key, weight in right_c.items():
-        coeffs[key] = coeffs.get(key, Fraction(0)) - weight
+        coeffs[key] = coeffs.get(key, 0) - weight
     coeffs = {k: w for k, w in coeffs.items() if w != 0}
     rhs = right_k - left_k
     return coeffs, comparison.op, rhs
@@ -492,13 +513,13 @@ def rewrite_strict_inequalities(task: GroundTask) -> GroundTask:
             else:
                 effect_denominators.setdefault(effect.variable, []).append(delta.denominator)
 
-    def eps_for(var: int) -> Fraction | None:
+    def eps_for(var: int) -> Number | None:
         if rewritable.get(var) is False:
             return None
         dens = effect_denominators.get(var)
         if not dens:
-            return Fraction(1)
-        return Fraction(1, lcm(*dens))
+            return 1
+        return divide(1, lcm(*dens))
 
     flagged: list[str] = []
 
@@ -510,11 +531,11 @@ def rewrite_strict_inequalities(task: GroundTask) -> GroundTask:
             var, op, bound = form
             eps = eps_for(var)
             # check the grid alignment of the normalised threshold
-            if eps is not None and (bound / eps).denominator == 1 \
-                    and (task.initial.values[var] / eps).denominator == 1:
+            if eps is not None and divide(bound, eps).denominator == 1 \
+                    and divide(task.initial.values[var], eps).denominator == 1:
                 if op == GT:
-                    return NumericCondition(LinearExpr.build({var: Fraction(1)}), GE, bound + eps)
-                return NumericCondition(LinearExpr.build({var: Fraction(1)}), LE, bound - eps)
+                    return NumericCondition(LinearExpr.build({var: 1}), GE, bound + eps)
+                return NumericCondition(LinearExpr.build({var: 1}), LE, bound - eps)
         flagged.append(cond.render(list(task.var_names)))
         return cond
 

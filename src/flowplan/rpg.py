@@ -14,12 +14,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mpsolver as mp
 from .analysis import AnalysedTask
 from .lpmodel import FlowModel, HeuristicConfig, LandmarkView
-from .model import GE, GT, LE, LT, GroundTask, LinearExpr, NumericCondition, State
+from .model import (
+    GE, GT, LE, LT, GroundTask, LinearExpr, Number, NumericCondition, State, divide,
+)
 
 log = logging.getLogger(__name__)
 
@@ -30,13 +31,13 @@ METRICFF_UNBOUNDED = "metricff-unbounded"
 GOALS_REACHED = "goals-reached"
 RELAXED_UNSOLVABLE = "relaxed-unsolvable"
 
-Interval = tuple[Fraction | None, Fraction | None]
+Interval = tuple[Number | None, Number | None]
 
 
 def expr_range(expr: LinearExpr, intervals: list[Interval]) -> Interval:
     """Range of a linear expression over box intervals; None encodes infinity."""
-    lo: Fraction | None = expr.constant
-    hi: Fraction | None = expr.constant
+    lo: Number | None = expr.constant
+    hi: Number | None = expr.constant
     for var, weight in expr.terms:
         var_lo, var_hi = intervals[var]
         if weight > 0:
@@ -50,8 +51,8 @@ def expr_range(expr: LinearExpr, intervals: list[Interval]) -> Interval:
     return lo, hi
 
 
-def range_satisfies(lo: Fraction | None, hi: Fraction | None, op: str,
-                    rhs: Fraction) -> bool:
+def range_satisfies(lo: Number | None, hi: Number | None, op: str,
+                    rhs: Number) -> bool:
     """Whether some value in [lo, hi] (None: unbounded) satisfies `value op rhs`."""
     if op == GE:
         return hi is None or hi >= rhs
@@ -94,6 +95,7 @@ class RPGraph:
     flow: FlowModel | None
     adders: dict[int, tuple[int, ...]]  # fact -> adding action ids, from the analysis
     signatures: tuple[frozenset, ...]   # action id -> positive signature, from the analysis
+    affectors: dict[int, tuple[int, ...]]  # variable -> ids of actions with an effect on it
 
     def actions_at(self, layer: int) -> frozenset[int]:
         return self.action_layers[min(layer, len(self.action_layers) - 1)]
@@ -219,7 +221,8 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
 
     graph = RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
                     first_fact_layer, first_action_layer, condition_first,
-                    RELAXED_UNSOLVABLE, 0, flow, analysed.adders, analysed.signatures)
+                    RELAXED_UNSOLVABLE, 0, flow, analysed.adders, analysed.signatures,
+                    analysed.affectors)
 
     def goal_reached(layer: int) -> bool:
         if not task.goal_facts <= fact_layers[layer]:
@@ -351,7 +354,7 @@ def _stagnated(all_conditions, satisfiable: dict[NumericCondition, int],
 # Cost propagation
 
 
-def propagate_costs(graph: RPGraph, task: GroundTask, variant: str) -> dict[int, Fraction]:
+def propagate_costs(graph: RPGraph, task: GroundTask, variant: str) -> dict[int, Number]:
     """Propositional cost propagation; returns final-layer action costs.
 
     Facts true in the evaluated state cost 0; an action costs the max or
@@ -360,13 +363,13 @@ def propagate_costs(graph: RPGraph, task: GroundTask, variant: str) -> dict[int,
     """
     assert variant in ("max", "sum")
     infinity = None  # represented as None, compared as +infinity
-    fact_cost: dict[int, Fraction | None] = {}
+    fact_cost: dict[int, Number | None] = {}
     for fact in graph.fact_layers[0]:
-        fact_cost[fact] = Fraction(0)
-    action_cost: dict[int, Fraction | None] = {}
+        fact_cost[fact] = 0
+    action_cost: dict[int, Number | None] = {}
 
-    def combined(action_id: int) -> Fraction | None:
-        total = Fraction(0)
+    def combined(action_id: int) -> Number | None:
+        total = 0
         for fact in task.actions[action_id].preconditions:
             cost = fact_cost.get(fact)
             if cost is None:
@@ -380,7 +383,7 @@ def propagate_costs(graph: RPGraph, task: GroundTask, variant: str) -> dict[int,
             previous = action_cost.get(action_id)
             if cost is not None and (previous is None or cost < previous):
                 action_cost[action_id] = cost
-        updates: dict[int, Fraction] = {}
+        updates: dict[int, Number] = {}
         for action_id in sorted(graph.action_layers[layer]):
             cost = action_cost.get(action_id)
             if cost is None:
@@ -410,22 +413,22 @@ def sapa_penalty(state: State, action_counts: dict[int, int],
     best single-action production). Returns None (dead end) when a
     shortfall variable has no producer at all.
     """
-    consumption: dict[int, Fraction] = {}
-    production: dict[int, Fraction] = {}
+    consumption: dict[int, Number] = {}
+    production: dict[int, Number] = {}
     for action_id, count in action_counts.items():
         for effect in analysed.task.actions[action_id].numeric_effects:
             delta = effect.delta()
             if delta is None:
                 continue
             if delta > 0:
-                production[effect.variable] = production.get(effect.variable, Fraction(0)) \
+                production[effect.variable] = production.get(effect.variable, 0) \
                     + delta * count
             elif delta < 0:
-                consumption[effect.variable] = consumption.get(effect.variable, Fraction(0)) \
+                consumption[effect.variable] = consumption.get(effect.variable, 0) \
                     - delta * count
     penalty = 0
     for var, consumed in sorted(consumption.items()):
-        produced = production.get(var, Fraction(0))
+        produced = production.get(var, 0)
         stock = state.values[var]
         shortfall = consumed - produced - stock
         if shortfall <= 0:
@@ -433,5 +436,5 @@ def sapa_penalty(state: State, action_counts: dict[int, int],
         best = analysed.best_production.get(var)
         if best is None:
             return None
-        penalty += math.ceil(shortfall / best)
+        penalty += math.ceil(divide(shortfall, best))
     return penalty

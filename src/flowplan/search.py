@@ -28,7 +28,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import GroundTask, State, applicable, apply_effects, failing_condition, is_goal
+from .model import (
+    GroundTask, Number, State, applicable, apply_effects, failing_condition, is_goal,
+)
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +49,7 @@ class SearchNode:
     parent: "SearchNode | None"
     action: int | None
     g: int
-    h: Fraction | None
+    h: Number | None
     helpful: frozenset[int]
     achieved: frozenset[int]  # landmark facts seen true on the path
 
@@ -69,7 +71,7 @@ def _key(state: State, achieved: frozenset[int]):
 
 
 # SearchNode.key() -> (h, helpful) of one search run
-Memo = dict[tuple, tuple[Fraction | None, frozenset[int]]]
+Memo = dict[tuple, tuple[Number | None, frozenset[int]]]
 
 
 @dataclass
@@ -101,7 +103,7 @@ class Budget:
 
 
 def _evaluate(evaluate, state: State, achieved: frozenset[int], memo: Memo,
-              stats: SearchStats) -> tuple[Fraction | None, frozenset[int]]:
+              stats: SearchStats) -> tuple[Number | None, frozenset[int]]:
     """(h, helpful) of a key, calling the evaluator only on a memo miss."""
     key = _key(state, achieved)
     entry = memo.get(key)
@@ -230,8 +232,8 @@ def wastar(task: GroundTask, evaluate, weight: Fraction = Fraction(5),
             if child.g >= best_g.get(child_key, child.g + 1):
                 continue
             best_g[child_key] = child.g
-            f = child.g + weight * (child.h or Fraction(0))
-            heapq.heappush(open_heap, (f, child.h or Fraction(0), next(counter), child))
+            f = child.g + weight * (child.h or 0)
+            heapq.heappush(open_heap, (f, child.h or 0, next(counter), child))
     return SearchResult(EXHAUSTED, None, stats)
 
 

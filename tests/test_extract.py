@@ -1,6 +1,7 @@
 """Relaxed-plan extraction: the regression extractor, the LP-guided extractor,
 and their agreement on purely propositional tasks."""
 
+import dataclasses
 import hashlib
 import logging
 import random
@@ -355,3 +356,78 @@ def test_extraction_over_plan_task_is_pinned(monkeypatch, mode, family, size, op
     records.append(repr(outcome.plan))
     assert (len(hs), sum(hs)) == (evaluations, h_sum)
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest
+
+
+def _numbers(obj):
+    """Every number in a nest of dataclasses, tuples, lists, sets and dicts."""
+    if isinstance(obj, (int, float, Fraction)) and not isinstance(obj, bool):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numbers(key)
+            yield from _numbers(value)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for item in obj:
+            yield from _numbers(item)
+
+
+@pytest.mark.parametrize(
+    "mode,family,size,options", [run[:4] for run in PINNED_EXTRACTIONS],
+    ids=["metricff-mini-settlers-2", "metricff-sapa-mini-settlers-2",
+         "lprpg-market-trader-2", "lprpg-allprops-pump-catalyst-3",
+         "lprpg-hadd-no-lp-goals-mini-settlers-3"])
+def test_pinned_runs_never_compute_a_float(monkeypatch, mode, family, size, options):
+    """`int / int` is a float: states, every RPG interval layer, h, trace
+    counts and weights, and solver values stay int or Fraction."""
+    from flowplan import generators, mpsolver, planner
+
+    floats: list[str] = []
+
+    def check(where, obj):
+        floats.extend(f"{where}: {x!r}" for x in _numbers(obj) if isinstance(x, float))
+
+    real_call = planner.Evaluator.__call__
+    real_expand = rpg.expand
+    real_solve = mpsolver.MPModel.solve
+
+    def checking_call(self, state, achieved=frozenset()):
+        result = real_call(self, state, achieved)
+        check("state", state.values)
+        check("h", result.h)
+        check("trace", result.trace)
+        return result
+
+    def checking_expand(*args, **kwargs):
+        graph = real_expand(*args, **kwargs)
+        check("interval layers", graph.numeric_layers)
+        return graph
+
+    def checking_solve(self):
+        solution = real_solve(self)
+        check("solution", (solution.objective, solution.values))
+        return solution
+
+    monkeypatch.setattr(planner.Evaluator, "__call__", checking_call)
+    monkeypatch.setattr(rpg, "expand", checking_expand)
+    monkeypatch.setattr(mpsolver.MPModel, "solve", checking_solve)
+    task = model.parse_and_ground(*generators.generate(family, size, 1))
+    outcome = planner.plan_task(task, mode=mode, config=HeuristicConfig(**options))
+    assert outcome.status == "solved"
+    check("analysed task", outcome.analysed)
+    assert floats == []
+
+
+def test_ground_task_holds_no_integral_fraction():
+    """Grounding and analysis give an int wherever a value is integral, which
+    keeps the interval heuristic off Fraction arithmetic on integer data."""
+    from flowplan import generators
+
+    task = model.parse_and_ground(*generators.generate("mini-settlers", 3, 1))
+    analysed = analyse(task)
+    numbers = list(_numbers(task)) + list(_numbers(analysed))
+    assert numbers and not [x for x in numbers
+                            if isinstance(x, Fraction) and x.denominator == 1]
+    assert not [x for x in numbers if isinstance(x, float)]
