@@ -15,12 +15,11 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mpsolver as mp
 from .analysis import AnalysedTask, CATALYTIC
 from .errors import SolverError
-from .model import GE, GT, LE, LT, EQ, NumericCondition, State
+from .model import GE, GT, LE, LT, EQ, Number, NumericCondition, State
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +43,7 @@ class HeuristicConfig:
     and landmarks in the LP, numeric goal conjunct on."""
 
     weight_scheme: str = WEIGHT_LAYER
-    layer_k: Fraction = Fraction(3)
+    layer_k: Number = 3
     integrality: str = INTS_FIRST_LAYER
     include_prop_goals: bool = True
     include_landmarks: bool = True
@@ -126,11 +125,11 @@ class FlowModel:
             col = self.model.add_variable(lb, ub, name=f"post {name}")
             self.post_col[var] = col
             self.flow_row[var] = self.model.add_constraint(
-                {col: Fraction(1)}, "=", value, name=f"flow {name}")
+                {col: 1}, "=", value, name=f"flow {name}")
         for oss in self.analysed.one_shot_sets:
             if oss.fact in self.state.facts:
                 row = self.model.add_constraint(
-                    {}, "<=", Fraction(1), name=f"oneshot {task.fact_names[oss.fact]}")
+                    {}, "<=", 1, name=f"oneshot {task.fact_names[oss.fact]}")
                 self.one_shot_rows.append((frozenset(oss.actions), row))
         self.counters.build_time += time.perf_counter() - start
 
@@ -147,18 +146,18 @@ class FlowModel:
             self.up_col[var] = up
             self.down_col[var] = down
             self.up_row[var] = self.model.add_constraint(
-                {up: Fraction(1)}, "=", self.state.values[var], name=f"uprow {name}")
+                {up: 1}, "=", self.state.values[var], name=f"uprow {name}")
             self.down_row[var] = self.model.add_constraint(
-                {down: Fraction(1)}, "=", self.state.values[var], name=f"downrow {name}")
+                {down: 1}, "=", self.state.values[var], name=f"downrow {name}")
         for index, group in enumerate(self.cls.catalytic_groups):
             if group.variable not in self.up_col:
                 continue
-            switch = self.model.add_variable(Fraction(0), Fraction(1),
+            switch = self.model.add_variable(0, 1,
                                              name=f"switch{index}")
             self.switch_cols.append(switch)
             # N*s >= sum of group counts; N grows with the layer (sum of U_a)
             big_m_row = self.model.add_constraint(
-                {switch: Fraction(0)}, ">=", Fraction(0), name=f"bigM{index}")
+                {switch: 0}, ">=", 0, name=f"bigM{index}")
             var = group.variable
             if group.op == GE:
                 anchor = self.cls.lb[var]
@@ -166,7 +165,7 @@ class FlowModel:
                     anchor = self.state.values[var]
                 # up >= anchor + (threshold - anchor) * s
                 bound_row = self.model.add_constraint(
-                    {self.up_col[var]: Fraction(1),
+                    {self.up_col[var]: 1,
                      switch: -(group.threshold - anchor)}, ">=", anchor,
                     name=f"catal{index}")
             else:
@@ -175,7 +174,7 @@ class FlowModel:
                     anchor = self.state.values[var]
                 # down <= anchor - (anchor - threshold) * s
                 bound_row = self.model.add_constraint(
-                    {self.down_col[var]: Fraction(1),
+                    {self.down_col[var]: 1,
                      switch: (anchor - group.threshold)}, "<=", anchor,
                     name=f"catal{index}")
             self.switches.append((frozenset(group.actions), switch, big_m_row, bound_row))
@@ -192,7 +191,7 @@ class FlowModel:
                 continue
             added = True
             action = self.task.actions[action_id]
-            col = self.model.add_variable(Fraction(0), cls.count_bound[action_id],
+            col = self.model.add_variable(0, cls.count_bound[action_id],
                                           name=f"count {action.name}")
             self.action_col[action_id] = col
             for var, delta in cls.delta.get(action_id, {}).items():
@@ -209,7 +208,7 @@ class FlowModel:
                         self.model.set_coefficient(self.down_row[var], col, -delta)
             for members, row in self.one_shot_rows:
                 if action_id in members:
-                    self.model.set_coefficient(row, col, Fraction(1))
+                    self.model.set_coefficient(row, col, 1)
         if added:
             self._refresh_switch_rows()
         self.counters.build_time += time.perf_counter() - start
@@ -217,11 +216,11 @@ class FlowModel:
     def _refresh_switch_rows(self) -> None:
         for members, switch, big_m_row, _ in self.switches:
             present = [a for a in members if a in self.action_col]
-            big_m = sum((self.cls.count_bound[a] for a in present), Fraction(0))
+            big_m = sum(self.cls.count_bound[a] for a in present)
             self.model.set_coefficient(big_m_row, switch, big_m)
             for action_id in present:
                 self.model.set_coefficient(big_m_row, self.action_col[action_id],
-                                           Fraction(-1))
+                                           -1)
 
     # -- temporary structure -------------------------------------------------
 
@@ -229,9 +228,9 @@ class FlowModel:
         """Scratch-scope: pin counts of actions outside the given set to zero."""
         for action_id, col in self.action_col.items():
             if action_id not in action_ids:
-                self.model.set_variable_bounds(col, Fraction(0), Fraction(0))
+                self.model.set_variable_bounds(col, 0, 0)
 
-    def condition_row(self, cond: NumericCondition) -> tuple[dict[int, Fraction], str, Fraction]:
+    def condition_row(self, cond: NumericCondition) -> tuple[dict[int, Number], str, Number]:
         """A numeric condition as a row over post-value columns.
 
         Strict comparisons are relaxed to their closed forms (the model is
@@ -252,9 +251,9 @@ class FlowModel:
         task, state = self.task, self.state
 
         def achiever_row(facts, name: str) -> None:
-            coeffs = {self.action_col[a]: Fraction(1) for fact in facts
+            coeffs = {self.action_col[a]: 1 for fact in facts
                       for a in self._layer_adders(fact, layer_action_ids)}
-            self.model.add_constraint(coeffs, ">=", Fraction(1), name=name)
+            self.model.add_constraint(coeffs, ">=", 1, name=name)
 
         if config.include_numeric_goal_conjunct:
             for index, cond in enumerate(task.goal_conditions):
@@ -288,19 +287,19 @@ class FlowModel:
                     requirers.setdefault(fact, []).append(action_id)
         for fact in sorted(requirers):
             name = task.fact_names[fact]
-            fcol = self.model.add_variable(Fraction(0), Fraction(1), kind=mp.BINARY,
+            fcol = self.model.add_variable(0, 1, kind=mp.BINARY,
                                            name=f"fact {name}")
-            add_coeffs = {self.action_col[a]: Fraction(1)
+            add_coeffs = {self.action_col[a]: 1
                           for a in self._layer_adders(fact, layer_action_ids)}
-            add_coeffs[fcol] = Fraction(-1)
-            self.model.add_constraint(add_coeffs, ">=", Fraction(0), name=f"covers {name}")
+            add_coeffs[fcol] = -1
+            self.model.add_constraint(add_coeffs, ">=", 0, name=f"covers {name}")
             users = requirers[fact]
-            big_m = sum((self.cls.count_bound[a] for a in users), Fraction(0))
-            req_coeffs = {self.action_col[a]: Fraction(-1) for a in users}
+            big_m = sum(self.cls.count_bound[a] for a in users)
+            req_coeffs = {self.action_col[a]: -1 for a in users}
             req_coeffs[fcol] = big_m
-            self.model.add_constraint(req_coeffs, ">=", Fraction(0), name=f"needs {name}")
+            self.model.add_constraint(req_coeffs, ">=", 0, name=f"needs {name}")
 
-    def set_action_objective(self, weights: dict[int, Fraction]) -> None:
+    def set_action_objective(self, weights: dict[int, Number]) -> None:
         """Minimise the weighted action-count sum; non-action columns weigh zero."""
         coeffs = {self.action_col[a]: w for a, w in weights.items()
                   if a in self.action_col}
@@ -347,7 +346,7 @@ class FlowModel:
         return solution.status == mp.OPTIMAL
 
     def query_bound(self, var: int, direction: str,
-                    previous: Fraction | None) -> Fraction | None:
+                    previous: Number | None) -> Number | None:
         """Max/min of a tracked variable's post-value over the current layer.
 
         Returns None for an unbounded direction. The optimum is widened from
@@ -363,7 +362,7 @@ class FlowModel:
         sense = mp.MAXIMIZE if direction == "max" else mp.MINIMIZE
         self.model.push_scratch()
         try:
-            self.model.set_objective({self.post_col[var]: Fraction(1)}, sense)
+            self.model.set_objective({self.post_col[var]: 1}, sense)
             solution = self.model.solve()
         finally:
             self.model.pop_scratch()
@@ -384,14 +383,14 @@ class FlowModel:
 
 
 def layer_weights(config: HeuristicConfig, first_action_layer: dict[int, int],
-                  action_costs: dict[int, Fraction] | None) -> dict[int, Fraction]:
+                  action_costs: dict[int, Number] | None) -> dict[int, Number]:
     """Objective weight per action: k^layer, or 1 + propagated cost."""
-    weights: dict[int, Fraction] = {}
+    weights: dict[int, Number] = {}
     if config.weight_scheme == WEIGHT_LAYER:
         for action_id, layer in first_action_layer.items():
             weights[action_id] = config.layer_k ** layer
     else:
         assert action_costs is not None, "cost propagation required for hadd/hmax weights"
         for action_id in first_action_layer:
-            weights[action_id] = Fraction(1) + action_costs.get(action_id, Fraction(0))
+            weights[action_id] = 1 + action_costs.get(action_id, 0)
     return weights

@@ -4,8 +4,8 @@ All numeric values are exact: an `int` where the value is integral and a
 `fractions.Fraction` otherwise, normalised by `exact` where grounding
 creates them. Sums, differences, products, `min` and `max` of ints stay
 ints, and an int mixed with a Fraction gives an exact Fraction; `int / int`
-is a float, so every division goes through `divide`. `mpsolver` works on
-Fractions throughout. Floating point never enters the model layer.
+is a float, so every division goes through `divide`. `mpsolver` takes and
+returns the same exact numbers. Floating point never enters the model layer.
 
 Fact and variable ids are assigned lexicographically so that grounding
 the same files twice produces identical tasks.

@@ -2,11 +2,17 @@
 
 The simplex works on exact rationals, so identical models always produce
 identical solutions and the optimum is exact whenever the inputs are
-exact. Two-phase tableau whose rows are sparse (a dict of nonzero
-coefficients per row, so pivots, bound flips and pricing touch nonzeros
-only), with implicit variable upper bounds (bound-flip substitution);
-entering column by most-negative reduced cost with Bland's lowest-index
-rule as the anti-cycling fallback after a run of degenerate pivots.
+exact. The model stores every number as `model.exact` leaves it, an int
+where it is integral and a Fraction otherwise, and a solution's objective
+and values come back the same way. Two-phase tableau whose rows are
+sparse (a dict of nonzero coefficients per row, so pivots, bound flips
+and pricing touch nonzeros only) and fraction-free: a row holds int
+numerators over one int denominator, so no pivot does Fraction
+arithmetic, and every pivot rule compares the same rationals a Fraction
+tableau would. Variable upper bounds are implicit (bound-flip
+substitution); the entering column has the most negative reduced cost,
+with Bland's lowest-index rule as the anti-cycling fallback after a run
+of degenerate pivots.
 Phase 1 minimises the sum of the artificial columns; once it ends, the
 artificials leave the tableau, so phase 2 never prices one (Chvátal,
 *Linear Programming*, 1983). Models containing integer or binary
@@ -26,9 +32,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 
 from .errors import SolverError
+from .model import Number, divide, exact
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -45,14 +52,14 @@ MAXIMIZE = "maximize"
 DEFAULT_PIVOT_LIMIT = 100_000
 DEFAULT_NODE_LIMIT = 100_000
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 _REVERSED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _number(value) -> Number:
+    """`value` as an exact number: an int where it is integral (`model.exact`)."""
+    if type(value) is int:
+        return value
+    return exact(value if isinstance(value, Fraction) else Fraction(value))
 
 
 @dataclass
@@ -69,23 +76,23 @@ class Counters:
 @dataclass
 class MPSolution:
     status: str
-    objective: Fraction | None
-    values: tuple[Fraction, ...]
+    objective: Number | None
+    values: tuple[Number, ...]
 
 
 @dataclass
 class _Variable:
-    lb: Fraction | None
-    ub: Fraction | None
+    lb: Number | None
+    ub: Number | None
     kind: str
     name: str
 
 
 @dataclass
 class _Constraint:
-    coeffs: dict[int, Fraction]
+    coeffs: dict[int, Number]
     op: str  # "<=", ">=", "="
-    rhs: Fraction
+    rhs: Number
     name: str
 
 
@@ -95,7 +102,7 @@ class MPModel:
                  node_limit: int = DEFAULT_NODE_LIMIT):
         self.variables: list[_Variable] = []
         self.constraints: list[_Constraint] = []
-        self.objective: dict[int, Fraction] = {}
+        self.objective: dict[int, Number] = {}
         self.sense = MINIMIZE
         self.counters = counters if counters is not None else Counters()
         self.pivot_limit = pivot_limit
@@ -105,10 +112,10 @@ class MPModel:
 
     # -- building -----------------------------------------------------------
 
-    def add_variable(self, lb=Fraction(0), ub=None, kind: str = CONTINUOUS,
+    def add_variable(self, lb=0, ub=None, kind: str = CONTINUOUS,
                      name: str = "") -> int:
-        lb = None if lb is None else _frac(lb)
-        ub = None if ub is None else _frac(ub)
+        lb = None if lb is None else _number(lb)
+        ub = None if ub is None else _number(ub)
         if lb is not None and ub is not None and lb > ub:
             raise SolverError(f"variable bounds crossed: [{lb}, {ub}]")
         index = len(self.variables)
@@ -116,7 +123,7 @@ class MPModel:
         self._undo.append(("pop_variable",))
         return index
 
-    def add_constraint(self, coeffs: dict[int, Fraction], op: str, rhs,
+    def add_constraint(self, coeffs: dict[int, Number], op: str, rhs,
                        name: str = "") -> int:
         if op not in ("<=", ">=", "="):
             raise SolverError(f"unsupported constraint operator {op}")
@@ -124,19 +131,19 @@ class MPModel:
         for col, weight in coeffs.items():
             if not 0 <= col < len(self.variables):
                 raise SolverError(f"constraint references unknown column {col}")
-            weight = _frac(weight)
+            weight = _number(weight)
             if weight != 0:
                 clean[col] = weight
         index = len(self.constraints)
-        self.constraints.append(_Constraint(clean, op, _frac(rhs), name or f"c{index}"))
+        self.constraints.append(_Constraint(clean, op, _number(rhs), name or f"c{index}"))
         self._undo.append(("pop_constraint",))
         return index
 
-    def set_objective(self, coeffs: dict[int, Fraction], sense: str = MINIMIZE) -> None:
+    def set_objective(self, coeffs: dict[int, Number], sense: str = MINIMIZE) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
             raise SolverError(f"unknown objective sense {sense}")
         self._undo.append(("objective", dict(self.objective), self.sense))
-        self.objective = {col: _frac(w) for col, w in coeffs.items() if _frac(w) != 0}
+        self.objective = {col: v for col, w in coeffs.items() if (v := _number(w)) != 0}
         self.sense = sense
 
     def set_variable_kind(self, index: int, kind: str) -> None:
@@ -148,8 +155,8 @@ class MPModel:
 
     def set_variable_bounds(self, index: int, lb, ub) -> None:
         var = self._var(index)
-        lb = None if lb is None else _frac(lb)
-        ub = None if ub is None else _frac(ub)
+        lb = None if lb is None else _number(lb)
+        ub = None if ub is None else _number(ub)
         if lb is not None and ub is not None and lb > ub:
             raise SolverError(f"variable bounds crossed: [{lb}, {ub}]")
         self._undo.append(("bounds", index, var.lb, var.ub))
@@ -161,7 +168,7 @@ class MPModel:
         self._var(col)
         coeffs = self.constraints[row].coeffs
         self._undo.append(("coefficient", row, col, coeffs.get(col)))
-        value = _frac(value)
+        value = _number(value)
         if value == 0:
             coeffs.pop(col, None)
         else:
@@ -203,15 +210,15 @@ class MPModel:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def effective_bounds(self, index: int) -> tuple[Fraction | None, Fraction | None]:
+    def effective_bounds(self, index: int) -> tuple[Number | None, Number | None]:
         var = self.variables[index]
         lb, ub = var.lb, var.ub
         if var.kind == BINARY:
-            lb = _ZERO if lb is None else max(lb, _ZERO)
-            ub = _ONE if ub is None else min(ub, _ONE)
+            lb = 0 if lb is None else max(lb, 0)
+            ub = 1 if ub is None else min(ub, 1)
         return lb, ub
 
-    def check_assignment(self, values: list[Fraction]) -> list[str]:
+    def check_assignment(self, values: list[Number]) -> list[str]:
         """Bound, integrality and constraint violations of a full assignment.
 
         Values are exact rationals, so every test is exact: no tolerance.
@@ -219,7 +226,7 @@ class MPModel:
         problems = []
         for index, var in enumerate(self.variables):
             lb, ub = self.effective_bounds(index)
-            value = _frac(values[index])
+            value = _number(values[index])
             if lb is not None and value < lb:
                 problems.append(f"{var.name} = {value} below lower bound {lb}")
             if ub is not None and value > ub:
@@ -227,8 +234,7 @@ class MPModel:
             if var.kind in (INTEGER, BINARY) and value.denominator != 1:
                 problems.append(f"{var.name} = {value} not integral")
         for constraint in self.constraints:
-            total = sum((w * _frac(values[c]) for c, w in constraint.coeffs.items()),
-                        _ZERO)
+            total = sum(w * _number(values[c]) for c, w in constraint.coeffs.items())
             ok = (total <= constraint.rhs if constraint.op == "<="
                   else total >= constraint.rhs if constraint.op == ">="
                   else total == constraint.rhs)
@@ -239,7 +245,7 @@ class MPModel:
 
     def write_lp(self, stream) -> None:
         """Dump the model in CPLEX LP text format (fixed layout, for hand checks)."""
-        def term_string(coeffs: dict[int, Fraction]) -> str:
+        def term_string(coeffs: dict[int, Number]) -> str:
             parts = []
             for col in sorted(coeffs):
                 weight = coeffs[col]
@@ -287,7 +293,7 @@ class MPModel:
         finally:
             self.counters.solve_time += time.perf_counter() - start
 
-    def _solve_relaxation(self, bounds: list[tuple[Fraction | None, Fraction | None]]
+    def _solve_relaxation(self, bounds: list[tuple[Number | None, Number | None]]
                           ) -> MPSolution:
         for lb, ub in bounds:
             if lb is not None and ub is not None and lb > ub:
@@ -298,7 +304,7 @@ class MPModel:
         finally:
             self.counters.pivots += simplex.pivots
 
-    def _branch_and_bound(self, bounds: list[tuple[Fraction | None, Fraction | None]]
+    def _branch_and_bound(self, bounds: list[tuple[Number | None, Number | None]]
                           ) -> MPSolution:
         integer_cols = [i for i, v in enumerate(self.variables)
                         if v.kind in (INTEGER, BINARY)]
@@ -347,9 +353,9 @@ class MPModel:
             col, value = fractional
             lb, ub = bounds[col]
             ceil_bounds = list(bounds)
-            ceil_bounds[col] = (Fraction(ceil(value)), ub)
+            ceil_bounds[col] = (ceil(value), ub)
             floor_bounds = list(bounds)
-            floor_bounds[col] = (lb, Fraction(floor(value)))
+            floor_bounds[col] = (lb, floor(value))
             stack.append(ceil_bounds)
             stack.append(floor_bounds)
         if best is not None:
@@ -357,7 +363,7 @@ class MPModel:
         return MPSolution(LIMIT if hit_limit else INFEASIBLE, None, ())
 
 
-def _better(a: Fraction, b: Fraction, minimize: bool) -> bool:
+def _better(a: Number, b: Number, minimize: bool) -> bool:
     return a < b if minimize else a > b
 
 
@@ -367,7 +373,15 @@ def _sanitize(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase simplex over sparse rows with implicit upper bounds
+# Two-phase simplex over fraction-free sparse rows with implicit upper bounds
+
+
+def _lower_terms(values: list[int], den: int) -> tuple[list[int], int]:
+    """A dense row of numerators over `den`, divided by their common factor."""
+    g = gcd(den, *values)
+    if g == 1:
+        return values, den
+    return [x // g for x in values], den // g
 
 
 class _Simplex:
@@ -379,11 +393,27 @@ class _Simplex:
     its upper bound is replaced by its complement, so all nonbasic
     variables read 0).
 
-    Each tableau row is a dict from column to nonzero coefficient: flow
-    models are a few percent dense, so every loop below (crash, pivot,
-    bound flip, reduced costs, ratio test) touches nonzeros only, and an
-    entry that cancels to zero is deleted. Zeros carry no information in
-    exact arithmetic, so the pivot sequence is that of a dense tableau.
+    Rows are fraction-free. `tableau[i]` maps each column with a nonzero
+    entry to an int numerator, `rhs[i]` is an int numerator, and both are
+    over one positive int denominator `den[i]`; the row's basic column has
+    the entry `den[i]`, the value 1. Flow models are a few percent dense,
+    so every loop below (crash, pivot, bound flip, reduced costs, ratio
+    test) touches nonzeros only, and an entry that cancels to zero is
+    deleted. Zeros carry no information in exact arithmetic, so the pivot
+    sequence is that of a dense tableau. A row update multiplies ints only,
+    as in integer-preserving elimination (Edmonds, 1967; Bareiss, 1968),
+    and then divides the row by the gcd of its denominator, rhs and
+    entries, which keeps its numbers small; a row over 1, as every row of
+    an all-integer tableau with unit pivots is, skips the gcd. The
+    reduced costs are one more row of the same kind, dense, over `rden`. A
+    column upper bound stays an exact number p/q, and flipping the column
+    scales the rows it touches by q.
+
+    The pivot rules read exactly the rationals a tableau of Fractions
+    holds: pricing compares numerators over the shared `rden`, and the
+    ratio test and the bound-flip test compare ratios by
+    cross-multiplication. So the pivots, statuses and solutions are those
+    of the Fraction tableau, and no pivot makes a Fraction.
 
     Rows the crash leaves without a basic column get an artificial one.
     Phase 1 is infeasible exactly when an artificial is still basic at a
@@ -394,14 +424,14 @@ class _Simplex:
     copy of B^-1 after phase 1.
     """
 
-    def __init__(self, model: MPModel, bounds: list[tuple[Fraction | None, Fraction | None]]):
+    def __init__(self, model: MPModel, bounds: list[tuple[Number | None, Number | None]]):
         self.model = model
         self.pivot_limit = model.pivot_limit
         self.pivots = 0
         # columns: per model variable one or two transformed columns
         self.col_of: list[list[tuple[int, int]]] = []  # model var -> [(col, sign)]
-        self.offset: list[Fraction] = []               # model var -> additive offset
-        self.upper: list[Fraction | None] = []         # transformed upper bounds
+        self.offset: list[Number] = []                 # model var -> additive offset
+        self.upper: list[Number | None] = []           # transformed upper bounds
         self.flipped: list[bool] = []
         ncols = 0
         for lb, ub in bounds:
@@ -417,7 +447,7 @@ class _Simplex:
                 ncols += 1
             else:
                 self.col_of.append([(ncols, 1), (ncols + 1, -1)])
-                self.offset.append(_ZERO)
+                self.offset.append(0)
                 self.upper.extend([None, None])
                 ncols += 2
         self.nstruct = ncols
@@ -425,15 +455,16 @@ class _Simplex:
     def run(self) -> MPSolution:
         model = self.model
         nstruct = self.nstruct
-        tableau: list[dict[int, Fraction]] = []
-        rhs: list[Fraction] = []
+        tableau: list[dict[int, int]] = []
+        rhs: list[int] = []
+        den: list[int] = []
         basis: list[int] = []
         # rows with rhs normalised to >= 0; a <= row gets a basic slack, a
         # >= row a surplus (coefficient -1), both numbered in row order
         ncols = nstruct
         for constraint in model.constraints:
-            row: dict[int, Fraction] = {}
-            shift = _ZERO
+            row: dict[int, Number] = {}
+            shift = 0
             for var, weight in constraint.coeffs.items():
                 offset = self.offset[var]
                 if offset:
@@ -446,18 +477,31 @@ class _Simplex:
                 row = {col: -x for col, x in row.items()}
                 value = -value
                 op = _REVERSED[op]
+            # numerators over the least common denominator, which leaves no
+            # factor common to the denominator and every numerator
+            d = value.denominator
+            for x in row.values():
+                if type(x) is not int:
+                    d = lcm(d, x.denominator)
+            if d != 1:
+                row = {col: x.numerator * (d // x.denominator) for col, x in row.items()}
+            value = value.numerator * (d // value.denominator)
             if op == "<=":
-                row[ncols] = _ONE
+                row[ncols] = d
                 basis.append(ncols)
                 ncols += 1
             else:
                 if op == ">=":
-                    row[ncols] = _MINUS_ONE
+                    row[ncols] = -d
                     ncols += 1
                 basis.append(-1)
             tableau.append(row)
             rhs.append(value)
+            den.append(d)
         self.upper.extend([None] * (ncols - nstruct))
+        self.tableau = tableau
+        self.rhs = rhs
+        self.den = den
 
         # crash: singleton structural columns for rows still without a basis
         occurrences: dict[int, list[int]] = {}
@@ -470,37 +514,34 @@ class _Simplex:
             if len(hit) != 1 or basis[hit[0]] != -1:
                 continue
             i = hit[0]
+            # the column's basic value would be rhs[i] / coeff
             coeff = tableau[i][j]
-            value = rhs[i] / coeff
+            num, value_den = (rhs[i], coeff) if coeff > 0 else (-rhs[i], -coeff)
             limit = self.upper[j]
-            if value < 0 or (limit is not None and value > limit):
+            if num < 0 or (limit is not None and
+                           num * limit.denominator > limit.numerator * value_den):
                 continue
-            if coeff != 1:
-                inv = 1 / coeff
-                tableau[i] = {col: x * inv for col, x in tableau[i].items()}
-            rhs[i] = value
+            self._make_unit(i, j)
             basis[i] = j
 
         artificial_cols: list[int] = []
         for i, row in enumerate(tableau):
             if basis[i] == -1:
-                row[ncols] = _ONE
+                row[ncols] = den[i]
                 basis[i] = ncols
                 artificial_cols.append(ncols)
                 self.upper.append(None)
                 ncols += 1
 
-        self.tableau = tableau
-        self.rhs = rhs
         self.basis = basis
         self.ncols = ncols
         self.flipped = [False] * ncols
 
         if artificial_cols:
             artificial = set(artificial_cols)
-            cost = [_ZERO] * ncols
+            cost = [0] * ncols
             for col in artificial_cols:
-                cost[col] = _ONE
+                cost[col] = 1
             status = self._optimize(cost)
             if status == LIMIT:
                 return MPSolution(LIMIT, None, ())
@@ -517,10 +558,10 @@ class _Simplex:
                 for col in leaving.intersection(row):
                     del row[col]
             for col in artificial_cols:
-                self.upper[col] = _ZERO
+                self.upper[col] = 0
 
-        cost = [_ZERO] * ncols
-        sign = _ONE if self.model.sense == MINIMIZE else _MINUS_ONE
+        cost = [0] * ncols
+        sign = 1 if self.model.sense == MINIMIZE else -1
         for var, weight in self.model.objective.items():
             for col, col_sign in self.col_of[var]:
                 cost[col] += sign * weight * col_sign
@@ -530,26 +571,37 @@ class _Simplex:
         if status == UNBOUNDED:
             return MPSolution(UNBOUNDED, None, ())
         values = self._extract_values()
-        objective = sum((w * values[v] for v, w in self.model.objective.items()), _ZERO)
+        objective = exact(sum(w * values[v] for v, w in self.model.objective.items()))
         return MPSolution(OPTIMAL, objective, tuple(values))
 
     # -- core pivoting -------------------------------------------------------
 
-    def _reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        reduced = list(cost)
+    def _reduced_costs(self, cost: list[Number]) -> tuple[list[int], int]:
+        """Reduced costs of `cost` as int numerators over one denominator."""
+        rden = 1
+        for c in cost:
+            if type(c) is not int:
+                rden = lcm(rden, c.denominator)
+        reduced = [c.numerator * (rden // c.denominator) for c in cost]
         for j, flip in enumerate(self.flipped):
             if flip:
                 reduced[j] = -reduced[j]
-        for row, b in zip(self.tableau, self.basis):
+        for row, d, b in zip(self.tableau, self.den, self.basis):
             cb = reduced[b]
             if cb:
+                if d != 1:
+                    reduced = [x * d for x in reduced]
+                    rden *= d
                 for j, x in row.items():
                     reduced[j] -= cb * x
-        return reduced
+                if rden != 1:
+                    reduced, rden = _lower_terms(reduced, rden)
+        return reduced, rden
 
-    def _optimize(self, cost: list[Fraction]) -> str:
-        reduced = self._reduced_costs(cost)
-        tableau, rhs, basis, upper = self.tableau, self.rhs, self.basis, self.upper
+    def _optimize(self, cost: list[Number]) -> str:
+        reduced, rden = self._reduced_costs(cost)
+        tableau, rhs, den = self.tableau, self.rhs, self.den
+        basis, upper = self.basis, self.upper
         basic = set(basis)
         degenerate_streak = 0
         bland_threshold = 4 * (len(tableau) + self.ncols)
@@ -557,101 +609,154 @@ class _Simplex:
         while True:
             if self.pivots >= self.pivot_limit:
                 return LIMIT
-            # pricing: basic columns have reduced cost 0, so the sign test on
-            # the numerator rejects them and every zero without a comparison
+            # pricing: reduced costs share the denominator rden > 0, so their
+            # numerators order them; basic columns have reduced cost 0, so
+            # the sign test rejects them and every zero
             entering = -1
             if bland:
                 for j, r in enumerate(reduced):
-                    if r.numerator < 0 and j not in basic:
+                    if r < 0 and j not in basic:
                         entering = j
                         break
             else:
-                best = _ZERO
+                best = 0
                 for j, r in enumerate(reduced):
-                    if r.numerator < 0 and r < best and j not in basic:
+                    if r < best and j not in basic:
                         best = r
                         entering = j
             if entering == -1:
                 return OPTIMAL
 
             # ratio test: how far can the entering variable rise before a
-            # basic variable hits one of its bounds?
-            best_t: Fraction | None = None
+            # basic variable hits one of its bounds? Each step is a ratio
+            # num / tden with tden > 0, compared by cross-multiplication
+            best_num = best_den = 0
             leave_row = -1
             leave_to_upper = False
             for i, row in enumerate(tableau):
                 a = row.get(entering)
                 if a is None:
                     continue
-                if a.numerator > 0:
-                    t = rhs[i] / a               # basic variable falls to 0
+                if a > 0:
+                    # basic variable falls to 0; den[i] cancels
+                    num, tden = rhs[i], a
                     hits_upper = False
                 else:
                     cap = upper[basis[i]]
                     if cap is None:
                         continue
-                    t = (cap - rhs[i]) / (-a)    # basic variable climbs to cap
+                    # basic variable climbs to cap = p/q
+                    q = cap.denominator
+                    num, tden = cap.numerator * den[i] - q * rhs[i], -a * q
                     hits_upper = True
-                if (best_t is None or t < best_t or
-                        (t == best_t and basis[i] < basis[leave_row])):
-                    best_t, leave_row, leave_to_upper = t, i, hits_upper
+                if leave_row != -1:
+                    left, right = num * best_den, best_num * tden
+                    if left > right or (left == right and basis[i] > basis[leave_row]):
+                        continue
+                best_num, best_den, leave_row, leave_to_upper = num, tden, i, hits_upper
 
             limit = upper[entering]              # entering hits its own bound
-            if limit is not None and (best_t is None or limit <= best_t):
+            if limit is not None and (leave_row == -1 or limit.numerator * best_den
+                                      <= best_num * limit.denominator):
                 self.pivots += 1
                 degenerate_streak = degenerate_streak + 1 if limit == 0 else 0
                 bland = degenerate_streak > bland_threshold
                 self._flip_column(entering)
                 reduced[entering] = -reduced[entering]
                 continue
-            if best_t is None:
+            if leave_row == -1:
                 return UNBOUNDED
 
             self.pivots += 1
-            degenerate_streak = degenerate_streak + 1 if best_t == 0 else 0
+            degenerate_streak = degenerate_streak + 1 if best_num == 0 else 0
             bland = degenerate_streak > bland_threshold
 
             leaving = basis[leave_row]
             self._pivot(leave_row, entering)
             basic.discard(leaving)
             basic.add(entering)
+            # the reduced-cost row takes the same update as a tableau row,
+            # which leaves the entering column at 0
             factor = reduced[entering]
             if factor:
+                pivot_den = den[leave_row]
+                if pivot_den != 1:
+                    reduced = [x * pivot_den for x in reduced]
+                    rden *= pivot_den
                 for j, x in tableau[leave_row].items():
                     reduced[j] -= factor * x
-            reduced[entering] = _ZERO
+                if rden != 1:
+                    reduced, rden = _lower_terms(reduced, rden)
             if leave_to_upper:
                 # leaving variable exits at its upper bound; flip so the
                 # nonbasic value-0 convention holds
                 self._flip_column(leaving)
                 reduced[leaving] = -reduced[leaving]
 
+    def _reduce(self, i: int) -> None:
+        """Divide row i by the gcd of its denominator, rhs and entries."""
+        d = self.den[i]
+        if d == 1:
+            return
+        row = self.tableau[i]
+        g = gcd(d, self.rhs[i], *row.values())
+        if g != 1:
+            self.tableau[i] = {j: x // g for j, x in row.items()}
+            self.rhs[i] //= g
+            self.den[i] = d // g
+
+    def _make_unit(self, i: int, col: int) -> None:
+        """Divide row i by its entry in `col`, which then reads den[i]."""
+        a = self.tableau[i][col]
+        if a == self.den[i]:
+            return
+        if a < 0:
+            self.tableau[i] = {j: -x for j, x in self.tableau[i].items()}
+            self.rhs[i] = -self.rhs[i]
+            a = -a
+        self.den[i] = a
+        self._reduce(i)
+
     def _flip_column(self, col: int) -> None:
         bound = self.upper[col]
         if bound is None:
             raise SolverError("cannot flip a column without an upper bound")
-        for i, row in enumerate(self.tableau):
+        p, q = bound.numerator, bound.denominator
+        tableau, rhs, den = self.tableau, self.rhs, self.den
+        for i, row in enumerate(tableau):
             a = row.get(col)
-            if a is not None:
-                self.rhs[i] -= a * bound
+            if a is None:
+                continue
+            if q == 1:
+                rhs[i] -= a * p
                 row[col] = -a
+            else:
+                # rhs - (a / den) * (p / q) is over den * q: scale the row by q
+                row = tableau[i] = {j: x * q for j, x in row.items()}
+                row[col] = -a * q
+                rhs[i] = rhs[i] * q - a * p
+                den[i] *= q
+                self._reduce(i)
         self.flipped[col] = not self.flipped[col]
 
     def _pivot(self, row: int, col: int) -> None:
-        tableau, rhs = self.tableau, self.rhs
-        pivot_row = tableau[row]
-        inv = 1 / pivot_row[col]
-        if inv != 1:
-            tableau[row] = pivot_row = {j: x * inv for j, x in pivot_row.items()}
-            rhs[row] *= inv
+        tableau, rhs, den = self.tableau, self.rhs, self.den
+        self._make_unit(row, col)
+        pivot_den = den[row]
         pr_rhs = rhs[row]
-        pivot_items = list(pivot_row.items())
+        pivot_items = list(tableau[row].items())
         for i, target in enumerate(tableau):
             if i == row:
                 continue
             factor = target.get(col)
             if factor is None:
                 continue
+            # target / den[i] - (factor / den[i]) * (pivot row / pivot_den)
+            # is over den[i] * pivot_den
+            if pivot_den != 1:
+                target = tableau[i] = {j: x * pivot_den for j, x in target.items()}
+                rhs[i] *= pivot_den
+                den[i] *= pivot_den
             for j, b in pivot_items:
                 value = target.get(j)
                 if value is None:
@@ -663,6 +768,7 @@ class _Simplex:
                     else:
                         del target[j]  # includes the entering column itself
             rhs[i] -= factor * pr_rhs
+            self._reduce(i)
         self.basis[row] = col
 
     def _drive_out(self, artificial_cols: list[int]) -> None:
@@ -676,15 +782,15 @@ class _Simplex:
                 self._pivot(i, min(candidates))
             # an all-zero row is redundant; its artificial stays basic at 0
 
-    def _extract_values(self) -> list[Fraction]:
-        transformed = [_ZERO] * self.ncols
+    def _extract_values(self) -> list[Number]:
+        transformed: list[Number] = [0] * self.ncols
         for j in range(self.ncols):
             if self.flipped[j]:
-                transformed[j] = self.upper[j] or _ZERO
+                transformed[j] = self.upper[j] or 0
         for i, b in enumerate(self.basis):
-            value = self.rhs[i]
+            value = divide(self.rhs[i], self.den[i]) if self.den[i] != 1 else self.rhs[i]
             if self.flipped[b]:
-                value = (self.upper[b] or _ZERO) - value
+                value = (self.upper[b] or 0) - value
             transformed[b] = value
         values = []
         for var in range(len(self.model.variables)):
@@ -693,5 +799,5 @@ class _Simplex:
                 value = transformed[col]
                 if value:
                     total = total + value if sign == 1 else total - value
-            values.append(total)
+            values.append(total if type(total) is int else exact(total))
         return values

@@ -84,6 +84,24 @@ def lp_by_vertex_enumeration(model: mp.MPModel):
     return mp.OPTIMAL, best
 
 
+def lp_optimal_vertices(model: mp.MPModel) -> set[tuple[Fraction, ...]]:
+    """Every vertex at which `lp_by_vertex_enumeration`'s optimum is attained."""
+    status, best = lp_by_vertex_enumeration(model)
+    if status != mp.OPTIMAL:
+        return set()
+    n = len(model.variables)
+    planes = _halfplanes(model)
+    objective = [model.objective.get(i, Fraction(0)) for i in range(n)]
+    optimal = set()
+    for subset in itertools.combinations(range(len(planes)), n):
+        point = solve_linear_system([planes[i][0] for i in subset],
+                                    [planes[i][2] for i in subset])
+        if (point is not None and _feasible(point, planes)
+                and sum(w * x for w, x in zip(objective, point)) == best):
+            optimal.add(tuple(point))
+    return optimal
+
+
 def mip_by_lattice_enumeration(model: mp.MPModel):
     """(status, objective) by enumerating every integer point in the bounds."""
     n = len(model.variables)

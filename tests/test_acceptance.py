@@ -239,12 +239,15 @@ def test_criterion_5_relaxation_soundness_suite():
 def test_criterion_6_solver_oracles():
     started = time.perf_counter()
     from test_mpsolver import (
+        DATA,
         test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips,
         test_simplex_matches_vertex_enumeration_on_500_random_lps,
     )
-    test_simplex_matches_vertex_enumeration_on_500_random_lps()
-    test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips()
-    report(6, "solver oracles (500 LPs, 200 MIPs)", started)
+    for data in DATA:
+        test_simplex_matches_vertex_enumeration_on_500_random_lps(data)
+        test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips(data)
+    report(6, f"solver oracles (500 LPs, 200 MIPs, each on {' and '.join(DATA)} data)",
+           started)
 
 
 # -- 7: search correctness ------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from flowplan import mpsolver as mp
 from flowplan.errors import SolverError
 
-from oracles import lp_by_vertex_enumeration, mip_by_lattice_enumeration
+from oracles import lp_by_vertex_enumeration, lp_optimal_vertices, mip_by_lattice_enumeration
 
 
 def exchange_model():
@@ -142,28 +142,50 @@ def test_determinism_identical_models_identical_solutions():
     assert first.values == second.values and first.objective == second.objective
 
 
-def _random_lp(rng: random.Random) -> mp.MPModel:
+def _draw(rng: random.Random, lo: int, hi: int, rational: bool) -> Fraction:
+    """An integer in [lo, hi]; with rational data, over a denominator q <= 6."""
+    value = rng.randint(lo, hi)
+    return Fraction(value, rng.randint(1, 6)) if rational else Fraction(value)
+
+
+# Integer data, and rational data whose coefficients, right-hand sides and
+# bounds are p/q with q <= 6: tableau rows then sit over denominators other
+# than 1, flips of a column with a bound p/q scale its rows by q, and the
+# ratio test meets fractional caps.
+DATA = ("integer", "rational")
+
+
+def _random_bounds(rng: random.Random, rational: bool) -> tuple[Fraction, Fraction]:
+    if not rational:
+        return Fraction(0), Fraction(rng.randint(1, 10))
+    lb = _draw(rng, -6, 0, True)
+    return lb, lb + _draw(rng, 6, 30, True)
+
+
+def _random_lp(rng: random.Random, rational: bool) -> mp.MPModel:
     n = rng.randint(2, 4)
+    rhs_lo = -4 if rational else -10
     model = mp.MPModel()
     for _ in range(n):
-        model.add_variable(0, rng.randint(1, 10))
+        model.add_variable(*_random_bounds(rng, rational))
     for _ in range(rng.randint(2, 6)):
         cols = rng.sample(range(n), rng.randint(1, n))
-        coeffs = {c: Fraction(rng.randint(-5, 5)) for c in cols}
+        coeffs = {c: _draw(rng, -5, 5, rational) for c in cols}
         coeffs = {c: w for c, w in coeffs.items() if w}
         if not coeffs:
             continue
         op = rng.choice(["<=", ">=", "="]) if rng.random() < 0.15 else rng.choice(["<=", ">="])
-        model.add_constraint(coeffs, op, Fraction(rng.randint(-10, 20)))
-    model.set_objective({i: Fraction(rng.randint(-5, 5)) for i in range(n)},
+        model.add_constraint(coeffs, op, _draw(rng, rhs_lo, 20, rational))
+    model.set_objective({i: _draw(rng, -5, 5, rational) for i in range(n)},
                         rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
     return model
 
 
-def test_simplex_matches_vertex_enumeration_on_500_random_lps():
+@pytest.mark.parametrize("data", DATA)
+def test_simplex_matches_vertex_enumeration_on_500_random_lps(data):
     rng = random.Random(12345)
     for trial in range(500):
-        model = _random_lp(rng)
+        model = _random_lp(rng, data == "rational")
         got = model.solve()
         want_status, want_objective = lp_by_vertex_enumeration(model)
         assert got.status == want_status, f"trial {trial}"
@@ -171,31 +193,36 @@ def test_simplex_matches_vertex_enumeration_on_500_random_lps():
             gap = abs(got.objective - want_objective)
             assert gap <= Fraction(1, 10**6), f"trial {trial}: gap {gap}"
             assert gap == 0  # exact arithmetic: the tolerance never bites
+            assert model.check_assignment(list(got.values)) == [], f"trial {trial}"
 
 
-def test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips():
+@pytest.mark.parametrize("data", DATA)
+def test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips(data):
+    rational = data == "rational"
+    rhs_lo = -4 if rational else -10
     rng = random.Random(777)
     for trial in range(200):
         n = rng.randint(2, 3)
         model = mp.MPModel()
         for _ in range(n):
-            model.add_variable(0, rng.randint(1, 10),
+            model.add_variable(*_random_bounds(rng, rational),
                                kind=rng.choice([mp.INTEGER, mp.INTEGER, mp.BINARY]))
         for _ in range(rng.randint(2, 5)):
             cols = rng.sample(range(n), rng.randint(1, n))
-            coeffs = {c: Fraction(rng.randint(-5, 5)) for c in cols}
+            coeffs = {c: _draw(rng, -5, 5, rational) for c in cols}
             coeffs = {c: w for c, w in coeffs.items() if w}
             if not coeffs:
                 continue
             model.add_constraint(coeffs, rng.choice(["<=", ">="]),
-                                 Fraction(rng.randint(-10, 20)))
-        model.set_objective({i: Fraction(rng.randint(-5, 5)) for i in range(n)},
+                                 _draw(rng, rhs_lo, 20, rational))
+        model.set_objective({i: _draw(rng, -5, 5, rational) for i in range(n)},
                             rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
         got = model.solve()
         want_status, want_objective = mip_by_lattice_enumeration(model)
         assert got.status == want_status, f"trial {trial}"
         if want_objective is not None:
             assert got.objective == want_objective, f"trial {trial}"
+            assert model.check_assignment(list(got.values)) == [], f"trial {trial}"
 
 
 def test_relaxation_dominates_integer_optimum():
@@ -543,6 +570,67 @@ def test_branch_on_a_column_with_a_fractional_bound(monkeypatch):
     assert model.check_assignment(list(solution.values)) == []
     assert model.counters.bb_nodes == 3
     assert simplex_runs == [mp.OPTIMAL, mp.OPTIMAL]  # root and ceil branch only
+
+
+def test_flip_and_capped_ratio_test_on_fractional_bounds(monkeypatch):
+    """x in [0, 7/3] sits in both rows. x enters first and reaches its own
+    bound 7/3 before either row limits it, so it flips, and both rows go
+    over a denominator of 3. y then enters on row 0 and is basic. Last,
+    x's complement enters; it lowers x and raises y until y reaches its
+    cap 3/2, so y leaves the basis at that cap and flips too."""
+    model = mp.MPModel()
+    x = model.add_variable(0, Fraction(7, 3))
+    y = model.add_variable(0, Fraction(3, 2))
+    z = model.add_variable(0, None)
+    model.add_constraint({x: 2, y: 1, z: 1}, "<=", 5)
+    model.add_constraint({x: 1, y: 2}, "<=", 6)
+    model.set_objective({x: 1, y: 1, z: -1}, mp.MAXIMIZE)
+    events = []
+    real_pivot, real_flip = mp._Simplex._pivot, mp._Simplex._flip_column
+
+    def pivot(self, row, col):
+        events.append(("pivot", self.basis[row], col))
+        real_pivot(self, row, col)
+
+    def flip_column(self, col):
+        events.append(("flip", col, self.upper[col]))
+        real_flip(self, col)
+
+    monkeypatch.setattr(mp._Simplex, "_pivot", pivot)
+    monkeypatch.setattr(mp._Simplex, "_flip_column", flip_column)
+    solution = model.solve()
+    slack0 = 3  # the slack of row 0 follows the three structural columns
+    assert events == [("flip", x, Fraction(7, 3)), ("pivot", slack0, y),
+                      ("pivot", y, x), ("flip", y, Fraction(3, 2))]
+    assert lp_by_vertex_enumeration(model) == (mp.OPTIMAL, Fraction(13, 4))
+    assert lp_optimal_vertices(model) == {(Fraction(7, 4), Fraction(3, 2), 0)}
+    assert (solution.status, solution.objective) == (mp.OPTIMAL, Fraction(13, 4))
+    assert solution.values == (Fraction(7, 4), Fraction(3, 2), 0)
+    assert model.check_assignment(list(solution.values)) == []
+
+
+@pytest.mark.parametrize("family,size,all_props", [run[:3] for run in PINNED_RUNS],
+                         ids=[f"{run[0]}-{run[1]}" for run in PINNED_RUNS])
+def test_integral_solver_results_are_ints(monkeypatch, family, size, all_props):
+    """Every objective and value of a whole plan_task run is an int where
+    it is integral; only a value with a denominator above 1 is a Fraction."""
+    real_solve = mp.MPModel.solve
+    solves = 0
+    integral_fractions = []
+
+    def checked_solve(self):
+        nonlocal solves
+        solution = real_solve(self)
+        solves += 1
+        for value in (solution.objective, *solution.values):
+            if isinstance(value, Fraction) and value.denominator == 1:
+                integral_fractions.append((solves, value))
+        return solution
+
+    monkeypatch.setattr(mp.MPModel, "solve", checked_solve)
+    assert _plan_pinned_run(family, size, all_props).status == "solved"
+    assert solves > 0
+    assert integral_fractions == []
 
 
 def _solve_with_highs(model):
