@@ -19,8 +19,14 @@ artificials leave the tableau, so phase 2 never prices one (Chvátal,
 variables are solved by depth-first branch-and-bound over the simplex
 relaxation: every node carries the full list of column bounds, and a
 branch on the lowest-index fractional variable replaces one side of its
-bounds, floor branch first, prune on bound. `Counters` accumulates
-solves, pivots and branch-and-bound nodes.
+bounds, floor branch first, prune on bound. The root is solved cold; a
+child starts from a copy of its parent's final tableau with the one
+bound changed and is re-optimised by the dual simplex (Koberstein, *The
+Dual Simplex Method*, 2005). The warm result is kept only when it is
+infeasible or its optimal basis is dual nondegenerate, so that the
+optimum is unique and equals what a cold solve returns; any other child
+is solved cold. `Counters` accumulates solves, pivots and
+branch-and-bound nodes.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -29,6 +35,7 @@ temporary constraints and temporary integrality.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +61,8 @@ DEFAULT_NODE_LIMIT = 100_000
 
 _REVERSED = {"<=": ">=", ">=": "<=", "=": "="}
 
+log = logging.getLogger(__name__)
+
 
 def _number(value) -> Number:
     """`value` as an exact number: an int where it is integral (`model.exact`)."""
@@ -71,6 +80,9 @@ class Counters:
     solve_time: float = 0.0
     pivots: int = 0      # simplex pivots, bound flips included, over all relaxations
     bb_nodes: int = 0    # branch-and-bound nodes whose relaxation was solved
+    bb_warm: int = 0     # B&B children accepted from the dual simplex
+    bb_cold_fallback: int = 0  # B&B children solved cold after a warm attempt
+    bb_truncated: int = 0      # B&B runs cut by a limit that returned an incumbent
 
 
 @dataclass
@@ -295,34 +307,84 @@ class MPModel:
 
     def _solve_relaxation(self, bounds: list[tuple[Number | None, Number | None]]
                           ) -> MPSolution:
-        for lb, ub in bounds:
-            if lb is not None and ub is not None and lb > ub:
-                return MPSolution(INFEASIBLE, None, ())
+        if _crossed(bounds):
+            return MPSolution(INFEASIBLE, None, ())
+        return self._solve_cold(bounds)[0]
+
+    def _solve_cold(self, bounds: list[tuple[Number | None, Number | None]]
+                    ) -> tuple[MPSolution, _Simplex]:
         simplex = _Simplex(self, bounds)
         try:
-            return simplex.run()
+            return simplex.run(), simplex
         finally:
             self.counters.pivots += simplex.pivots
 
+    def _solve_node(self, bounds: list[tuple[Number | None, Number | None]],
+                    parent: _Simplex | None, var: int, shared: bool
+                    ) -> tuple[MPSolution, _Simplex | None]:
+        """The relaxation of a branch-and-bound node whose bounds do not cross.
+
+        A child (`parent` given) first runs the dual simplex from the
+        parent's final state with `var`'s bounds replaced, in a copy when
+        the parent is `shared`. An infeasible result is final. An optimal
+        one is final when every nonbasic column that can move has a
+        nonzero reduced cost: that optimum is unique, so a cold solve
+        returns the same one. Anything else is solved cold. The simplex
+        returned alongside holds the final state a child of this node
+        starts from.
+        """
+        if parent is not None:
+            warm = parent.copy() if shared else parent
+            lb, ub = bounds[var]
+            if warm.tighten(var, lb, ub):
+                try:
+                    status = warm.dual()
+                finally:
+                    self.counters.pivots += warm.pivots
+                if status == INFEASIBLE:
+                    self.counters.bb_warm += 1
+                    return MPSolution(INFEASIBLE, None, ()), None
+                if status == OPTIMAL and warm.unique_optimum():
+                    self.counters.bb_warm += 1
+                    return warm.solution(), warm
+                self.counters.bb_cold_fallback += 1
+        return self._solve_cold(bounds)
+
     def _branch_and_bound(self, bounds: list[tuple[Number | None, Number | None]]
                           ) -> MPSolution:
+        """Depth-first branch-and-bound, floor branch first.
+
+        The root relaxation is solved cold. Each child carries its parent's
+        final `_Simplex`, unless the parent's reduced costs are all zero,
+        and is solved by `_solve_node`: warm by the dual simplex where that
+        provably gives the cold solve's status, objective and values, cold
+        otherwise. So the tree, the incumbents
+        and the result are those of cold solves at every node. A run cut
+        short by `node_limit` or a relaxation's pivot limit returns its
+        incumbent if it has one, which is feasible but not proven optimal,
+        and logs a warning.
+        """
         integer_cols = [i for i, v in enumerate(self.variables)
                         if v.kind in (INTEGER, BINARY)]
         minimize = self.sense == MINIMIZE
         best: MPSolution | None = None
         nodes = 0
         hit_limit = False
-        # depth-first stack of per-column bound lists; floor branch pushed
-        # last so it is explored first
-        stack = [bounds]
+        # depth-first stack of (per-column bounds, parent simplex, branched
+        # variable, parent shared with a later sibling); the floor branch is
+        # pushed last so it is explored first
+        stack: list[tuple[list, _Simplex | None, int, bool]] = [(bounds, None, -1, False)]
         while stack:
             if nodes >= self.node_limit:
                 hit_limit = True
                 break
-            bounds = stack.pop()
+            bounds, parent, var, shared = stack.pop()
             nodes += 1
             self.counters.bb_nodes += 1
-            relaxed = self._solve_relaxation(bounds)
+            # a child changes only the branched variable's bounds
+            if _crossed(bounds if var < 0 else (bounds[var],)):
+                continue
+            relaxed, simplex = self._solve_node(bounds, parent, var, shared)
             if relaxed.status == LIMIT:
                 hit_limit = True
                 break
@@ -356,11 +418,25 @@ class MPModel:
             ceil_bounds[col] = (ceil(value), ub)
             floor_bounds = list(bounds)
             floor_bounds[col] = (lb, floor(value))
-            stack.append(ceil_bounds)
-            stack.append(floor_bounds)
+            # reduced costs that are all zero, as under the empty objective
+            # of a feasibility check, stay zero through every dual pivot, so
+            # an optimal child is kept warm only if no nonbasic column can
+            # move: such children go cold, which measured faster than
+            # proving the infeasible ones warm
+            parent = simplex if any(simplex.reduced) else None
+            stack.append((ceil_bounds, parent, col, False))
+            stack.append((floor_bounds, parent, col, True))
         if best is not None:
+            if hit_limit:
+                self.counters.bb_truncated += 1
+                log.warning("branch-and-bound limit reached; returning the best "
+                            "incumbent, not proven optimal")
             return best
         return MPSolution(LIMIT if hit_limit else INFEASIBLE, None, ())
+
+
+def _crossed(bounds) -> bool:
+    return any(lb is not None and ub is not None and lb > ub for lb, ub in bounds)
 
 
 def _better(a: Number, b: Number, minimize: bool) -> bool:
@@ -385,7 +461,7 @@ def _lower_terms(values: list[int], den: int) -> tuple[list[int], int]:
 
 
 class _Simplex:
-    """One-shot simplex over a standard-form copy of the model.
+    """Simplex over a standard-form copy of the model.
 
     Every structural variable is shifted/mirrored/split so its lower
     bound is 0; finite upper bounds stay implicit and are handled by
@@ -422,6 +498,11 @@ class _Simplex:
     phase 2 prices none of them, and an artificial left basic in a
     redundant row keeps an upper bound of 0. The tableau therefore holds no
     copy of B^-1 after phase 1.
+
+    `run` solves cold and keeps its final state, the reduced costs
+    included. A branch-and-bound child takes that state (`copy`), narrows
+    one variable's bounds (`tighten`), which keeps the basis dual
+    feasible, and `dual` re-optimises it.
     """
 
     def __init__(self, model: MPModel, bounds: list[tuple[Number | None, Number | None]]):
@@ -570,9 +651,158 @@ class _Simplex:
             return MPSolution(LIMIT, None, ())
         if status == UNBOUNDED:
             return MPSolution(UNBOUNDED, None, ())
+        return self.solution()
+
+    def solution(self) -> MPSolution:
+        """The point of the current basis, which must be optimal."""
         values = self._extract_values()
         objective = exact(sum(w * values[v] for v, w in self.model.objective.items()))
         return MPSolution(OPTIMAL, objective, tuple(values))
+
+    # -- warm start from a parent's final state -------------------------------
+
+    def copy(self) -> _Simplex:
+        """An independent copy of the state after `run` or `dual`."""
+        clone = _Simplex.__new__(_Simplex)
+        clone.model = self.model
+        clone.pivot_limit = self.pivot_limit
+        clone.pivots = 0
+        clone.col_of = self.col_of  # fixed at construction
+        clone.offset = self.offset.copy()
+        clone.upper = self.upper.copy()
+        clone.flipped = self.flipped.copy()
+        clone.nstruct = self.nstruct
+        clone.ncols = self.ncols
+        clone.tableau = [row.copy() for row in self.tableau]
+        clone.rhs = self.rhs.copy()
+        clone.den = self.den.copy()
+        clone.basis = self.basis.copy()
+        clone.reduced = self.reduced.copy()
+        clone.rden = self.rden
+        return clone
+
+    def tighten(self, var: int, lb: Number | None, ub: Number | None) -> bool:
+        """Narrow model variable `var` to [lb, ub] inside its current bounds.
+
+        The column t of `var` (x = offset + sign * t, 0 <= t <= upper)
+        gets a new lower bound by the substitution t = d + t', which moves
+        each row's rhs by its entry times d, and a new upper bound in
+        place; a flipped column reads upper - t, so the two cases swap.
+        The basis and reduced costs stay, so the basis remains dual
+        feasible and only basic values may leave their bounds. Returns
+        False for a free variable, which has two columns.
+        """
+        if len(self.col_of[var]) != 1:
+            return False
+        ((col, sign),) = self.col_of[var]
+        offset = self.offset[var]
+        if sign == 1:
+            low, high = lb - offset, None if ub is None else ub - offset
+        else:
+            low, high = offset - ub, None if lb is None else offset - lb
+        upper = self.upper[col]
+        if low:
+            if not self.flipped[col]:
+                self._shift_column(col, low)
+            self.offset[var] = offset + sign * low
+            if upper is not None:
+                upper -= low
+            if high is not None:
+                high -= low
+        if high != upper:
+            if self.flipped[col]:
+                self._shift_column(col, upper - high)
+            upper = high
+        self.upper[col] = upper
+        return True
+
+    def dual(self) -> str:
+        """Dual simplex from a dual-feasible basis back to primal feasibility.
+
+        The leaving row holds the basic value furthest outside its bounds;
+        one above its upper bound is flipped first, so it reads below 0.
+        The entering column has a negative entry in that row and the least
+        ratio of reduced cost to entry size, which keeps every reduced cost
+        of a column that can move nonnegative; fixed columns never enter.
+        Ties go to the lowest column index, and after a run of degenerate
+        pivots Bland's rule picks the infeasible row with the lowest basic
+        column. A row with no candidate proves the LP infeasible. Pivots
+        count from 0, as in a cold solve.
+        """
+        self.pivots = 0
+        tableau, rhs, den = self.tableau, self.rhs, self.den
+        basis, upper = self.basis, self.upper
+        reduced, rden = self.reduced, self.rden
+        degenerate_streak = 0
+        bland_threshold = 4 * (len(tableau) + self.ncols)
+        bland = False
+        while True:
+            if self.pivots >= self.pivot_limit:
+                return LIMIT
+            # infeasibility of each basic value as num / vden, vden > 0
+            leave_row = -1
+            best_num = best_den = 0
+            for i, b in enumerate(basis):
+                num, vden = rhs[i], den[i]
+                if num < 0:
+                    num = -num
+                else:
+                    cap = upper[b]
+                    if cap is None:
+                        continue
+                    q = cap.denominator
+                    num = num * q - cap.numerator * vden
+                    if num <= 0:
+                        continue
+                    vden *= q
+                if leave_row != -1:
+                    if bland:
+                        if b > basis[leave_row]:
+                            continue
+                    else:
+                        left, right = num * best_den, best_num * vden
+                        if left < right or (left == right and b > basis[leave_row]):
+                            continue
+                best_num, best_den, leave_row = num, vden, i
+            if leave_row == -1:
+                self.reduced, self.rden = reduced, rden
+                return OPTIMAL
+            leaving = basis[leave_row]
+            if rhs[leave_row] > 0:
+                # above its upper bound: the complement is below 0
+                self._flip_column(leaving)
+                self._make_unit(leave_row, leaving)
+
+            # ratio test over the row's negative entries: raising column j
+            # raises the leaving value; reduced[j] / -a is compared by
+            # cross-multiplication, both sides over the same denominators
+            entering = -1
+            best_r = best_a = 0
+            for j, a in tableau[leave_row].items():
+                if a >= 0 or upper[j] == 0:
+                    continue
+                r = reduced[j]
+                if entering != -1:
+                    left, right = r * best_a, best_r * -a
+                    if left > right or (left == right and j > entering):
+                        continue
+                entering, best_r, best_a = j, r, -a
+            if entering == -1:
+                return INFEASIBLE
+
+            self.pivots += 1
+            degenerate_streak = degenerate_streak + 1 if best_r == 0 else 0
+            bland = degenerate_streak > bland_threshold
+            self._pivot(leave_row, entering)
+            reduced, rden = self._price_out(reduced, rden, leave_row, entering)
+
+    def unique_optimum(self) -> bool:
+        """Whether every nonbasic column that can move has a nonzero reduced
+        cost: then any other feasible point costs more, so the optimum is
+        unique. Fixed columns and pinned artificials have upper bound 0."""
+        basic = set(self.basis)
+        upper = self.upper
+        return all(r or j in basic or upper[j] == 0 for j, r in enumerate(self.reduced))
 
     # -- core pivoting -------------------------------------------------------
 
@@ -625,6 +855,7 @@ class _Simplex:
                         best = r
                         entering = j
             if entering == -1:
+                self.reduced, self.rden = reduced, rden
                 return OPTIMAL
 
             # ratio test: how far can the entering variable rise before a
@@ -675,23 +906,29 @@ class _Simplex:
             self._pivot(leave_row, entering)
             basic.discard(leaving)
             basic.add(entering)
-            # the reduced-cost row takes the same update as a tableau row,
-            # which leaves the entering column at 0
-            factor = reduced[entering]
-            if factor:
-                pivot_den = den[leave_row]
-                if pivot_den != 1:
-                    reduced = [x * pivot_den for x in reduced]
-                    rden *= pivot_den
-                for j, x in tableau[leave_row].items():
-                    reduced[j] -= factor * x
-                if rden != 1:
-                    reduced, rden = _lower_terms(reduced, rden)
+            reduced, rden = self._price_out(reduced, rden, leave_row, entering)
             if leave_to_upper:
                 # leaving variable exits at its upper bound; flip so the
                 # nonbasic value-0 convention holds
                 self._flip_column(leaving)
                 reduced[leaving] = -reduced[leaving]
+
+    def _price_out(self, reduced: list[int], rden: int, row: int, entering: int
+                   ) -> tuple[list[int], int]:
+        """The reduced-cost row after a pivot on (`row`, `entering`): it takes
+        the same update as a tableau row, which leaves the entering column
+        at 0."""
+        factor = reduced[entering]
+        if factor:
+            pivot_den = self.den[row]
+            if pivot_den != 1:
+                reduced = [x * pivot_den for x in reduced]
+                rden *= pivot_den
+            for j, x in self.tableau[row].items():
+                reduced[j] -= factor * x
+            if rden != 1:
+                reduced, rden = _lower_terms(reduced, rden)
+        return reduced, rden
 
     def _reduce(self, i: int) -> None:
         """Divide row i by the gcd of its denominator, rhs and entries."""
@@ -721,7 +958,13 @@ class _Simplex:
         bound = self.upper[col]
         if bound is None:
             raise SolverError("cannot flip a column without an upper bound")
-        p, q = bound.numerator, bound.denominator
+        self._shift_column(col, bound, negate=True)
+        self.flipped[col] = not self.flipped[col]
+
+    def _shift_column(self, col: int, amount: Number, negate: bool = False) -> None:
+        """Substitute amount + x' (amount - x' if `negate`) for the variable
+        of `col`: each row's rhs drops by its entry times `amount`."""
+        p, q = amount.numerator, amount.denominator
         tableau, rhs, den = self.tableau, self.rhs, self.den
         for i, row in enumerate(tableau):
             a = row.get(col)
@@ -729,15 +972,16 @@ class _Simplex:
                 continue
             if q == 1:
                 rhs[i] -= a * p
-                row[col] = -a
+                if negate:
+                    row[col] = -a
             else:
                 # rhs - (a / den) * (p / q) is over den * q: scale the row by q
                 row = tableau[i] = {j: x * q for j, x in row.items()}
-                row[col] = -a * q
+                if negate:
+                    row[col] = -a * q
                 rhs[i] = rhs[i] * q - a * p
                 den[i] *= q
                 self._reduce(i)
-        self.flipped[col] = not self.flipped[col]
 
     def _pivot(self, row: int, col: int) -> None:
         tableau, rhs, den = self.tableau, self.rhs, self.den

@@ -35,7 +35,12 @@ Interval = tuple[Number | None, Number | None]
 
 
 def expr_range(expr: LinearExpr, intervals: list[Interval]) -> Interval:
-    """Range of a linear expression over box intervals; None encodes infinity."""
+    """Range of a linear expression over box intervals; None encodes infinity.
+
+    A weight of int 1 skips the multiply and a running sum of int 0 skips
+    the add: both give the same number of the same type, and most
+    conditions read `1*v op c` over Fraction bounds.
+    """
     lo: Number | None = expr.constant
     hi: Number | None = expr.constant
     for var, weight in expr.terms:
@@ -44,10 +49,19 @@ def expr_range(expr: LinearExpr, intervals: list[Interval]) -> Interval:
             term_lo, term_hi = var_lo, var_hi
         else:
             term_lo, term_hi = var_hi, var_lo
+        unit = type(weight) is int and weight == 1
         if lo is not None:
-            lo = None if term_lo is None else lo + weight * term_lo
+            if term_lo is None:
+                lo = None
+            else:
+                term = term_lo if unit else weight * term_lo
+                lo = term if type(lo) is int and lo == 0 else lo + term
         if hi is not None:
-            hi = None if term_hi is None else hi + weight * term_hi
+            if term_hi is None:
+                hi = None
+            else:
+                term = term_hi if unit else weight * term_hi
+                hi = term if type(hi) is int and hi == 0 else hi + term
     return lo, hi
 
 

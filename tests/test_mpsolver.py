@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import logging
 import random
 from fractions import Fraction
 
@@ -196,12 +197,12 @@ def test_simplex_matches_vertex_enumeration_on_500_random_lps(data):
             assert model.check_assignment(list(got.values)) == [], f"trial {trial}"
 
 
-@pytest.mark.parametrize("data", DATA)
-def test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips(data):
+def _random_mips(data: str):
+    """The 200 random MIPs of one data variant, always the same ones."""
     rational = data == "rational"
     rhs_lo = -4 if rational else -10
     rng = random.Random(777)
-    for trial in range(200):
+    for _ in range(200):
         n = rng.randint(2, 3)
         model = mp.MPModel()
         for _ in range(n):
@@ -217,6 +218,12 @@ def test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips(data):
                                  _draw(rng, rhs_lo, 20, rational))
         model.set_objective({i: _draw(rng, -5, 5, rational) for i in range(n)},
                             rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
+        yield model
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_branch_and_bound_matches_lattice_enumeration_on_200_random_mips(data):
+    for trial, model in enumerate(_random_mips(data)):
         got = model.solve()
         want_status, want_objective = mip_by_lattice_enumeration(model)
         assert got.status == want_status, f"trial {trial}"
@@ -465,14 +472,16 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # add no clamp row reproduce them; the pivot counts are those of unclamped
 # bound queries, with the pivots that drive artificials out of the basis
 # counted and no phase-2 bound flips of artificial columns, which leave the
-# tableau after phase 1. Any change to the pivot rules (entering choice,
-# ratio tie-break, Bland switch, bound flips) moves at least one of them.
+# tableau after phase 1. The pivot counts include those of the dual
+# simplex on warm branch-and-bound children, kept or not. Any change to the
+# pivot rules (entering choice, ratio tie-break, Bland switch, bound flips)
+# moves at least one of them.
 PINNED_RUNS = (
     ("market-trader", 2, False, 50, 153, 10,
      "6e3ec0e23702803fefd773a1c9873ad911e1d710c74f04aabb2c30b80bdf5458"),
     ("mini-settlers", 2, False, 49, 158, 10,
      "905385888a0bbb8dd2890eb4988cf588be0b3d08d7d506581fa5d036500de7b1"),
-    ("pump-catalyst", 3, True, 29, 225, 13,
+    ("pump-catalyst", 3, True, 29, 202, 13,
      "580e4def308bc8e9b3a276cded993d0f4a8bc65e0bda054ae49ca2bb94146149"),
 )
 
@@ -555,21 +564,44 @@ def test_branch_on_a_column_with_a_fractional_bound(monkeypatch):
     y = model.add_variable(0, None)
     model.add_constraint({x: 1, y: 1}, ">=", Fraction(1, 3))
     model.set_objective({x: 1}, mp.MINIMIZE)
-    simplex_runs = []
-    real_run = mp._Simplex.run
+    relaxations = []
+    real_solve_node = mp.MPModel._solve_node
 
-    def run(self):
-        solution = real_run(self)
-        simplex_runs.append(solution.status)
-        return solution
+    # every relaxation, warm or cold, goes through _solve_node
+    def solve_node(self, bounds, parent, var, shared):
+        solution, simplex = real_solve_node(self, bounds, parent, var, shared)
+        relaxations.append((bounds[x], solution.status))
+        return solution, simplex
 
-    monkeypatch.setattr(mp._Simplex, "run", run)
+    monkeypatch.setattr(mp.MPModel, "_solve_node", solve_node)
     solution = model.solve()
     assert (solution.status, solution.objective) == (mp.OPTIMAL, 1)
     assert solution.values[x] == 1
     assert model.check_assignment(list(solution.values)) == []
     assert model.counters.bb_nodes == 3
-    assert simplex_runs == [mp.OPTIMAL, mp.OPTIMAL]  # root and ceil branch only
+    # root and ceil branch only
+    assert relaxations == [((Fraction(1, 2), Fraction(7, 4)), mp.OPTIMAL),
+                           ((1, Fraction(7, 4)), mp.OPTIMAL)]
+
+
+def test_truncated_branch_and_bound_warns_and_counts(caplog):
+    """With node_limit 2 the search stops after the root (x = 3/2) and its
+    floor branch (x = 1, integral), before the ceil branch is explored: the
+    incumbent comes back, with a warning and a count."""
+    model = mp.MPModel(node_limit=2)
+    x = model.add_variable(0, 10, kind=mp.INTEGER)
+    model.add_constraint({x: 2}, "<=", 3)
+    model.set_objective({x: 1}, mp.MAXIMIZE)
+    with caplog.at_level(logging.WARNING, logger="flowplan"):
+        solution = model.solve()
+    assert (solution.status, solution.objective, solution.values) == (mp.OPTIMAL, 1, (1,))
+    assert model.counters.bb_nodes == 2 and model.counters.bb_truncated == 1
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("flowplan.mpsolver",
+         "branch-and-bound limit reached; returning the best incumbent, not proven optimal")]
+    # a search that runs to the end is not truncated
+    model.node_limit = mp.DEFAULT_NODE_LIMIT
+    assert model.solve().objective == 1 and model.counters.bb_truncated == 1
 
 
 def test_flip_and_capped_ratio_test_on_fractional_bounds(monkeypatch):
@@ -698,3 +730,62 @@ def test_every_solve_agrees_with_highs(monkeypatch, family, size, all_props):
     assert mismatches == []
     assert outcome.status == "solved"
     assert solves == outcome.stats.lp_solves > 0
+
+
+def _check_warm_children(monkeypatch):
+    """Re-solve every child that `_solve_node` accepts from the dual simplex
+    cold on the same bounds. Returns the counts of warm children and of
+    those whose status, objective or values (type included) differ."""
+    real_solve_node = mp.MPModel._solve_node
+    seen = {"warm": 0, "mismatched": 0}
+
+    def key(solution):
+        return (solution.status, solution.objective, type(solution.objective),
+                solution.values, tuple(map(type, solution.values)))
+
+    def solve_node(self, bounds, parent, var, shared):
+        before = self.counters.bb_warm
+        solution, simplex = real_solve_node(self, bounds, parent, var, shared)
+        if self.counters.bb_warm > before:
+            seen["warm"] += 1
+            seen["mismatched"] += key(self._solve_relaxation(bounds)) != key(solution)
+        return solution, simplex
+
+    monkeypatch.setattr(mp.MPModel, "_solve_node", solve_node)
+    return seen
+
+
+def test_warm_children_equal_cold_solves_over_pinned_runs(monkeypatch):
+    seen = _check_warm_children(monkeypatch)
+    for family, size, all_props in [run[:3] for run in PINNED_RUNS]:
+        assert _plan_pinned_run(family, size, all_props).status == "solved"
+    assert seen["warm"] > 0 and seen["mismatched"] == 0, seen
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_warm_children_equal_cold_solves_on_200_random_mips(monkeypatch, data):
+    seen = _check_warm_children(monkeypatch)
+    for model in _random_mips(data):
+        model.solve()
+    assert seen["warm"] > 0 and seen["mismatched"] == 0, seen
+
+
+def test_warm_children_of_shifted_and_mirrored_columns(monkeypatch):
+    """Children that tighten a column shifted by a fractional lower bound
+    and one mirrored about its upper bound, through both branch sides."""
+    seen = _check_warm_children(monkeypatch)
+    model = mp.MPModel()
+    y = model.add_variable(Fraction(-7, 2), 4, kind=mp.INTEGER)      # shifted
+    z = model.add_variable(None, Fraction(5, 2), kind=mp.INTEGER)    # mirrored
+    w = model.add_variable(0, Fraction(9, 4), kind=mp.INTEGER)
+    model.add_constraint({y: 3, z: 2, w: 1}, "<=", Fraction(7, 2))
+    model.add_constraint({y: 1, z: -3, w: 2}, ">=", Fraction(-17, 3))
+    model.add_constraint({z: 1}, ">=", -6)
+    model.set_objective({y: 2, z: 3, w: 1}, mp.MAXIMIZE)
+    solution = model.solve()
+    best = max(2 * a + 3 * b + c
+               for a in range(-3, 5) for b in range(-6, 3) for c in range(0, 3)
+               if model.check_assignment([a, b, c]) == [])
+    assert (solution.status, solution.objective) == (mp.OPTIMAL, best)
+    assert model.check_assignment(list(solution.values)) == []
+    assert model.counters.bb_warm == seen["warm"] > 0 and seen["mismatched"] == 0, seen
