@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from .model import (
     GE, GT, LE, LT, EQ,
-    GroundAction, GroundTask, Number, NumericCondition, NumericEffect, State, divide,
+    GroundAction, GroundTask, LinearExpr, Number, NumericCondition, NumericEffect, State,
+    divide,
 )
 
 log = logging.getLogger(__name__)
@@ -484,23 +485,24 @@ def collect_conditions(task: GroundTask) -> tuple[NumericCondition, ...]:
 
 
 def relevant_conditions(conditions: tuple[NumericCondition, ...]) -> tuple[
-        dict[int, tuple[NumericCondition, ...]], dict[int, tuple[NumericCondition, ...]]]:
-    """Per variable, the conditions a higher upper bound could help satisfy and
-    those a lower lower bound could help satisfy."""
-    up: dict[int, list[NumericCondition]] = {}
-    down: dict[int, list[NumericCondition]] = {}
-    for cond in conditions:
+        dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """Per variable, the ids (positions in `conditions`) of the conditions a
+    higher upper bound could help satisfy and of those a lower lower bound
+    could help satisfy."""
+    up: dict[int, list[int]] = {}
+    down: dict[int, list[int]] = {}
+    for cond_id, cond in enumerate(conditions):
         for var, weight in cond.expr.terms:
             raises_hi = (weight > 0 and cond.op in (GE, GT, EQ)) or \
                         (weight < 0 and cond.op in (LE, LT, EQ))
             lowers_lo = (weight > 0 and cond.op in (LE, LT, EQ)) or \
                         (weight < 0 and cond.op in (GE, GT, EQ))
             if raises_hi:
-                up.setdefault(var, []).append(cond)
+                up.setdefault(var, []).append(cond_id)
             if lowers_lo:
-                down.setdefault(var, []).append(cond)
-    return ({var: tuple(c) for var, c in up.items()},
-            {var: tuple(c) for var, c in down.items()})
+                down.setdefault(var, []).append(cond_id)
+    return ({var: tuple(ids) for var, ids in up.items()},
+            {var: tuple(ids) for var, ids in down.items()})
 
 
 def tracked_variables(conditions: tuple[NumericCondition, ...]) -> frozenset[int]:
@@ -552,51 +554,151 @@ def best_production(task: GroundTask) -> dict[int, Number]:
     return best
 
 
+def split_equalities(conds) -> list[NumericCondition]:
+    """The conditions in order, each equality replaced by its >= and <= halves."""
+    out = []
+    for cond in conds:
+        if cond.op == EQ:
+            out.append(NumericCondition(cond.expr, GE, cond.rhs))
+            out.append(NumericCondition(cond.expr, LE, cond.rhs))
+        else:
+            out.append(cond)
+    return out
+
+
+def normalise_single(cond: NumericCondition) -> NumericCondition:
+    """Rewrite w*v op c to v op' c/w so queue entries merge cleanly; a
+    weight-1 or multi-variable condition comes back as it is."""
+    terms = cond.expr.terms
+    if len(terms) != 1 or terms[0][1] == 1:
+        return cond
+    var, op, bound = cond.threshold()
+    return NumericCondition(LinearExpr.build({var: 1}), op, bound)
+
+
+# A numeric subgoal of regression extraction: (id of the condition, None
+# when it is a half of a split equality that was never collected; the
+# condition; its `normalise_single` form).
+Subgoal = tuple[int | None, NumericCondition, NumericCondition]
+
+# An interval step's view of one numeric effect: (variable, op, the
+# magnitude when it is a constant else None, the magnitude expression).
+CompiledEffect = tuple[int, str, Number | None, LinearExpr]
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class AnalysedTask:
     """Ground task after strict-inequality and assignment rewriting, with analysis.
 
-    The static structure that every heuristic evaluation reads (collected
-    conditions, relevant-condition maps, tracked variables and the actions
-    that affect an untracked one, fact adders, the actions affecting each
-    variable, positive signatures, the best single-action production per
-    variable) is derived from `task` once, here, rather than per state.
+    The static structure that every heuristic evaluation reads is derived
+    from `task` once, here, rather than per state. A condition id is a
+    position in `conditions`.
+    - For the planning graph's event-driven expansion: each action's
+      precondition count (facts plus distinct condition ids), fact ->
+      requiring actions, condition id -> requiring actions, variable ->
+      ids of the conditions over it, the goal condition ids, the
+      relevant-up/down condition ids per variable, each action's numeric
+      effects with constant magnitudes read out, and per variable the
+      variables whose effects read it in their magnitude.
+    - For flow models: the tracked variables and the actions that affect
+      an untracked one.
+    - For extraction: fact adders, the actions affecting each variable,
+      positive signatures, the best single-action production per
+      variable, and the split and normalised numeric subgoals of each
+      action and of the goal.
     """
 
     task: GroundTask
     classification: PCClassification
     one_shot_sets: tuple[OneShotSet, ...]
     landmarks: LandmarkSet
-    conditions: tuple[NumericCondition, ...] = field(init=False, repr=False, compare=False)
-    relevant_up: dict[int, tuple[NumericCondition, ...]] = field(
-        init=False, repr=False, compare=False)
-    relevant_down: dict[int, tuple[NumericCondition, ...]] = field(
-        init=False, repr=False, compare=False)
-    tracked: frozenset[int] = field(init=False, repr=False, compare=False)
+    conditions: tuple[NumericCondition, ...] = _derived()
+    precondition_counts: tuple[int, ...] = _derived()
+    fact_users: dict[int, tuple[int, ...]] = _derived()
+    condition_users: tuple[tuple[int, ...], ...] = _derived()
+    variable_conditions: dict[int, tuple[int, ...]] = _derived()
+    goal_condition_ids: tuple[int, ...] = _derived()
+    relevant_up: dict[int, tuple[int, ...]] = _derived()
+    relevant_down: dict[int, tuple[int, ...]] = _derived()
+    action_effects: tuple[tuple[CompiledEffect, ...], ...] = _derived()
+    magnitude_readers: dict[int, tuple[int, ...]] = _derived()
+    tracked: frozenset[int] = _derived()
     # ids of the actions with a numeric effect on an untracked variable
-    untracked_affectors: frozenset[int] = field(init=False, repr=False, compare=False)
-    adders: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    affectors: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    signatures: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
-    best_production: dict[int, Number] = field(init=False, repr=False, compare=False)
+    untracked_affectors: frozenset[int] = _derived()
+    adders: dict[int, tuple[int, ...]] = _derived()
+    affectors: dict[int, tuple[int, ...]] = _derived()
+    signatures: tuple[frozenset, ...] = _derived()
+    best_production: dict[int, Number] = _derived()
+    action_subgoals: tuple[tuple[Subgoal, ...], ...] = _derived()
+    goal_subgoals: tuple[Subgoal, ...] = _derived()
 
     def __post_init__(self):
-        conditions = collect_conditions(self.task)
+        def derive(name, value):
+            object.__setattr__(self, name, value)
+
+        task = self.task
+        actions = task.actions
+        conditions = collect_conditions(task)
+        ids = {cond: cond_id for cond_id, cond in enumerate(conditions)}
+        derive("conditions", conditions)
+        action_conditions = [tuple(dict.fromkeys(ids[c] for c in a.numeric_preconditions))
+                             for a in actions]
+        derive("precondition_counts", tuple(len(a.preconditions) + len(cond_ids)
+                                            for a, cond_ids in zip(actions, action_conditions)))
+        fact_users: dict[int, list[int]] = {}
+        condition_users: list[list[int]] = [[] for _ in conditions]
+        for action, cond_ids in zip(actions, action_conditions):
+            for fact in action.preconditions:
+                fact_users.setdefault(fact, []).append(action.id)
+            for cond_id in cond_ids:
+                condition_users[cond_id].append(action.id)
+        derive("fact_users", {fact: tuple(users) for fact, users in fact_users.items()})
+        derive("condition_users", tuple(tuple(users) for users in condition_users))
+        variable_conditions: dict[int, list[int]] = {}
+        for cond_id, cond in enumerate(conditions):
+            for var, _ in cond.expr.terms:
+                variable_conditions.setdefault(var, []).append(cond_id)
+        derive("variable_conditions",
+               {var: tuple(cond_ids) for var, cond_ids in variable_conditions.items()})
+        derive("goal_condition_ids",
+               tuple(dict.fromkeys(ids[c] for c in task.goal_conditions)))
         up, down = relevant_conditions(conditions)
+        derive("relevant_up", up)
+        derive("relevant_down", down)
+
+        readers: dict[int, set[int]] = {}
+        for action in actions:
+            for effect in action.numeric_effects:
+                for var, _ in effect.magnitude.terms:
+                    readers.setdefault(var, set()).add(effect.variable)
+        derive("action_effects", tuple(
+            tuple((e.variable, e.op,
+                   e.magnitude.constant if e.magnitude.is_constant() else None, e.magnitude)
+                  for e in a.numeric_effects)
+            for a in actions))
+        derive("magnitude_readers",
+               {var: tuple(sorted(targets)) for var, targets in readers.items()})
+
         tracked = tracked_variables(conditions)
-        actions = self.task.actions
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "relevant_up", up)
-        object.__setattr__(self, "relevant_down", down)
-        object.__setattr__(self, "tracked", tracked)
-        affectors = variable_affectors(self.task)
-        object.__setattr__(self, "affectors", affectors)
-        object.__setattr__(self, "untracked_affectors", frozenset(
-            a for var, ids in affectors.items() if var not in tracked for a in ids))
-        object.__setattr__(self, "adders", fact_adders(self.task))
-        object.__setattr__(self, "signatures",
-                           tuple(positive_signature(a) for a in actions))
-        object.__setattr__(self, "best_production", best_production(self.task))
+        derive("tracked", tracked)
+        affectors = variable_affectors(task)
+        derive("affectors", affectors)
+        derive("untracked_affectors", frozenset(
+            a for var, ids_ in affectors.items() if var not in tracked for a in ids_))
+        derive("adders", fact_adders(task))
+        derive("signatures", tuple(positive_signature(a) for a in actions))
+        derive("best_production", best_production(task))
+
+        def subgoals(conds) -> tuple[Subgoal, ...]:
+            return tuple((ids.get(cond), cond, normalise_single(cond))
+                         for cond in split_equalities(conds))
+
+        derive("action_subgoals", tuple(subgoals(a.numeric_preconditions) for a in actions))
+        derive("goal_subgoals", subgoals(task.goal_conditions))
 
 
 def analyse(task: GroundTask, cap: Number = DEFAULT_COUNT_CAP,

@@ -24,8 +24,8 @@ from .lpmodel import (
     HeuristicConfig, LandmarkView, WEIGHT_HADD, WEIGHT_HMAX, layer_weights,
 )
 from .model import (
-    GE, GT, LE, LT, EQ,
-    GroundAction, GroundTask, LinearExpr, Number, NumericCondition, State, applicable,
+    GE, GT, LE, LT,
+    GroundAction, GroundTask, Number, NumericCondition, State, applicable,
     compare,
 )
 from .rpg import (
@@ -82,29 +82,9 @@ def helpful_closure(task: GroundTask, state: State, chosen: set[int],
 def _achiever(task: GroundTask, graph: RPGraph, fact: int) -> int:
     """Earliest-appearing adder, ties broken by lowest action id."""
     first = graph.first_action_layer
-    in_graph = [a for a in graph.adders.get(fact, ()) if a in first]
+    in_graph = [a for a in graph.analysed.adders.get(fact, ()) if a in first]
     assert in_graph, f"no achiever for fact {task.fact_names[fact]}"
     return min(in_graph, key=lambda a: (first[a], a))
-
-
-def _normalise_single(cond: NumericCondition) -> NumericCondition:
-    """Rewrite w*v op c to v op' c/w so queue entries merge cleanly."""
-    form = cond.threshold()
-    if form is None or cond.expr.terms[0][1] == 1:
-        return cond
-    var, op, bound = form
-    return NumericCondition(LinearExpr.build({var: 1}), op, bound)
-
-
-def _split_equalities(conds) -> list[NumericCondition]:
-    out = []
-    for cond in conds:
-        if cond.op == EQ:
-            out.append(NumericCondition(cond.expr, GE, cond.rhs))
-            out.append(NumericCondition(cond.expr, LE, cond.rhs))
-        else:
-            out.append(cond)
-    return out
 
 
 # numeric subgoal tuple -> the largest weight it was enqueued with
@@ -159,10 +139,13 @@ class _Extraction:
         for fact in action.preconditions:
             self.push_fact(fact, weight)
         if numeric:
-            for cond in _split_equalities(action.numeric_preconditions):
-                hold = self.graph.first_hold_layer(cond)
+            graph = self.graph
+            first_by_id = graph.condition_first_by_id
+            for cond_id, cond, normalised in graph.analysed.action_subgoals[action_id]:
+                hold = first_by_id[cond_id] if cond_id is not None \
+                    else graph.first_hold_layer(cond)
                 if hold:
-                    self.push_conditions((_normalise_single(cond),), hold, weight)
+                    self.push_conditions((normalised,), hold, weight)
 
     def run(self, numeric_step, out_of_budget=None) -> HeuristicResult | None:
         """Empty the queue; None when `out_of_budget()` holds at the top of a
@@ -184,7 +167,8 @@ class _Extraction:
                     facts.pop(other, None)
             if subgoals and not numeric_step(layer, subgoals):
                 return DEAD_END
-        helpful = helpful_closure(task, graph.state, self.helpful_choices, graph.signatures)
+        helpful = helpful_closure(task, graph.state, self.helpful_choices,
+                                  graph.analysed.signatures)
         return HeuristicResult(self.h, helpful, tuple(self.trace))
 
 
@@ -226,8 +210,10 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
 
     for fact in task.goal_facts:
         queue.push_fact(fact, 1)
-    for cond in _split_equalities(task.goal_conditions):
-        queue.push_conditions((_normalise_single(cond),), graph.first_hold_layer(cond), 1)
+    first_by_id = graph.condition_first_by_id
+    for cond_id, cond, normalised in graph.analysed.goal_subgoals:
+        hold = first_by_id[cond_id] if cond_id is not None else graph.first_hold_layer(cond)
+        queue.push_conditions((normalised,), hold, 1)
     return queue.run(regress)
 
 
@@ -235,7 +221,7 @@ def _find_assigner(task: GroundTask, graph: RPGraph, layer: int, var: int,
                    cond: NumericCondition) -> tuple[int, Number] | None:
     """An in-layer action assigning var a constant that satisfies the bound."""
     layer_actions = graph.actions_at(layer)
-    for action_id in graph.affectors.get(var, ()):
+    for action_id in graph.analysed.affectors.get(var, ()):
         if action_id not in layer_actions:
             continue
         for effect in task.actions[action_id].numeric_effects:
@@ -277,7 +263,8 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     weights = dict(cond.expr.terms)
     layer_actions = graph.actions_at(layer)
     movers = []
-    for action_id in {a for var in weights for a in graph.affectors.get(var, ())
+    affectors = graph.analysed.affectors
+    for action_id in {a for var in weights for a in affectors.get(var, ())
                       if a in layer_actions}:
         delta = _expr_delta(task.actions[action_id], weights, intervals)
         if delta is None:
@@ -435,8 +422,8 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
         for fact in task.goal_facts:
             queue.push_fact(fact, 1)
     if not config.include_numeric_goal_conjunct:
-        goals = tuple(_normalise_single(c) for c in _split_equalities(task.goal_conditions)
-                      if not condition_satisfiable(c, graph.numeric_layers[0]))
+        goals = tuple(normalised for _, cond, normalised in analysed.goal_subgoals
+                      if not condition_satisfiable(cond, graph.numeric_layers[0]))
         layer = graph.first_hold_layer(goals[0]) if len(goals) == 1 else final
         queue.push_conditions(goals, layer, 1)
 

@@ -333,7 +333,9 @@ class FlowModel:
     # -- queries --------------------------------------------------------------
 
     def feasible(self) -> bool:
-        """LP-relaxation feasibility of the current model (plus scratch rows)."""
+        """Feasibility of the current model (plus scratch rows), solved as
+        built, integrality included: under `--lp-all-props` the fact columns
+        are binary, so each such check is a branch-and-bound run."""
         self.model.push_scratch()
         try:
             self.model.set_objective({}, mp.MINIMIZE)

@@ -40,7 +40,9 @@ def exact(x: Number) -> Number:
 
 
 def divide(a: Number, b: Number) -> Number:
-    """The exact quotient a / b."""
+    """The exact quotient a / b; an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
     return exact(Fraction(a) / b)
 
 

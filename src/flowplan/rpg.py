@@ -7,6 +7,15 @@ flow model for bounds instead, with the standard work-avoidance rules:
 reuse a bound while every condition it could help is already satisfiable,
 track only variables that occur in conditions or goals, widen from the
 previous layer's bound, and skip directions with no in-layer effect.
+
+Expansion is event-driven, after Metric-FF (Hoffmann & Nebel, JAIR 2001;
+Hoffmann, JAIR 2003), over the static index `AnalysedTask` builds once:
+each action counts its unmet preconditions (facts plus distinct condition
+ids), a fact or condition that appears for the first time decrements the
+counters of the actions that need it, and an action joins the next layer
+when its counter reaches 0. Because layers only widen, only unsatisfied
+conditions over variables whose interval changed are re-tested, and an
+interval step recomputes only the variables whose reach can have moved.
 """
 
 from __future__ import annotations
@@ -80,7 +89,12 @@ def range_satisfies(lo: Number | None, hi: Number | None, op: str,
 
 
 def condition_satisfiable(cond: NumericCondition, intervals: list[Interval]) -> bool:
-    lo, hi = expr_range(cond.expr, intervals)
+    expr = cond.expr
+    terms = expr.terms
+    if len(terms) == 1 and terms[0][1] == 1 and not expr.constant:
+        lo, hi = intervals[terms[0][0]]  # `1*v op c`, the common form
+    else:
+        lo, hi = expr_range(expr, intervals)
     return range_satisfies(lo, hi, cond.op, cond.rhs)
 
 
@@ -107,9 +121,9 @@ class RPGraph:
     status: str
     final_layer: int
     flow: FlowModel | None
-    adders: dict[int, tuple[int, ...]]  # fact -> adding action ids, from the analysis
-    signatures: tuple[frozenset, ...]   # action id -> positive signature, from the analysis
-    affectors: dict[int, tuple[int, ...]]  # variable -> ids of actions with an effect on it
+    analysed: AnalysedTask
+    # condition id -> first layer where the condition is interval-satisfiable
+    condition_first_by_id: list[int | None]
 
     def actions_at(self, layer: int) -> frozenset[int]:
         return self.action_layers[min(layer, len(self.action_layers) - 1)]
@@ -170,36 +184,122 @@ class RPGraph:
         return "\n".join(lines)
 
 
-def _interval_update(task: GroundTask, layer_actions, intervals: list[Interval],
-                     unbounded: bool) -> list[Interval]:
-    """One parallel interval-arithmetic step over the given action set."""
-    new = list(intervals)
-    for action_id in layer_actions:
-        for effect in task.actions[action_id].numeric_effects:
-            var = effect.variable
-            base_lo, base_hi = intervals[var]
-            mag_lo, mag_hi = expr_range(effect.magnitude, intervals)
-            cur_lo, cur_hi = new[var]
-            if effect.op == "assign":
-                reach_lo, reach_hi = mag_lo, mag_hi
-            elif effect.op == "increase":
-                if unbounded:
-                    reach_lo = None if (mag_lo is None or mag_lo < 0) else base_lo
-                    reach_hi = None if (mag_hi is None or mag_hi > 0) else base_hi
+def _effect_reach(op: str, base: Interval, magnitude: Interval, unbounded: bool) -> Interval:
+    """Values one effect can give its variable from the interval `base`,
+    with its magnitude ranging over `magnitude`."""
+    base_lo, base_hi = base
+    mag_lo, mag_hi = magnitude
+    if op == "assign":
+        return mag_lo, mag_hi
+    if op == "increase":
+        if unbounded:
+            return (None if (mag_lo is None or mag_lo < 0) else base_lo,
+                    None if (mag_hi is None or mag_hi > 0) else base_hi)
+        return (None if (base_lo is None or mag_lo is None) else base_lo + mag_lo,
+                None if (base_hi is None or mag_hi is None) else base_hi + mag_hi)
+    # decrease
+    if unbounded:
+        return (None if (mag_hi is None or mag_hi > 0) else base_lo,
+                None if (mag_lo is None or mag_lo < 0) else base_hi)
+    return (None if (base_lo is None or mag_hi is None) else base_lo - mag_hi,
+            None if (base_hi is None or mag_lo is None) else base_hi - mag_lo)
+
+
+class _LayerEffects:
+    """The numeric effects of the actions in the graph so far, summarised
+    per variable for the interval step: the least and greatest constant
+    signed change, the least and greatest constant assigned value, and the
+    effects whose magnitude reads a variable."""
+
+    def __init__(self, analysed: AnalysedTask):
+        self.action_effects = analysed.action_effects
+        self.readers = analysed.magnitude_readers
+        self.changes: dict[int, list[Number]] = {}
+        self.assigned: dict[int, list[Number]] = {}
+        self.general: dict[int, list[tuple[str, LinearExpr]]] = {}
+
+    def join(self, new_actions, changed) -> set[int]:
+        """Take in the effects of the actions that joined the layer, and
+        return the variables whose next interval can differ from their
+        current one.
+
+        A variable's next interval is its current one widened by the reach
+        of every in-layer effect on it, and the current one already holds
+        the reaches computed one layer earlier. So only a variable that a
+        new action affects, whose own interval changed, or one of whose
+        effects reads a changed variable in its magnitude can move.
+        """
+        dirty: set[int] = set()
+        for action_id in new_actions:
+            for var, op, constant, magnitude in self.action_effects[action_id]:
+                dirty.add(var)
+                if constant is None:
+                    self.general.setdefault(var, []).append((op, magnitude))
+                    continue
+                if op == "assign":
+                    table, value = self.assigned, constant
                 else:
-                    reach_lo = None if (base_lo is None or mag_lo is None) else base_lo + mag_lo
-                    reach_hi = None if (base_hi is None or mag_hi is None) else base_hi + mag_hi
-            else:  # decrease
-                if unbounded:
-                    reach_lo = None if (mag_hi is None or mag_hi > 0) else base_lo
-                    reach_hi = None if (mag_lo is None or mag_lo < 0) else base_hi
-                else:
-                    reach_lo = None if (base_lo is None or mag_hi is None) else base_lo - mag_hi
-                    reach_hi = None if (base_hi is None or mag_lo is None) else base_hi - mag_lo
-            new_lo = None if (cur_lo is None or reach_lo is None) else min(cur_lo, reach_lo)
-            new_hi = None if (cur_hi is None or reach_hi is None) else max(cur_hi, reach_hi)
-            new[var] = (new_lo, new_hi)
-    return new
+                    table, value = self.changes, constant if op == "increase" else -constant
+                extremes = table.get(var)
+                if extremes is None:
+                    table[var] = [value, value]
+                elif value < extremes[0]:
+                    extremes[0] = value
+                elif value > extremes[1]:
+                    extremes[1] = value
+        readers = self.readers
+        for var in changed:
+            dirty.add(var)
+            dirty.update(readers.get(var, ()))
+        return dirty
+
+    def step(self, variables, intervals: list[Interval],
+             unbounded: bool) -> tuple[list[Interval], list[int]]:
+        """One parallel interval-arithmetic step over the effects on
+        `variables`; every other variable keeps its interval. Returns the
+        next layer and the variables whose interval changed.
+
+        Constant changes d widen [lo, hi] to [lo + min d, hi + max d] (to
+        infinity on the side a change points to, when unbounded), which is
+        the hull of the effect-by-effect reaches."""
+        new = list(intervals)
+        moved: list[int] = []
+        changes, assigned, general = self.changes, self.assigned, self.general
+        for var in variables:
+            base = intervals[var]
+            lo, hi = base
+            extremes = changes.get(var)
+            if extremes is not None:
+                least, greatest = extremes
+                if least < 0 and lo is not None:
+                    lo = None if unbounded else lo + least
+                if greatest > 0 and hi is not None:
+                    hi = None if unbounded else hi + greatest
+            extremes = assigned.get(var)
+            if extremes is not None:
+                if lo is not None:
+                    lo = min(lo, extremes[0])
+                if hi is not None:
+                    hi = max(hi, extremes[1])
+            for op, magnitude in general.get(var, ()):
+                reach_lo, reach_hi = _effect_reach(op, base, expr_range(magnitude, intervals),
+                                                   unbounded)
+                lo = None if (lo is None or reach_lo is None) else min(lo, reach_lo)
+                hi = None if (hi is None or reach_hi is None) else max(hi, reach_hi)
+            if lo != base[0] or hi != base[1]:
+                new[var] = (lo, hi)
+                moved.append(var)
+        return new, moved
+
+
+def _release(users, counts: list[int], ready: list[int]) -> None:
+    """A precondition of each of `users` became true: count it down, and
+    collect the actions with nothing left unmet."""
+    for action_id in users:
+        left = counts[action_id] - 1
+        counts[action_id] = left
+        if not left:
+            ready.append(action_id)
 
 
 def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
@@ -207,26 +307,43 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
            landmarks: LandmarkView | None = None) -> RPGraph:
     """Build the layered graph until the goal is reachable or growth stagnates.
 
-    Layers only widen: every numeric interval contains its predecessor. So a
-    collected condition is interval-satisfiable at layer L exactly when it
-    is in `condition_first` once layer L is recorded, and the expansion asks
-    that dict instead of re-evaluating conditions on intervals.
+    Each action's counter starts at its static precondition count. Facts
+    of the state and conditions satisfiable on its point intervals count
+    down their users; every later layer does the same for the facts and
+    conditions first seen there, and the actions whose counter reached 0
+    while a layer was recorded form the next action layer. The next fact
+    layer is the current one plus the adds of those new actions.
+
+    Layers only widen: every numeric interval contains its predecessor. So
+    a condition once satisfiable stays so, and an unsatisfied condition
+    over variables whose intervals did not change stays unsatisfied: only
+    the open conditions over changed variables are re-tested, and
+    `_stagnated` compares those alone. The interval step recomputes only
+    the variables `_LayerEffects.join` names.
     """
     task = analysed.task
-    n_vars = len(task.var_names)
     landmarks = landmarks if landmarks is not None else LandmarkView()
+    conditions = analysed.conditions
+    fact_users = analysed.fact_users
+    condition_users = analysed.condition_users
 
     fact_layers = [frozenset(state.facts)]
-    numeric_layers = [[(state.values[v], state.values[v]) for v in range(n_vars)]]
+    numeric_layers = [[(value, value) for value in state.values]]
     action_layers: list[frozenset[int]] = [frozenset()]
     first_fact_layer = {fact: 0 for fact in state.facts}
     first_action_layer: dict[int, int] = {}
     condition_first: dict[NumericCondition, int] = {}
+    first_by_id: list[int | None] = [None] * len(conditions)
 
-    all_conditions = analysed.conditions
-    for cond in all_conditions:
+    counts = list(analysed.precondition_counts)
+    ready = [action_id for action_id, count in enumerate(counts) if not count]
+    for fact in state.facts:
+        _release(fact_users.get(fact, ()), counts, ready)
+    for cond_id, cond in enumerate(conditions):
         if condition_satisfiable(cond, numeric_layers[0]):
+            first_by_id[cond_id] = 0
             condition_first[cond] = 0
+            _release(condition_users[cond_id], counts, ready)
 
     flow: FlowModel | None = None
     if mode == LPRPG:
@@ -235,14 +352,16 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
 
     graph = RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
                     first_fact_layer, first_action_layer, condition_first,
-                    RELAXED_UNSOLVABLE, 0, flow, analysed.adders, analysed.signatures,
-                    analysed.affectors)
+                    RELAXED_UNSOLVABLE, 0, flow, analysed, first_by_id)
+
+    goal_ids = analysed.goal_condition_ids
 
     def goal_reached(layer: int) -> bool:
         if not task.goal_facts <= fact_layers[layer]:
             return False
-        if not all(c in condition_first for c in task.goal_conditions):
-            return False
+        for cond_id in goal_ids:
+            if first_by_id[cond_id] is None:
+                return False
         if mode == LPRPG and config.uses_goal_check():
             flow.model.push_scratch()
             try:
@@ -256,34 +375,31 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         graph.status = GOALS_REACHED
         return graph
 
+    unbounded = mode == METRICFF_UNBOUNDED
+    effects = _LayerEffects(analysed)
+    changed: list[int] = []  # variables whose interval changed at `layer`
     layer = 0
     while layer < config.max_layers:
         intervals = numeric_layers[layer]
+        new_actions = sorted(ready)
+        ready = []
         next_actions = set(action_layers[layer])
-        for action in task.actions:
-            if action.id in next_actions:
-                continue
-            if not action.preconditions <= fact_layers[layer]:
-                continue
-            if all(c in condition_first for c in action.numeric_preconditions):
-                next_actions.add(action.id)
-        new_actions = next_actions - action_layers[layer]
-        no_new_actions = not new_actions
-
+        next_actions.update(new_actions)
         next_facts = set(fact_layers[layer])
-        for action_id in next_actions:
+        for action_id in new_actions:
             next_facts.update(task.actions[action_id].add_effects)
 
         if mode == LPRPG:
-            if flow is not None and new_actions:
+            if new_actions:
                 flow.extend(new_actions)
-            next_intervals = _lp_layer_bounds(graph, analysed, next_actions, new_actions)
+            next_intervals, next_changed = _lp_layer_bounds(
+                graph, analysed, effects, new_actions, changed)
         else:
-            next_intervals = _interval_update(task, sorted(next_actions), intervals,
-                                              unbounded=(mode == METRICFF_UNBOUNDED))
+            next_intervals, next_changed = effects.step(
+                effects.join(new_actions, changed), intervals, unbounded)
+        retest = _open_conditions(analysed, first_by_id, next_changed)
 
-        if no_new_actions and _stagnated(all_conditions, condition_first, intervals,
-                                         next_intervals):
+        if not new_actions and _stagnated(conditions, retest, intervals, next_intervals):
             graph.final_layer = layer
             graph.status = RELAXED_UNSOLVABLE
             # keep the tentative layer visible for diagnostics and tests
@@ -296,13 +412,18 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         action_layers.append(frozenset(next_actions))
         fact_layers.append(frozenset(next_facts))
         numeric_layers.append(next_intervals)
-        for action_id in sorted(new_actions):
-            first_action_layer.setdefault(action_id, layer)
+        for action_id in new_actions:
+            first_action_layer[action_id] = layer
         for fact in sorted(next_facts - fact_layers[layer - 1]):
-            first_fact_layer.setdefault(fact, layer)
-        for cond in all_conditions:
-            if cond not in condition_first and condition_satisfiable(cond, next_intervals):
+            first_fact_layer[fact] = layer
+            _release(fact_users.get(fact, ()), counts, ready)
+        for cond_id in retest:
+            cond = conditions[cond_id]
+            if condition_satisfiable(cond, next_intervals):
+                first_by_id[cond_id] = layer
                 condition_first[cond] = layer
+                _release(condition_users[cond_id], counts, ready)
+        changed = next_changed
 
         if goal_reached(layer):
             graph.final_layer = layer
@@ -316,9 +437,20 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     return graph
 
 
-def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, layer_actions,
-                     new_actions) -> list[Interval]:
-    """Next numeric layer in LP mode, applying the four skip rules.
+def _open_conditions(analysed: AnalysedTask, first_by_id: list[int | None],
+                     changed) -> list[int]:
+    """Ids of the not yet satisfiable conditions over a changed variable,
+    ascending."""
+    variable_conditions = analysed.variable_conditions
+    return sorted({cond_id for var in changed
+                   for cond_id in variable_conditions.get(var, ())
+                   if first_by_id[cond_id] is None})
+
+
+def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, effects: _LayerEffects,
+                     new_actions, changed) -> tuple[list[Interval], list[int]]:
+    """Next numeric layer in LP mode, applying the four skip rules; returns
+    it with the variables whose interval changed.
 
     Each query widens from the previous layer's bound. A side that is
     already infinite stays infinite without a query: a bound query that hit
@@ -326,39 +458,38 @@ def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, layer_actions,
     to widen from could return a finite bound, which would shrink the
     interval and break the monotone widening `expand` relies on.
     """
-    task = analysed.task
     flow = graph.flow
-    satisfiable = graph.condition_first_layer
+    satisfiable = graph.condition_first_by_id
     previous = graph.numeric_layers[-1]
-    intervals = list(previous)
     if not new_actions:
-        return intervals
+        return list(previous), []
     # interval arithmetic still covers variables excluded from the LP; an
     # untracked variable's interval moves only with the actions affecting it
-    affectors = analysed.untracked_affectors
-    untracked_update = _interval_update(
-        task, sorted(a for a in layer_actions if a in affectors), previous, False)
-    for var in range(len(task.var_names)):
-        if var not in analysed.tracked:
-            intervals[var] = untracked_update[var]
-            continue
+    tracked = analysed.tracked
+    dirty = effects.join([a for a in new_actions if a in analysed.untracked_affectors],
+                         changed)
+    intervals, moved = effects.step([v for v in dirty if v not in tracked], previous, False)
+    for var in sorted(tracked):
         lo, hi = previous[var]
-        up_conditions = analysed.relevant_up.get(var, ())
-        if hi is not None and not all(c in satisfiable for c in up_conditions):
+        if hi is not None and any(satisfiable[c] is None
+                                  for c in analysed.relevant_up.get(var, ())):
             hi = flow.query_bound(var, "max", hi)
-        down_conditions = analysed.relevant_down.get(var, ())
-        if lo is not None and not all(c in satisfiable for c in down_conditions):
+        if lo is not None and any(satisfiable[c] is None
+                                  for c in analysed.relevant_down.get(var, ())):
             lo = flow.query_bound(var, "min", lo)
-        intervals[var] = (lo, hi)
-    return intervals
+        if lo != previous[var][0] or hi != previous[var][1]:
+            intervals[var] = (lo, hi)
+            moved.append(var)
+    return intervals, moved
 
 
-def _stagnated(all_conditions, satisfiable: dict[NumericCondition, int],
-               intervals: list[Interval], next_intervals: list[Interval]) -> bool:
-    """No unsatisfied condition's satisfiability extremum would move."""
-    for cond in all_conditions:
-        if cond in satisfiable:
-            continue
+def _stagnated(conditions, open_ids, intervals: list[Interval],
+               next_intervals: list[Interval]) -> bool:
+    """No open condition's satisfiability extremum would move; `open_ids`
+    holds the open conditions over changed variables, since no other
+    condition's extremum can."""
+    for cond_id in open_ids:
+        cond = conditions[cond_id]
         if _relevant_extremum(cond, intervals) != _relevant_extremum(cond, next_intervals):
             return False
     return True

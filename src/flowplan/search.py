@@ -174,13 +174,13 @@ def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
         if budget.exceeded(stats):
             return "budget", None
         stats.expansions += 1
+        # both lists hold only actions applicable in node.state: the helpful
+        # set comes from extract.helpful_closure on this very state
         if helpful_only:
             candidate_ids = sorted(node.helpful)
         else:
             candidate_ids = [a.id for a in task.actions if applicable(node.state, a)]
         for action_id in candidate_ids:
-            if not applicable(node.state, task.actions[action_id]):
-                continue
             child = _child(task, node, action_id, evaluate, landmark_facts, memo, stats)
             if is_goal(child.state, task):
                 return "goal", child

@@ -1,9 +1,13 @@
-"""Independent brute-force oracles used by the solver tests.
+"""Independent brute-force oracles used by the solver and planning-graph tests.
 
 These stay deliberately naive: vertex enumeration solves every n-subset
 of tight constraints by exact Gaussian elimination; the MIP oracle
 enumerates the whole integer lattice inside the variable bounds. Neither
 shares any code with the simplex or branch-and-bound paths they check.
+`expand_by_scanning` is the planning-graph expansion without precondition
+counters or changed-variable re-tests: every layer rescans every action,
+condition and in-layer effect. It shares the graph record, the interval
+helpers and the flow model with `rpg.expand`, not the bookkeeping.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import itertools
 from fractions import Fraction
 
 from flowplan import mpsolver as mp
+from flowplan import rpg
+from flowplan.lpmodel import FlowModel, LandmarkView
 
 
 def solve_linear_system(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -125,3 +131,177 @@ def mip_by_lattice_enumeration(model: mp.MPModel):
     if best is None:
         return mp.INFEASIBLE, None
     return mp.OPTIMAL, best
+
+
+# ---------------------------------------------------------------------------
+# Reference planning-graph expansion
+
+
+def interval_update(task, layer_actions, intervals, unbounded):
+    """One parallel interval-arithmetic step over the given action set,
+    effect by effect."""
+    new = list(intervals)
+    for action_id in layer_actions:
+        for effect in task.actions[action_id].numeric_effects:
+            var = effect.variable
+            base_lo, base_hi = intervals[var]
+            mag_lo, mag_hi = rpg.expr_range(effect.magnitude, intervals)
+            cur_lo, cur_hi = new[var]
+            if effect.op == "assign":
+                reach_lo, reach_hi = mag_lo, mag_hi
+            elif effect.op == "increase":
+                if unbounded:
+                    reach_lo = None if (mag_lo is None or mag_lo < 0) else base_lo
+                    reach_hi = None if (mag_hi is None or mag_hi > 0) else base_hi
+                else:
+                    reach_lo = None if (base_lo is None or mag_lo is None) else base_lo + mag_lo
+                    reach_hi = None if (base_hi is None or mag_hi is None) else base_hi + mag_hi
+            else:  # decrease
+                if unbounded:
+                    reach_lo = None if (mag_hi is None or mag_hi > 0) else base_lo
+                    reach_hi = None if (mag_lo is None or mag_lo < 0) else base_hi
+                else:
+                    reach_lo = None if (base_lo is None or mag_hi is None) else base_lo - mag_hi
+                    reach_hi = None if (base_hi is None or mag_lo is None) else base_hi - mag_lo
+            new_lo = None if (cur_lo is None or reach_lo is None) else min(cur_lo, reach_lo)
+            new_hi = None if (cur_hi is None or reach_hi is None) else max(cur_hi, reach_hi)
+            new[var] = (new_lo, new_hi)
+    return new
+
+
+def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
+                       landmarks=None):
+    """`rpg.expand` as a rescan of every action and every condition per layer.
+
+    Each layer tests every action not yet in the graph against the fact
+    layer and the satisfiable conditions, unions the adds of every in-layer
+    action, recomputes every variable over every in-layer effect, and tests
+    every unsatisfied condition; the stagnation test compares every
+    unsatisfied condition's extremum. No counters, no changed-variable rule.
+    """
+    task = analysed.task
+    n_vars = len(task.var_names)
+    landmarks = landmarks if landmarks is not None else LandmarkView()
+
+    fact_layers = [frozenset(state.facts)]
+    numeric_layers = [[(state.values[v], state.values[v]) for v in range(n_vars)]]
+    action_layers = [frozenset()]
+    first_fact_layer = {fact: 0 for fact in state.facts}
+    first_action_layer = {}
+    condition_first = {}
+
+    all_conditions = analysed.conditions
+    for cond in all_conditions:
+        if rpg.condition_satisfiable(cond, numeric_layers[0]):
+            condition_first[cond] = 0
+
+    flow = None
+    if mode == rpg.LPRPG:
+        flow = FlowModel(analysed, state, counters)
+        flow.add_catalytic()
+
+    graph = rpg.RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
+                        first_fact_layer, first_action_layer, condition_first,
+                        rpg.RELAXED_UNSOLVABLE, 0, flow, analysed, [])
+
+    def finish(status, final_layer):
+        graph.status = status
+        graph.final_layer = final_layer
+        graph.condition_first_by_id = [condition_first.get(c) for c in all_conditions]
+        return graph
+
+    def goal_reached(layer):
+        if not task.goal_facts <= fact_layers[layer]:
+            return False
+        if not all(c in condition_first for c in task.goal_conditions):
+            return False
+        if mode == rpg.LPRPG and config.uses_goal_check():
+            flow.model.push_scratch()
+            try:
+                flow.add_goal_constraints(config, landmarks, action_layers[layer])
+                return flow.feasible()
+            finally:
+                flow.model.pop_scratch()
+        return True
+
+    if goal_reached(0):
+        return finish(rpg.GOALS_REACHED, 0)
+
+    layer = 0
+    while layer < config.max_layers:
+        intervals = numeric_layers[layer]
+        next_actions = set(action_layers[layer])
+        for action in task.actions:
+            if action.id in next_actions:
+                continue
+            if not action.preconditions <= fact_layers[layer]:
+                continue
+            if all(c in condition_first for c in action.numeric_preconditions):
+                next_actions.add(action.id)
+        new_actions = next_actions - action_layers[layer]
+
+        next_facts = set(fact_layers[layer])
+        for action_id in next_actions:
+            next_facts.update(task.actions[action_id].add_effects)
+
+        if mode == rpg.LPRPG:
+            if new_actions:
+                flow.extend(new_actions)
+            next_intervals = _scanning_lp_layer_bounds(graph, analysed, next_actions,
+                                                       new_actions)
+        else:
+            next_intervals = interval_update(task, sorted(next_actions), intervals,
+                                             unbounded=(mode == rpg.METRICFF_UNBOUNDED))
+
+        if not new_actions and all(
+                cond in condition_first
+                or rpg._relevant_extremum(cond, intervals)
+                == rpg._relevant_extremum(cond, next_intervals)
+                for cond in all_conditions):
+            action_layers.append(frozenset(next_actions))
+            fact_layers.append(frozenset(next_facts))
+            numeric_layers.append(next_intervals)
+            return finish(rpg.RELAXED_UNSOLVABLE, layer)
+
+        layer += 1
+        action_layers.append(frozenset(next_actions))
+        fact_layers.append(frozenset(next_facts))
+        numeric_layers.append(next_intervals)
+        for action_id in sorted(new_actions):
+            first_action_layer.setdefault(action_id, layer)
+        for fact in sorted(next_facts - fact_layers[layer - 1]):
+            first_fact_layer.setdefault(fact, layer)
+        for cond in all_conditions:
+            if cond not in condition_first and rpg.condition_satisfiable(cond, next_intervals):
+                condition_first[cond] = layer
+
+        if goal_reached(layer):
+            return finish(rpg.GOALS_REACHED, layer)
+    return finish(rpg.RELAXED_UNSOLVABLE, layer)
+
+
+def _scanning_lp_layer_bounds(graph, analysed, layer_actions, new_actions):
+    task = analysed.task
+    flow = graph.flow
+    satisfiable = graph.condition_first_layer
+    conditions = analysed.conditions
+    previous = graph.numeric_layers[-1]
+    intervals = list(previous)
+    if not new_actions:
+        return intervals
+    affectors = analysed.untracked_affectors
+    untracked_update = interval_update(
+        task, sorted(a for a in layer_actions if a in affectors), previous, False)
+    for var in range(len(task.var_names)):
+        if var not in analysed.tracked:
+            intervals[var] = untracked_update[var]
+            continue
+        lo, hi = previous[var]
+        up_conditions = [conditions[c] for c in analysed.relevant_up.get(var, ())]
+        if hi is not None and not all(c in satisfiable for c in up_conditions):
+            hi = flow.query_bound(var, "max", hi)
+        down_conditions = [conditions[c] for c in analysed.relevant_down.get(var, ())]
+        if lo is not None and not all(c in satisfiable for c in down_conditions):
+            lo = flow.query_bound(var, "min", lo)
+        intervals[var] = (lo, hi)
+    return intervals

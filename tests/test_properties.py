@@ -3,6 +3,9 @@
 Interval arithmetic gives equal values, with equal `str`, whether its
 inputs are all `Fraction` or normalised by `model.exact` (an int where
 the value is integral), and the normalised run never yields a float.
+`model.divide` agrees with Fraction division in value and type.
+`rpg.expand` builds the same graph as the scanning reference in
+`oracles.expand_by_scanning`.
 """
 
 from fractions import Fraction
@@ -10,7 +13,13 @@ from fractions import Fraction
 import pytest
 
 from flowplan import model, rpg
+from flowplan import mpsolver as mp
+from flowplan.analysis import AnalysedTask, LandmarkSet, analyse, classify
+from flowplan.lpmodel import HeuristicConfig
 from flowplan.model import GE, GT, LE, LT, EQ, LinearExpr, exact
+
+from oracles import expand_by_scanning
+from taskbuild import TaskBuilder
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -64,6 +73,13 @@ def _same(fraction_result, exact_result):
     assert not any(isinstance(v, float) for v in flat_e)
 
 
+def _interval_step(task, intervals, unbounded):
+    """`rpg`'s interval step over every action and every variable of `task`."""
+    effects = rpg._LayerEffects(AnalysedTask(task, classify(task), (), LandmarkSet((), ())))
+    effects.join(range(len(task.actions)), ())
+    return effects.step(range(N_VARS), intervals, unbounded)[0]
+
+
 def _task(effects):
     """A task with one action per (variable, op, (weights, constant)) effect."""
     actions = tuple(
@@ -95,10 +111,96 @@ def test_interval_arithmetic_agrees_on_fraction_and_exact_inputs(data):
         lo, hi = rpg.expr_range(expr, ivals)
         return (expr.evaluate(norm(values)), (lo, hi),
                 rpg.range_satisfies(lo, hi, op, norm(rhs)),
-                rpg._interval_update(_task(norm(effects)), range(len(effects)), ivals,
-                                     unbounded))
+                _interval_step(_task(norm(effects)), ivals, unbounded))
 
     fraction_results = run(lambda x: x)
     exact_results = run(_normalise)
     for f_result, e_result in zip(fraction_results, exact_results):
         _same(f_result, e_result)
+
+
+# -- model.divide ------------------------------------------------------------------
+
+divide_operand = st.one_of(st.integers(-60, 60), st.fractions(-20, 20, max_denominator=6))
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(divide_operand, divide_operand.filter(lambda b: b != 0))
+def test_divide_matches_fraction_division(a, b):
+    """The int fast path gives the value and the type of the Fraction path."""
+    quotient = model.divide(a, b)
+    expected = exact(Fraction(a) / b)
+    assert quotient == expected
+    assert type(quotient) is type(expected)
+
+
+# -- rpg.expand against the scanning reference -----------------------------------------
+
+N_FACTS = 4
+small = st.one_of(st.integers(-3, 5), st.fractions(-3, 5, max_denominator=3))
+far = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=3))
+
+
+@st.composite
+def condition(draw, task_builder, variables, rhs=small):
+    over = draw(st.lists(st.sampled_from(variables), min_size=1, max_size=2, unique=True))
+    weights = {var: draw(st.sampled_from((1, 2, -1, Fraction(1, 2)))) for var in over}
+    op = draw(st.sampled_from((GE, GT, LE, LT, EQ)))
+    return task_builder.condition(weights, op, draw(rhs))
+
+
+@st.composite
+def small_task(draw):
+    """A small TaskBuilder task: increase, decrease and assign effects,
+    magnitudes that read another variable, and equality conditions."""
+    task_builder = TaskBuilder()
+    facts = [task_builder.fact(f"(p{i})", initially_true=draw(st.booleans()))
+             for i in range(N_FACTS)]
+    variables = [task_builder.var(f"(v{i})", draw(small)) for i in range(N_VARS)]
+    fact_sets = st.lists(st.sampled_from(facts), max_size=2, unique=True)
+    for index in range(draw(st.integers(2, 6))):
+        effects = []
+        for var in draw(st.lists(st.sampled_from(variables), max_size=2, unique=True)):
+            op = draw(st.sampled_from(("increase", "decrease", "assign")))
+            if draw(st.booleans()):
+                magnitude = draw(small)
+            else:
+                reads = draw(st.sampled_from(variables))
+                magnitude = ({reads: draw(st.sampled_from((1, -1, 2)))}, draw(small))
+            effects.append((var, op, magnitude))
+        task_builder.action(
+            f"a{index}", pre=draw(st.lists(st.sampled_from(facts), max_size=1)),
+            add=draw(fact_sets), delete=draw(fact_sets),
+            num_pre=draw(st.lists(condition(task_builder, variables), max_size=2)),
+            effects=effects)
+    # goals several layers away keep the graph growing, often to stagnation
+    task_builder.goal(facts=draw(fact_sets),
+                      conditions=draw(st.lists(condition(task_builder, variables, far),
+                                               min_size=1, max_size=3)))
+    return task_builder.build()
+
+
+def _graph_record(graph):
+    return (graph.status, graph.final_layer, graph.fact_layers, graph.numeric_layers,
+            graph.action_layers, graph.first_fact_layer, graph.first_action_layer,
+            graph.condition_first_layer, graph.condition_first_by_id)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(small_task(), st.data())
+def test_expand_matches_scanning_reference(task, data):
+    """Counters and changed-variable re-tests give the same graph as
+    rescanning every action, condition and effect per layer, in all three
+    modes and from the initial or an arbitrary state."""
+    analysed = analyse(task, with_landmarks=False)
+    state = analysed.task.initial
+    if data.draw(st.booleans()):
+        facts = data.draw(st.frozensets(st.integers(0, N_FACTS - 1)))
+        state = model.State(facts, tuple(exact(data.draw(small)) for _ in range(N_VARS)))
+    config = HeuristicConfig(max_layers=data.draw(st.integers(1, 15)))
+    for mode in (rpg.METRICFF, rpg.METRICFF_UNBOUNDED, rpg.LPRPG):
+        counters, reference_counters = mp.Counters(), mp.Counters()
+        graph = rpg.expand(analysed, state, config, mode, counters)
+        reference = expand_by_scanning(analysed, state, config, mode, reference_counters)
+        assert _graph_record(graph) == _graph_record(reference), mode
+        assert counters.solves == reference_counters.solves, mode

@@ -11,6 +11,7 @@ from flowplan.model import EQ, GE, LE
 
 from bruteforce import all_plans
 from microtasks import random_pc_task
+from oracles import interval_update
 from taskbuild import TaskBuilder
 
 
@@ -92,6 +93,26 @@ def test_layer_cap_marks_relaxed_unsolvable():
     config = HeuristicConfig(max_layers=10)
     graph = rpg.expand(analyse(task), task.initial, config, rpg.METRICFF)
     assert graph.status == rpg.RELAXED_UNSOLVABLE
+
+
+def test_growing_magnitude_variable_moves_its_reader():
+    """`increase x y` is the only thing that moves x, and x's own interval
+    stays [0, 0] over layer 1 while y grows: x must still be recomputed,
+    because the magnitude of one of its effects changed."""
+    task_builder = TaskBuilder()
+    x = task_builder.var("(x)", 0)
+    y = task_builder.var("(y)", 0)
+    task_builder.action("grow-y", effects=[(y, "increase", 1)])
+    task_builder.action("add-x", effects=[(x, "increase", ({y: 1}, 0))])
+    task_builder.goal(conditions=[task_builder.condition({x: 1}, GE, 1)])
+    task = task_builder.build()
+    for mode in (rpg.METRICFF, rpg.METRICFF_UNBOUNDED):
+        graph = rpg.expand(analyse(task), task.initial, HeuristicConfig(), mode)
+        assert graph.status == rpg.GOALS_REACHED, mode
+        assert graph.final_layer == 2, mode
+        assert graph.numeric_layers[1][x] == (0, 0), mode
+    graph = rpg.expand(analyse(task), task.initial, HeuristicConfig(), rpg.METRICFF)
+    assert graph.numeric_layers[2] == [(0, 1), (0, 2)]
 
 
 def test_action_layer_membership_is_per_condition():
@@ -409,7 +430,7 @@ def test_lp_mode_untracked_intervals_match_full_interval_update():
             if actions == graph.action_layers[layer - 1]:
                 continue  # no new action: the layer is copied, not recomputed
             previous = graph.numeric_layers[layer - 1]
-            full = rpg._interval_update(analysed.task, sorted(actions), previous, False)
+            full = interval_update(analysed.task, sorted(actions), previous, False)
             for var in untracked:
                 assert graph.numeric_layers[layer][var] == full[var]
                 moved += full[var] != previous[var]
