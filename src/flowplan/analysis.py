@@ -472,14 +472,18 @@ def _disjunctive_candidate(task: GroundTask, state: State, achievers: list[Groun
 
 def collect_conditions(task: GroundTask) -> tuple[NumericCondition, ...]:
     """Action preconditions plus goal conditions, each once, in first-seen
-    order; goals count as conditions for the planning graph's stagnation
-    test (a goal whose satisfiability extremum stops moving can never become
-    satisfiable)."""
+    order, then the >= and <= halves of every collected equality not
+    collected already; goals count as conditions for the planning graph's
+    stagnation test (a goal whose satisfiability extremum stops moving can
+    never become satisfiable), and the halves give every regression subgoal
+    an id."""
     seen: dict[NumericCondition, None] = {}
     for action in task.actions:
         for cond in action.numeric_preconditions:
             seen.setdefault(cond)
     for cond in task.goal_conditions:
+        seen.setdefault(cond)
+    for cond in split_equalities(tuple(seen)):
         seen.setdefault(cond)
     return tuple(seen)
 
@@ -576,10 +580,10 @@ def normalise_single(cond: NumericCondition) -> NumericCondition:
     return NumericCondition(LinearExpr.build({var: 1}), op, bound)
 
 
-# A numeric subgoal of regression extraction: (id of the condition, None
-# when it is a half of a split equality that was never collected; the
-# condition; its `normalise_single` form).
-Subgoal = tuple[int | None, NumericCondition, NumericCondition]
+# A numeric subgoal of regression extraction: (condition id, the
+# condition's `normalise_single` form); an equality is two subgoals, one
+# per half.
+Subgoal = tuple[int, NumericCondition]
 
 # An interval step's view of one numeric effect: (variable, op, the
 # magnitude when it is a constant else None, the magnitude expression).
@@ -596,7 +600,10 @@ class AnalysedTask:
 
     The static structure that every heuristic evaluation reads is derived
     from `task` once, here, rather than per state. A condition id is a
-    position in `conditions`.
+    position in `conditions`, which also holds the >= and <= halves of
+    each equality; a half that is not itself a precondition or goal has no
+    users and counts towards no precondition count, so its id only records
+    the layer where it first holds.
     - For the planning graph's event-driven expansion: each action's
       precondition count (facts plus distinct condition ids), fact ->
       requiring actions, condition id -> requiring actions, variable ->
@@ -694,7 +701,7 @@ class AnalysedTask:
         derive("best_production", best_production(task))
 
         def subgoals(conds) -> tuple[Subgoal, ...]:
-            return tuple((ids.get(cond), cond, normalise_single(cond))
+            return tuple((ids[cond], normalise_single(cond))
                          for cond in split_equalities(conds))
 
         derive("action_subgoals", tuple(subgoals(a.numeric_preconditions) for a in actions))

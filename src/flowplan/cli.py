@@ -121,7 +121,7 @@ def append_stats(path: Path, row: planner.RunStats) -> None:
         writer.writerow(stats_row(row, row.fingerprint))
 
 
-def _dump_debug(args, outcome: planner.PlanOutcome) -> None:
+def _dump_debug(args, outcome: planner.PlanOutcome, config: HeuristicConfig) -> None:
     analysed = outcome.analysed
     task = analysed.task
     if args.dump_classification:
@@ -148,7 +148,6 @@ def _dump_debug(args, outcome: planner.PlanOutcome) -> None:
     needs_root_graph = args.dump_rpg or args.dump_trace or args.dump_lp
     if not needs_root_graph:
         return
-    config = build_config(args)
     evaluator = planner.Evaluator(analysed, config, outcome.effective_mode, Counters())
     mode = planner.RPG_MODES[outcome.effective_mode]
     view = evaluator.landmark_view(task.initial, task.initial.facts
@@ -175,6 +174,11 @@ def _dump_debug(args, outcome: planner.PlanOutcome) -> None:
 
 def cmd_run(args) -> int:
     try:
+        config = build_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         domain_text = args.domain.read_text()
         problem_text = args.problem.read_text()
         task = model.parse_and_ground(domain_text, problem_text, args.action_cap)
@@ -185,13 +189,12 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    config = build_config(args)
     outcome = planner.plan_task(
         task, mode=args.heuristic, config=config, use_ehc=not args.no_ehc,
         wastar_weight=args.wastar_weight,
         budget=search.Budget(args.max_expansions, args.time_limit),
         problem_id=args.problem.stem)
-    _dump_debug(args, outcome)
+    _dump_debug(args, outcome, config)
 
     if outcome.plan is not None:
         text = search.format_plan(task, outcome.plan)

@@ -139,11 +139,9 @@ class _Extraction:
         for fact in action.preconditions:
             self.push_fact(fact, weight)
         if numeric:
-            graph = self.graph
-            first_by_id = graph.condition_first_by_id
-            for cond_id, cond, normalised in graph.analysed.action_subgoals[action_id]:
-                hold = first_by_id[cond_id] if cond_id is not None \
-                    else graph.first_hold_layer(cond)
+            first_by_id = self.graph.condition_first_by_id
+            for cond_id, normalised in self.graph.analysed.action_subgoals[action_id]:
+                hold = first_by_id[cond_id]
                 if hold:
                     self.push_conditions((normalised,), hold, weight)
 
@@ -211,9 +209,8 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
     for fact in task.goal_facts:
         queue.push_fact(fact, 1)
     first_by_id = graph.condition_first_by_id
-    for cond_id, cond, normalised in graph.analysed.goal_subgoals:
-        hold = first_by_id[cond_id] if cond_id is not None else graph.first_hold_layer(cond)
-        queue.push_conditions((normalised,), hold, 1)
+    for cond_id, normalised in graph.analysed.goal_subgoals:
+        queue.push_conditions((normalised,), first_by_id[cond_id], 1)
     return queue.run(regress)
 
 
@@ -422,10 +419,12 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
         for fact in task.goal_facts:
             queue.push_fact(fact, 1)
     if not config.include_numeric_goal_conjunct:
-        goals = tuple(normalised for _, cond, normalised in analysed.goal_subgoals
-                      if not condition_satisfiable(cond, graph.numeric_layers[0]))
-        layer = graph.first_hold_layer(goals[0]) if len(goals) == 1 else final
-        queue.push_conditions(goals, layer, 1)
+        # the goal subgoals not already satisfiable in the state
+        first_by_id = graph.condition_first_by_id
+        open_goals = [(cond_id, normalised) for cond_id, normalised in analysed.goal_subgoals
+                      if first_by_id[cond_id] != 0]
+        layer = first_by_id[open_goals[0][0]] if len(open_goals) == 1 else final
+        queue.push_conditions(tuple(normalised for _, normalised in open_goals), layer, 1)
 
     result = queue.run(satisfy, lambda: lp_calls > config.lp_call_budget)
     if result is None:

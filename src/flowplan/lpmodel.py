@@ -63,6 +63,8 @@ class HeuristicConfig:
             raise ValueError("landmarks in the LP require propositional goals in the LP")
         if self.include_all_propositions and not self.include_landmarks:
             raise ValueError("the all-propositions encoding requires landmarks in the LP")
+        if self.max_layers < 1:
+            raise ValueError("the layer cap needs max_layers >= 1")
 
     def uses_goal_check(self) -> bool:
         return (self.include_prop_goals or self.include_landmarks

@@ -108,8 +108,9 @@ class NumericCondition:
     rhs: Number
 
     def __hash__(self) -> int:
-        # Conditions key the planning graph's per-layer dicts; hashing the
-        # number fields on every lookup is the cost, so hash them once.
+        # Conditions key the analysis id map and extraction's subgoal
+        # buckets; hashing the number fields on every lookup is the cost,
+        # so hash them once.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.expr, self.op, self.rhs))
@@ -190,9 +191,6 @@ class GroundTask:
     flagged_strict: tuple[str, ...] = ()
     # ids of actions whose assignment effects were rewritten to increases
     assignment_rewritten: frozenset[int] = frozenset()
-
-    def fact_id(self, name: str) -> int:
-        return self.fact_names.index(name)
 
     def var_id(self, name: str) -> int:
         return self.var_names.index(name)

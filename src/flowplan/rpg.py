@@ -117,13 +117,12 @@ class RPGraph:
     action_layers: list[frozenset[int]]  # action_layers[0] is always empty
     first_fact_layer: dict[int, int]
     first_action_layer: dict[int, int]
-    condition_first_layer: dict[NumericCondition, int]
+    # condition id -> first layer where the condition is interval-satisfiable
+    condition_first_by_id: list[int | None]
     status: str
     final_layer: int
     flow: FlowModel | None
     analysed: AnalysedTask
-    # condition id -> first layer where the condition is interval-satisfiable
-    condition_first_by_id: list[int | None]
 
     def actions_at(self, layer: int) -> frozenset[int]:
         return self.action_layers[min(layer, len(self.action_layers) - 1)]
@@ -153,16 +152,6 @@ class RPGraph:
         finally:
             flow.model.pop_scratch()
         return out
-
-    def first_hold_layer(self, cond: NumericCondition) -> int | None:
-        """First fact layer where the condition is interval-satisfiable."""
-        if cond in self.condition_first_layer:
-            return self.condition_first_layer[cond]
-        for layer, intervals in enumerate(self.numeric_layers):
-            if condition_satisfiable(cond, intervals):
-                self.condition_first_layer[cond] = layer
-                return layer
-        return None
 
     def dump(self, task: GroundTask) -> str:
         """Layer-by-layer text dump for debugging."""
@@ -332,7 +321,6 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     action_layers: list[frozenset[int]] = [frozenset()]
     first_fact_layer = {fact: 0 for fact in state.facts}
     first_action_layer: dict[int, int] = {}
-    condition_first: dict[NumericCondition, int] = {}
     first_by_id: list[int | None] = [None] * len(conditions)
 
     counts = list(analysed.precondition_counts)
@@ -342,7 +330,6 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     for cond_id, cond in enumerate(conditions):
         if condition_satisfiable(cond, numeric_layers[0]):
             first_by_id[cond_id] = 0
-            condition_first[cond] = 0
             _release(condition_users[cond_id], counts, ready)
 
     flow: FlowModel | None = None
@@ -351,8 +338,8 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         flow.add_catalytic()
 
     graph = RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
-                    first_fact_layer, first_action_layer, condition_first,
-                    RELAXED_UNSOLVABLE, 0, flow, analysed, first_by_id)
+                    first_fact_layer, first_action_layer, first_by_id,
+                    RELAXED_UNSOLVABLE, 0, flow, analysed)
 
     goal_ids = analysed.goal_condition_ids
 
@@ -418,10 +405,8 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
             first_fact_layer[fact] = layer
             _release(fact_users.get(fact, ()), counts, ready)
         for cond_id in retest:
-            cond = conditions[cond_id]
-            if condition_satisfiable(cond, next_intervals):
+            if condition_satisfiable(conditions[cond_id], next_intervals):
                 first_by_id[cond_id] = layer
-                condition_first[cond] = layer
                 _release(condition_users[cond_id], counts, ready)
         changed = next_changed
 

@@ -201,8 +201,8 @@ def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
         flow.add_catalytic()
 
     graph = rpg.RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
-                        first_fact_layer, first_action_layer, condition_first,
-                        rpg.RELAXED_UNSOLVABLE, 0, flow, analysed, [])
+                        first_fact_layer, first_action_layer, [],
+                        rpg.RELAXED_UNSOLVABLE, 0, flow, analysed)
 
     def finish(status, final_layer):
         graph.status = status
@@ -248,7 +248,7 @@ def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
             if new_actions:
                 flow.extend(new_actions)
             next_intervals = _scanning_lp_layer_bounds(graph, analysed, next_actions,
-                                                       new_actions)
+                                                       new_actions, condition_first)
         else:
             next_intervals = interval_update(task, sorted(next_actions), intervals,
                                              unbounded=(mode == rpg.METRICFF_UNBOUNDED))
@@ -280,10 +280,9 @@ def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
     return finish(rpg.RELAXED_UNSOLVABLE, layer)
 
 
-def _scanning_lp_layer_bounds(graph, analysed, layer_actions, new_actions):
+def _scanning_lp_layer_bounds(graph, analysed, layer_actions, new_actions, satisfiable):
     task = analysed.task
     flow = graph.flow
-    satisfiable = graph.condition_first_layer
     conditions = analysed.conditions
     previous = graph.numeric_layers[-1]
     intervals = list(previous)

@@ -7,9 +7,9 @@ from flowplan import model
 from flowplan.analysis import (
     CATALYTIC, NON_CONFORMING, PRODUCER_CONSUMER,
     analyse, classify, compute_count_bounds, detect_one_shot_sets,
-    extract_landmarks, rewrite_assignments,
+    extract_landmarks, normalise_single, rewrite_assignments, split_equalities,
 )
-from flowplan.model import GE, LE, apply_effects, applicable
+from flowplan.model import EQ, GE, LE, apply_effects, applicable
 
 from bruteforce import all_plans, reachable_states
 from microtasks import random_pc_task
@@ -309,3 +309,40 @@ def test_analyse_pipeline_runs_on_fixtures():
         task = model.parse_and_ground(dom, prob)
         analysed = analyse(task)
         assert analysed.classification.conforming(), name
+
+
+def _assert_subgoals_have_condition_ids(analysed):
+    task = analysed.task
+    pairs = [(analysed.action_subgoals[a.id], a.numeric_preconditions) for a in task.actions]
+    pairs.append((analysed.goal_subgoals, task.goal_conditions))
+    for subgoals, conds in pairs:
+        split = split_equalities(conds)
+        assert len(subgoals) == len(split)
+        for (cond_id, normalised), cond in zip(subgoals, split):
+            assert type(cond_id) is int
+            assert analysed.conditions[cond_id] == cond
+            assert normalised == normalise_single(cond)
+
+
+def test_equality_halves_get_condition_ids():
+    """Each half of a split equality is a collected condition, once, after
+    the conditions the task states; a half nobody states has no users and
+    leaves the precondition counts alone."""
+    builder = TaskBuilder()
+    v = builder.var("(v)", 0)
+    w = builder.var("(w)", 0)
+    builder.action("up", effects=[(v, "increase", 1), (w, "increase", 1)])
+    builder.action("use", num_pre=[builder.condition({v: 2}, EQ, 6),
+                                   builder.condition({v: 1}, GE, 3)])
+    builder.goal(conditions=[builder.condition({v: 1, w: -1}, EQ, 0),
+                             builder.condition({v: 2}, EQ, 6)])
+    task = builder.build()
+    analysed = analyse(task)
+    stated = 3  # 2v = 6, v >= 3 and v - w = 0
+    assert len(analysed.conditions) == stated + 4
+    assert len(set(analysed.conditions)) == len(analysed.conditions)
+    assert [c.op for c in analysed.conditions[stated:]] == [GE, LE, GE, LE]
+    assert all(not users for users in analysed.condition_users[stated:])
+    assert analysed.precondition_counts == (0, 2)
+    assert analysed.goal_condition_ids == (2, 0)
+    _assert_subgoals_have_condition_ids(analysed)

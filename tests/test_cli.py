@@ -7,9 +7,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from flowplan import cli, planner
 from flowplan.cli import STATS_HEADER, make_parser
-from flowplan.fixtures import CRT, EXCHANGE_FRAGMENT, PUMP_UNSOLVABLE, fixture
+from flowplan.fixtures import CRT, EXCHANGE_FRAGMENT, PUMP, PUMP_UNSOLVABLE, fixture
 from flowplan.lpmodel import HeuristicConfig
 
 
@@ -75,6 +77,22 @@ def test_run_writes_plan_and_stats(tmp_path, capsys):
     assert int(row["plan_length"]) >= 1
     assert float(row["lp_build_time"]) + float(row["lp_solve_time"]) \
         <= float(row["wall_time"]) + 1e-9
+
+
+@pytest.mark.parametrize("flags", [["--no-lp-prop-goals"], ["--weight", "k:0"],
+                                   ["--max-layers", "0"], ["--max-layers", "-3"]])
+def test_invalid_heuristic_config_is_a_usage_error(tmp_path, flags):
+    """A flag combination the heuristic rejects exits 2 with one error line
+    and no traceback, before the input is read."""
+    domain, problem = write_fixture(tmp_path, PUMP)
+    result = subprocess.run(
+        [sys.executable, "-m", "flowplan.cli", "run", str(domain), str(problem), *flags],
+        capture_output=True, text=True)
+    assert result.returncode == cli.EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    missing = tmp_path / "nope.pddl"
+    assert cli.main(["run", str(missing), str(missing), *flags]) == cli.EXIT_USAGE
 
 
 def test_pump_unsolvable_exit_code(tmp_path):

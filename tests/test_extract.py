@@ -97,6 +97,33 @@ def test_one_assignment_discharges_every_bound_it_satisfies():
     assert [a for a, _, _, _ in result.trace] == [0]
 
 
+def test_equality_precondition_half_is_enqueued_at_its_own_layer():
+    """`use` needs v = 3 and joins the graph at layer 6, behind a fact
+    chain. The <= half of its equality holds in the state, so only the >=
+    half is enqueued, at layer 3 where it first holds, and regression
+    chooses `up` at layers 3, 2 and 1. One half of an equality always holds
+    on the point intervals of layer 0, so the other half first holds where
+    the equality does."""
+    builder = TaskBuilder()
+    v = builder.var("(v)", 0)
+    chain = [builder.fact(f"(f{i})", initially_true=i == 0) for i in range(6)]
+    done = builder.fact("(done)")
+    for i in range(5):
+        builder.action(f"step{i}", pre=[chain[i]], add=[chain[i + 1]])
+    builder.action("use", pre=[chain[5]], add=[done],
+                   num_pre=[builder.condition({v: 1}, model.EQ, 3)])
+    builder.action("up", effects=[(v, "increase", 1)])
+    builder.goal(facts=[done])
+    task = builder.build()
+    _, graph = graph_for(task, rpg.METRICFF)
+    use, up = task.action_named("(use)").id, task.action_named("(up)").id
+    assert graph.first_action_layer[use] == 6
+    result = extract.extract_metricff(graph, task)
+    assert result.h == 9
+    assert [(a, layer) for a, _, layer, _ in result.trace if a in (use, up)] == [
+        (use, 6), (up, 3), (up, 2), (up, 1)]
+
+
 def test_regression_numeric_choice_is_helpful_only_at_layer_one():
     """Regression marks a numeric choice helpful only when it is made at
     layer 1: harvest is applicable, but its magnitude needs grown stock, so

@@ -183,7 +183,7 @@ def small_task(draw):
 def _graph_record(graph):
     return (graph.status, graph.final_layer, graph.fact_layers, graph.numeric_layers,
             graph.action_layers, graph.first_fact_layer, graph.first_action_layer,
-            graph.condition_first_layer, graph.condition_first_by_id)
+            graph.condition_first_by_id)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)

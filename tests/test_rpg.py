@@ -255,18 +255,19 @@ def _equivalence_tasks():
 
 
 def _check_condition_first(analysed, graph, label):
-    first = graph.condition_first_layer
+    first = graph.condition_first_by_id
     for layer in range(graph.final_layer + 1):
         intervals = graph.numeric_layers[layer]
-        for cond in analysed.conditions:
-            recorded = cond in first and first[cond] <= layer
+        for cond_id, cond in enumerate(analysed.conditions):
+            recorded = first[cond_id] is not None and first[cond_id] <= layer
             assert recorded == rpg.condition_satisfiable(cond, intervals), \
                 f"{label}: layer {layer}, {cond}"
 
 
 def test_condition_first_matches_interval_satisfiability(monkeypatch):
-    """expand reads satisfiability from condition_first; that is exact only
-    because layers widen monotonically."""
+    """expand and extraction read satisfiability from condition_first_by_id,
+    which records each condition id once, when it is first re-tested and
+    holds; that is exact only because layers widen monotonically."""
     graphs = 0
     for name, task in _equivalence_tasks():
         analysed = analyse(task)
