@@ -261,13 +261,36 @@ BUILTIN_CONFIGS: dict[str, dict] = {
 }
 
 
+_CONFIG_KEYS = ("heuristic", "weight", "ints", "lp_prop_goals", "lp_landmarks",
+                "lp_all_props", "lp_num_goal_conjunct")
+
+
 def config_from_dict(spec: dict) -> tuple[str, HeuristicConfig]:
+    """A bench config's heuristic mode and HeuristicConfig; ValueError names
+    what is rejected."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a config must be a JSON object, got {spec!r}")
+    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     mode = spec.get("heuristic", planner.MODE_LPRPG)
-    scheme, k = parse_weight(spec.get("weight", "k:3"))
+    if mode not in planner.MODES:
+        raise ValueError(f"unknown heuristic {mode!r}")
+    ints = spec.get("ints", "first-layer")
+    if ints not in _INTS_CHOICES:
+        raise ValueError(f"unknown ints policy {ints!r}; choose from "
+                         f"{', '.join(sorted(_INTS_CHOICES))}")
+    try:
+        scheme, k = parse_weight(str(spec.get("weight", "k:3")))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(str(exc)) from None
+    for key in ("lp_prop_goals", "lp_landmarks", "lp_all_props", "lp_num_goal_conjunct"):
+        if key in spec and not isinstance(spec[key], bool):
+            raise ValueError(f"{key} must be true or false, got {spec[key]!r}")
     config = HeuristicConfig(
         weight_scheme=scheme,
         layer_k=k,
-        integrality=_INTS_CHOICES[spec.get("ints", "first-layer")],
+        integrality=_INTS_CHOICES[ints],
         include_prop_goals=spec.get("lp_prop_goals", True),
         include_landmarks=spec.get("lp_landmarks", True),
         include_all_propositions=spec.get("lp_all_props", False),
@@ -278,11 +301,11 @@ def config_from_dict(spec: dict) -> tuple[str, HeuristicConfig]:
 
 def bench_one(job: tuple) -> list:
     """One (problem, config) cell; failures never abort the sweep."""
-    problem_id, domain_path, problem_path, config_name, spec, expansions, seconds = job
+    problem_id, domain_path, problem_path, config_name, mode, config, expansions, \
+        seconds = job
     try:
         task = model.parse_and_ground(Path(domain_path).read_text(),
                                       Path(problem_path).read_text())
-        mode, config = config_from_dict(spec)
         outcome = planner.plan_task(task, mode=mode, config=config,
                                     budget=search.Budget(expansions, seconds),
                                     problem_id=problem_id)
@@ -307,11 +330,23 @@ def cmd_bench(args) -> int:
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # every config is checked before any problem is read
+    if not isinstance(configs, dict):
+        print("error: the configs file must hold a JSON object of named configs",
+              file=sys.stderr)
+        return EXIT_USAGE
+    built = {}
+    for config_name, spec in configs.items():
+        try:
+            built[config_name] = config_from_dict(spec)
+        except ValueError as exc:
+            print(f"error: config {config_name!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
-    jobs = [(problem_id, domain, problem, config_name, spec,
+    jobs = [(problem_id, domain, problem, config_name, mode, config,
              args.max_expansions, args.time_limit)
             for problem_id, domain, problem in pairs
-            for config_name, spec in configs.items()]
+            for config_name, (mode, config) in built.items()]
     if args.jobs > 1 and jobs:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(bench_one, jobs))

@@ -179,8 +179,8 @@ def extract_metricff(graph: RPGraph, task: GroundTask) -> HeuristicResult:
     assert graph.status == GOALS_REACHED
     queue = _Extraction(graph, task)
 
-    def choose(action_id: int, layer: int) -> None:
-        queue.choose(action_id, layer, 1, 1, helpful=layer == 1, numeric=True)
+    def choose(action_id: int, layer: int, count: int = 1) -> None:
+        queue.choose(action_id, layer, count, 1, helpful=layer == 1, numeric=True)
 
     def regress(layer: int, subgoals: Subgoals) -> bool:
         num = [cond for (cond,) in subgoals]
@@ -245,9 +245,18 @@ def _discharged_by_assign(cond: NumericCondition, var: int, k: Number, op: str) 
     return False
 
 
+# Applications `_regress` chooses one at a time before it takes whole rounds of
+# its movers at once: an unbounded layer can require a residual to move by
+# millions of applications of a small effect. No benchmark instance needs
+# more than one application per regression; the counts, and so h, are the
+# same either way, only the trace holds fewer entries.
+_STEPWISE_APPLICATIONS = 1_000
+
+
 def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: int,
              choose) -> NumericCondition:
-    """Walk a residual bound back through in-layer effects (largest first)."""
+    """Walk a residual bound back through in-layer effects (largest first),
+    round-robin over the movers."""
     intervals = graph.numeric_layers[layer - 1]
     rhs = cond.rhs
     raising = cond.op in (GE, GT)
@@ -263,7 +272,7 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     affectors = graph.analysed.affectors
     for action_id in {a for var in weights for a in affectors.get(var, ())
                       if a in layer_actions}:
-        delta = _expr_delta(task.actions[action_id], weights, intervals)
+        delta = _expr_delta(task.actions[action_id], weights, intervals, raising)
         if delta is None:
             continue
         if raising and delta > 0:
@@ -273,24 +282,30 @@ def _regress(graph: RPGraph, task: GroundTask, cond: NumericCondition, layer: in
     movers.sort(key=lambda pair: (-pair[0], pair[1]))
 
     index = 0
-    guard = 0
     while not range_satisfies(lo, hi, cond.op, rhs):
         if not movers:
             return NumericCondition(cond.expr, cond.op, rhs)
+        if index == _STEPWISE_APPLICATIONS:
+            # still far from the layer's range: whole rounds of every mover
+            # in bulk, leaving at least one round to go one by one
+            per_round = sum(delta for delta, _ in movers)
+            gap = rhs - hi if raising else lo - rhs
+            rounds = max(0, gap // per_round - 1)
+            if rounds:
+                for _, action_id in movers:
+                    choose(action_id, layer, rounds)
+                rhs = rhs - rounds * per_round if raising else rhs + rounds * per_round
         delta, action_id = movers[index % len(movers)]
         index += 1
         choose(action_id, layer)
         rhs = rhs - delta if raising else rhs + delta
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("numeric regression did not converge")
     return NumericCondition(cond.expr, cond.op, rhs)
 
 
 def _expr_delta(action: GroundAction, weights: dict[int, Number],
-                intervals) -> Number | None:
+                intervals, raising: bool) -> Number | None:
     """Optimistic net change of a weighted sum (variable -> weight) from one
-    application."""
+    application: the largest when `raising`, else the smallest."""
     total = 0
     touched = False
     for effect in action.numeric_effects:
@@ -301,7 +316,7 @@ def _expr_delta(action: GroundAction, weights: dict[int, Number],
             return None  # assignments are handled by the dedicated pass
         mag_lo, mag_hi = expr_range(effect.magnitude, intervals)
         signed = weight if effect.op == "increase" else -weight
-        best = mag_hi if signed > 0 else mag_lo
+        best = mag_hi if (signed > 0) == raising else mag_lo
         if best is None:
             return None if not touched else total
         total += signed * best

@@ -7,7 +7,10 @@ catalytic bounds and switches, propositional goals, landmarks, the
 full-proposition encoding, and the numeric goal conjunct. The model
 grows monotonically as RPG layers add actions; temporary rows (goal
 checks, subgoal constraints) are scratch-scoped, and bound queries add
-no rows at all.
+no rows at all. A bound query reads only the optimum, so it is solved
+with `reads=OBJECTIVE`: the model's live simplex takes the columns that
+`extend` appended since the last query and is re-optimised from its
+basis; a feasibility check reads only the status (`reads=STATUS`).
 """
 
 from __future__ import annotations
@@ -341,7 +344,7 @@ class FlowModel:
         self.model.push_scratch()
         try:
             self.model.set_objective({}, mp.MINIMIZE)
-            solution = self.model.solve()
+            solution = self.model.solve(reads=mp.STATUS)
         finally:
             self.model.pop_scratch()
         if solution.status == mp.LIMIT:
@@ -367,7 +370,7 @@ class FlowModel:
         self.model.push_scratch()
         try:
             self.model.set_objective({self.post_col[var]: 1}, sense)
-            solution = self.model.solve()
+            solution = self.model.solve(reads=mp.OBJECTIVE)
         finally:
             self.model.pop_scratch()
         if solution.status == mp.UNBOUNDED:

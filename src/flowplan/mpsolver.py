@@ -25,12 +25,26 @@ bound changed and is re-optimised by the dual simplex (Koberstein, *The
 Dual Simplex Method*, 2005). The warm result is kept only when it is
 infeasible or its optimal basis is dual nondegenerate, so that the
 optimum is unique and equals what a cold solve returns; any other child
-is solved cold. `Counters` accumulates solves, pivots and
-branch-and-bound nodes.
+is solved cold.
+
+`MPModel.solve(reads=...)` takes what the caller reads of the result:
+the vertex (`VERTEX`, the default), the objective (`OBJECTIVE`) or the
+status (`STATUS`). An LP read for its objective only is re-optimised
+from the model's live simplex, the final state of its last such solve:
+if the model has since only gained columns, they join the tableau
+nonbasic at 0 through the unit columns of their rows, the basis stays
+primal feasible, and primal phase 2 prices the new objective (the
+column-addition warm start; Chvátal, *Linear Programming*, 1983, ch. 10).
+Any other change sends the solve cold. An LP read for its status only
+under the empty objective stops after phase 1. An LP's optimum value and
+status are unique, so these return what a cold solve returns; only the
+pivot count differs. `Counters` accumulates solves, pivots,
+branch-and-bound nodes and warm and cold objective-only solves.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
-temporary constraints and temporary integrality.
+temporary constraints and temporary integrality. The undo log also tells
+the live simplex what changed since its last solve.
 """
 
 from __future__ import annotations
@@ -55,6 +69,11 @@ LIMIT = "limit"
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
+
+# what the caller of `MPModel.solve` reads from the solution
+VERTEX = "vertex"        # status, objective and values
+OBJECTIVE = "objective"  # status and objective; values stay empty
+STATUS = "status"        # status; objective and values may be left out
 
 DEFAULT_PIVOT_LIMIT = 100_000
 DEFAULT_NODE_LIMIT = 100_000
@@ -83,6 +102,9 @@ class Counters:
     bb_warm: int = 0     # B&B children accepted from the dual simplex
     bb_cold_fallback: int = 0  # B&B children solved cold after a warm attempt
     bb_truncated: int = 0      # B&B runs cut by a limit that returned an incumbent
+    lp_warm: int = 0     # objective-only LP solves re-optimised from the live simplex
+    lp_cold: int = 0     # objective-only LP solves solved cold: a model's first, or
+                         # one after a change the live simplex cannot take
 
 
 @dataclass
@@ -121,6 +143,13 @@ class MPModel:
         self.node_limit = node_limit
         self._undo: list[tuple] = []
         self._marks: list[int] = []
+        # the simplex objective-only solves re-optimise, and the length and
+        # last entry of the undo log when it was last brought up to date: an
+        # undo below that point removes that entry, and no later entry is
+        # the same object
+        self._live: _Simplex | None = None
+        self._live_at = 0
+        self._live_tail: tuple | None = None
 
     # -- building -----------------------------------------------------------
 
@@ -132,7 +161,9 @@ class MPModel:
             raise SolverError(f"variable bounds crossed: [{lb}, {ub}]")
         index = len(self.variables)
         self.variables.append(_Variable(lb, ub, kind, name or f"x{index}"))
-        self._undo.append(("pop_variable",))
+        # the index makes each entry a distinct object, which the live
+        # simplex tells apart by identity
+        self._undo.append(("pop_variable", index))
         return index
 
     def add_constraint(self, coeffs: dict[int, Number], op: str, rhs,
@@ -148,7 +179,7 @@ class MPModel:
                 clean[col] = weight
         index = len(self.constraints)
         self.constraints.append(_Constraint(clean, op, _number(rhs), name or f"c{index}"))
-        self._undo.append(("pop_constraint",))
+        self._undo.append(("pop_constraint", index))
         return index
 
     def set_objective(self, coeffs: dict[int, Number], sense: str = MINIMIZE) -> None:
@@ -294,30 +325,119 @@ class MPModel:
 
     # -- solving ------------------------------------------------------------
 
-    def solve(self) -> MPSolution:
+    def solve(self, reads: str = VERTEX) -> MPSolution:
+        """Solve the model; `reads` says what the caller reads of the result.
+
+        A model with integer or binary columns is solved by branch-and-bound
+        and returns its vertex whatever `reads` says. An LP read for its
+        objective only (`OBJECTIVE`) is re-optimised from the live simplex
+        (`_solve_live`); one read for its status only (`STATUS`) under an
+        empty objective stops after phase 1. Status and objective are those
+        of a cold solve in every case: an LP's optimum value is unique.
+        """
         start = time.perf_counter()
         self.counters.solves += 1
         try:
-            bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
             if any(v.kind in (INTEGER, BINARY) for v in self.variables):
+                bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
                 return self._branch_and_bound(bounds)
-            return self._solve_relaxation(bounds)
+            if reads == OBJECTIVE:
+                return self._solve_live()
+            bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
+            return self._solve_relaxation(bounds, reads)
         finally:
             self.counters.solve_time += time.perf_counter() - start
 
-    def _solve_relaxation(self, bounds: list[tuple[Number | None, Number | None]]
-                          ) -> MPSolution:
+    def _solve_relaxation(self, bounds: list[tuple[Number | None, Number | None]],
+                          reads: str = VERTEX) -> MPSolution:
         if _crossed(bounds):
             return MPSolution(INFEASIBLE, None, ())
-        return self._solve_cold(bounds)[0]
+        return self._solve_cold(bounds, reads)[0]
 
-    def _solve_cold(self, bounds: list[tuple[Number | None, Number | None]]
-                    ) -> tuple[MPSolution, _Simplex]:
+    def _solve_cold(self, bounds: list[tuple[Number | None, Number | None]],
+                    reads: str = VERTEX) -> tuple[MPSolution, _Simplex]:
         simplex = _Simplex(self, bounds)
         try:
-            return simplex.run(), simplex
+            return simplex.run(reads), simplex
         finally:
             self.counters.pivots += simplex.pivots
+
+    def _solve_live(self) -> MPSolution:
+        """An LP read for its objective only, re-optimised from the live simplex.
+
+        The live simplex is the final state of an earlier objective-only
+        solve of this model, so its basis is primal feasible for the model
+        as it was then. If the model has since only gained columns and
+        changed its objective, the new columns join the tableau nonbasic at
+        their lower bound of 0 (`_Simplex.add_columns`), which keeps the
+        basis primal feasible, and primal phase 2 re-optimises it under the
+        new objective (Chvátal, *Linear Programming*, 1983, ch. 10). Any
+        other change, or a new column the tableau cannot take, means a cold
+        solve, whose final state becomes the live simplex when phase 1
+        found a feasible basis.
+        """
+        live = self._live
+        added = self._added_columns() if live is not None else None
+        if added is not None and live.add_columns(added):
+            self.counters.lp_warm += 1
+            try:
+                solution = live.reoptimize()
+            finally:
+                self.counters.pivots += live.pivots
+        else:
+            self.counters.lp_cold += 1
+            self._live = None
+            bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
+            if _crossed(bounds):
+                return MPSolution(INFEASIBLE, None, ())
+            solution, live = self._solve_cold(bounds, OBJECTIVE)
+            if solution.status not in (OPTIMAL, UNBOUNDED):
+                return solution
+            self._live = live
+        # objective entries are left out: every solve reprices the objective,
+        # and a scratch-scoped objective is undone right after its solve
+        at = len(self._undo)
+        while at and self._undo[at - 1][0] == "objective":
+            at -= 1
+        self._live_at = at
+        self._live_tail = self._undo[at - 1] if at else None
+        return solution
+
+    def _added_columns(self) -> dict[int, list[int]] | None:
+        """The columns added since the live simplex was last brought up to
+        date, each with the rows it was given coefficients in, or None if
+        anything else it depends on changed since: a row, an existing
+        column's coefficient or bounds, or an undo that reached below that
+        point."""
+        at, undo = self._live_at, self._undo
+        if len(undo) < at or (at and undo[at - 1] is not self._live_tail):
+            return None
+        live = self._live
+        if len(self.constraints) != len(live.tableau):
+            return None
+        first = len(live.col_of)
+        added: dict[int, list[int]] = {col: [] for col in range(first, len(self.variables))}
+        seen = set()
+        for index in range(at, len(undo)):
+            entry = undo[index]
+            tag = entry[0]
+            # the first undo entry of a cell holds its value at that point
+            if tag == "coefficient":
+                row, col, old = entry[1], entry[2], entry[3]
+                if col >= first:
+                    added[col].append(row)
+                elif (row, col) not in seen:
+                    seen.add((row, col))
+                    if self.constraints[row].coeffs.get(col) != old:
+                        return None
+            elif tag == "bounds":
+                col = entry[1]
+                if col < first and col not in seen:
+                    seen.add(col)
+                    var = self.variables[col]
+                    if (var.lb, var.ub) != (entry[2], entry[3]):
+                        return None
+        return added
 
     def _solve_node(self, bounds: list[tuple[Number | None, Number | None]],
                     parent: _Simplex | None, var: int, shared: bool
@@ -533,7 +653,7 @@ class _Simplex:
                 ncols += 2
         self.nstruct = ncols
 
-    def run(self) -> MPSolution:
+    def run(self, reads: str = VERTEX) -> MPSolution:
         model = self.model
         nstruct = self.nstruct
         tableau: list[dict[int, int]] = []
@@ -542,6 +662,12 @@ class _Simplex:
         basis: list[int] = []
         # rows with rhs normalised to >= 0; a <= row gets a basic slack, a
         # >= row a surplus (coefficient -1), both numbered in row order
+        # per row r, a unit column u, whose column in the first tableau is
+        # c e_r, and s / c as (numerator, positive denominator), where s is
+        # -1 if the row was negated, else 1 (`add_columns`); None if the row
+        # has no unit column
+        self.unit: list[tuple[int, int, int] | None] = []
+        signs: list[int] = []
         ncols = nstruct
         for constraint in model.constraints:
             row: dict[int, Number] = {}
@@ -554,10 +680,13 @@ class _Simplex:
                     row[col] = weight if sign == 1 else -weight
             value = constraint.rhs - shift
             op = constraint.op
+            sign = 1
             if value < 0:
                 row = {col: -x for col, x in row.items()}
                 value = -value
                 op = _REVERSED[op]
+                sign = -1
+            signs.append(sign)
             # numerators over the least common denominator, which leaves no
             # factor common to the denominator and every numerator
             d = value.denominator
@@ -570,11 +699,15 @@ class _Simplex:
             if op == "<=":
                 row[ncols] = d
                 basis.append(ncols)
+                self.unit.append((ncols, sign, 1))
                 ncols += 1
             else:
                 if op == ">=":
                     row[ncols] = -d
+                    self.unit.append((ncols, -sign, 1))
                     ncols += 1
+                else:
+                    self.unit.append(None)
                 basis.append(-1)
             tableau.append(row)
             rhs.append(value)
@@ -592,9 +725,15 @@ class _Simplex:
                     occurrences.setdefault(j, []).append(i)
         for j in sorted(occurrences):
             hit = occurrences[j]
-            if len(hit) != 1 or basis[hit[0]] != -1:
+            if len(hit) != 1:
                 continue
             i = hit[0]
+            if self.unit[i] is None:
+                entry = tableau[i][j]
+                self.unit[i] = ((j, signs[i] * den[i], entry) if entry > 0
+                                else (j, -signs[i] * den[i], -entry))
+            if basis[i] != -1:
+                continue
             # the column's basic value would be rhs[i] / coeff
             coeff = tableau[i][j]
             num, value_den = (rhs[i], coeff) if coeff > 0 else (-rhs[i], -coeff)
@@ -620,16 +759,18 @@ class _Simplex:
 
         if artificial_cols:
             artificial = set(artificial_cols)
-            cost = [0] * ncols
-            for col in artificial_cols:
-                cost[col] = 1
-            status = self._optimize(cost)
+            status = self._optimize(dict.fromkeys(artificial_cols, 1))
             if status == LIMIT:
                 return MPSolution(LIMIT, None, ())
             # artificials have no upper bound in phase 1, so none is flipped
             # and the phase-1 objective is the sum of the basic ones' rhs
             if any(value and b in artificial for value, b in zip(rhs, basis)):
                 return MPSolution(INFEASIBLE, None, ())
+        if reads == STATUS and not model.objective:
+            # a feasible basis settles a feasibility check: the empty
+            # objective is 0 everywhere
+            return MPSolution(OPTIMAL, 0, ())
+        if artificial_cols:
             self._drive_out(artificial_cols)
             # phase 2 never lets an artificial re-enter: a nonbasic one leaves
             # the tableau, and one still basic in a redundant row stays
@@ -640,24 +781,149 @@ class _Simplex:
                     del row[col]
             for col in artificial_cols:
                 self.upper[col] = 0
+        return self._phase_two(reads)
 
-        cost = [0] * ncols
+    def _phase_two(self, reads: str) -> MPSolution:
         sign = 1 if self.model.sense == MINIMIZE else -1
-        for var, weight in self.model.objective.items():
-            for col, col_sign in self.col_of[var]:
-                cost[col] += sign * weight * col_sign
+        cost = {col: sign * weight * col_sign
+                for var, weight in self.model.objective.items()
+                for col, col_sign in self.col_of[var]}
         status = self._optimize(cost)
         if status == LIMIT:
             return MPSolution(LIMIT, None, ())
         if status == UNBOUNDED:
             return MPSolution(UNBOUNDED, None, ())
-        return self.solution()
+        if reads == VERTEX:
+            return self.solution()
+        return MPSolution(OPTIMAL, self._objective_value(), ())
 
     def solution(self) -> MPSolution:
         """The point of the current basis, which must be optimal."""
         values = self._extract_values()
         objective = exact(sum(w * values[v] for v, w in self.model.objective.items()))
         return MPSolution(OPTIMAL, objective, tuple(values))
+
+    def _objective_value(self) -> Number:
+        """The objective at the current basis, from the objective's columns
+        only, in int arithmetic: each partial sum is a pair (n, d) for n / d."""
+        basis, rhs, den = self.basis, self.rhs, self.den
+        upper, flipped = self.upper, self.flipped
+        num, d = 0, 1
+        for var, weight in self.model.objective.items():
+            offset = self.offset[var]
+            vn, vd = offset.numerator, offset.denominator
+            for col, sign in self.col_of[var]:
+                if col in basis:
+                    i = basis.index(col)
+                    xn, xd = rhs[i], den[i]
+                    if flipped[col]:
+                        cap = upper[col] or 0
+                        xn, xd = cap.numerator * xd - xn * cap.denominator, xd * cap.denominator
+                elif flipped[col]:
+                    cap = upper[col] or 0
+                    xn, xd = cap.numerator, cap.denominator
+                else:
+                    continue
+                if sign != 1:
+                    xn = -xn
+                vn, vd = (vn + xn, vd) if vd == xd else (vn * xd + xn * vd, vd * xd)
+            wn, wd = weight.numerator * vn, weight.denominator * vd
+            num, d = (num + wn, d) if d == wd else (num * wd + wn * d, d * wd)
+        return num // d if num % d == 0 else Fraction(num, d)
+
+    # -- warm start from an earlier solve of the same model -------------------
+
+    def add_columns(self, columns: dict[int, list[int]]) -> bool:
+        """Append the columns of model variables added since this simplex
+        was built or last re-optimised, nonbasic at 0. `columns` maps each
+        such variable to the rows it may have a coefficient in.
+
+        In the first tableau, row r was negated if s = -1 and has a unit
+        column u whose column there is c e_r, so the current tableau column
+        of u is c B^-1 e_r, negated if u is flipped. A new column with
+        entries a_r then reads B^-1 (s a_r)_r = sum over r of
+        a_r (s / c) B^-1 e_r. The basic values do not move, so the basis
+        stays primal feasible. Returns False, changing nothing, if a
+        variable's lower bound is not 0 or one of its rows has no unit
+        column.
+        """
+        model, unit, flipped = self.model, self.unit, self.flipped
+        constraints = model.constraints
+        new_columns = []
+        for var, rows in columns.items():
+            # the model has no integer columns, so these are its bounds
+            variable = model.variables[var]
+            if variable.lb != 0:
+                return False
+            # the multiplier of each unit column, (p, d) for p / d; a row
+            # listed twice has one unit column, so it counts once
+            terms: dict[int, tuple[int, int]] = {}
+            q = 1  # their common denominator
+            for r in rows:
+                weight = constraints[r].coeffs.get(var)
+                if weight is None:
+                    continue
+                if unit[r] is None:
+                    return False
+                u, fn, fd = unit[r]
+                p, d = fn * weight.numerator, fd * weight.denominator
+                terms[u] = (-p if flipped[u] else p, d)
+                if d != 1:
+                    q = lcm(q, d)
+            new_columns.append((variable.ub, [(u, p * (q // d)) for u, (p, d) in terms.items()],
+                                q))
+        tableau, rhs, den = self.tableau, self.rhs, self.den
+        row_of = {b: i for i, b in enumerate(self.basis)}
+        # current tableau columns of nonbasic unit columns, as (row, entry)
+        unit_entries: dict[int, list[tuple[int, int]]] = {}
+        # per row, its new entries as (column, p, q): p / q over den[i]
+        new_entries: dict[int, list[tuple[int, int, int]]] = {}
+        j = self.ncols
+        for ub, terms, q in new_columns:
+            self.col_of.append([(j, 1)])
+            self.offset.append(0)
+            self.upper.append(ub)
+            flipped.append(False)
+            sums: dict[int, int] = {}
+            for u, m in terms:
+                i = row_of.get(u)
+                if i is not None:  # basic: 1 in its row
+                    sums[i] = sums.get(i, 0) + m * den[i]
+                    continue
+                entries = unit_entries.get(u)
+                if entries is None:
+                    entries = unit_entries[u] = [(i, row[u]) for i, row in enumerate(tableau)
+                                                 if u in row]
+                for i, x in entries:
+                    sums[i] = sums.get(i, 0) + m * x
+            for i, total in sums.items():
+                if total:
+                    g = gcd(total, q)
+                    new_entries.setdefault(i, []).append((j, total // g, q // g))
+            j += 1
+        self.ncols = j
+        for i, entries in new_entries.items():
+            # over den[i] * scale, the row stays in lowest terms: each prime
+            # power of scale is some q's, whose p it does not divide
+            scale = 1
+            for _, _, q in entries:
+                if q != 1:
+                    scale = lcm(scale, q)
+            row = tableau[i]
+            if scale != 1:
+                row = tableau[i] = {k: x * scale for k, x in row.items()}
+                rhs[i] *= scale
+                den[i] *= scale
+            for j, p, q in entries:
+                row[j] = p * (scale // q)
+        return True
+
+    def reoptimize(self) -> MPSolution:
+        """Primal phase 2 under the model's current objective from this
+        primal feasible basis; pivots count from 0, as in a cold solve."""
+        self.pivots = 0
+        self.pivot_limit = self.model.pivot_limit
+        return self._phase_two(OBJECTIVE)
 
     # -- warm start from a parent's final state -------------------------------
 
@@ -806,16 +1072,18 @@ class _Simplex:
 
     # -- core pivoting -------------------------------------------------------
 
-    def _reduced_costs(self, cost: list[Number]) -> tuple[list[int], int]:
-        """Reduced costs of `cost` as int numerators over one denominator."""
+    def _reduced_costs(self, cost: dict[int, Number]) -> tuple[list[int], int]:
+        """Reduced costs of the column costs `cost` (absent columns cost 0)
+        as int numerators over one denominator."""
         rden = 1
-        for c in cost:
+        for c in cost.values():
             if type(c) is not int:
                 rden = lcm(rden, c.denominator)
-        reduced = [c.numerator * (rden // c.denominator) for c in cost]
-        for j, flip in enumerate(self.flipped):
-            if flip:
-                reduced[j] = -reduced[j]
+        reduced = [0] * self.ncols
+        flipped = self.flipped
+        for j, c in cost.items():
+            x = c.numerator * (rden // c.denominator)
+            reduced[j] = -x if flipped[j] else x
         for row, d, b in zip(self.tableau, self.den, self.basis):
             cb = reduced[b]
             if cb:
@@ -828,7 +1096,7 @@ class _Simplex:
                     reduced, rden = _lower_terms(reduced, rden)
         return reduced, rden
 
-    def _optimize(self, cost: list[Number]) -> str:
+    def _optimize(self, cost: dict[int, Number]) -> str:
         reduced, rden = self._reduced_costs(cost)
         tableau, rhs, den = self.tableau, self.rhs, self.den
         basis, upper = self.basis, self.upper

@@ -80,6 +80,15 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+class _EmptyForm(list):
+    """`()`, which has no atom to give its position: it keeps its '('s."""
+
+    def __init__(self, line: int, column: int):
+        super().__init__()
+        self.line = line
+        self.column = column
+
+
 class _Reader:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -102,7 +111,7 @@ class _Reader:
                     raise ParseError("unclosed parenthesis", tok.line, tok.column, expected="')'")
                 if nxt.text == ")":
                     self.pos += 1
-                    return items
+                    return items or _EmptyForm(tok.line, tok.column)
                 items.append(self.read())
         if tok.text == ")":
             raise ParseError("unexpected ')'", tok.line, tok.column, expected="atom or '('")
@@ -123,11 +132,23 @@ def _atom(node) -> str:
 
 
 def _pos(node) -> tuple[int, int]:
+    """Where a node starts: an atom's position, or that of a form's first
+    atom; an empty form's '('."""
     while isinstance(node, list):
         if not node:
-            return (1, 1)
+            return (node.line, node.column)
         node = node[0]
     return (node.line, node.column)
+
+
+def _item(form: list, index: int, expected: str):
+    """`form[index]` of a form whose head was read, or a ParseError at the
+    form naming what is missing."""
+    if index >= len(form):
+        line, col = _pos(form)
+        raise ParseError(f"'{_head(form)}' is missing its {expected}", line, col,
+                         expected=expected)
+    return form[index]
 
 
 def _head(node) -> str:
@@ -137,12 +158,20 @@ def _head(node) -> str:
     return _atom(node[0])
 
 
-def _is_number(text: str) -> bool:
+def _number(text: str) -> Fraction | None:
+    """The value of a numeric literal, or None if `text` is not one."""
     try:
-        Fraction(text)
-        return True
-    except ValueError:
-        return False
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _number_node(node) -> Fraction:
+    value = _number(_atom(node))
+    if value is None:
+        raise ParseError(f"expected a number, found '{node.text}'", node.line, node.column,
+                         expected="number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +262,9 @@ class ProblemAST:
 
 def _parse_typed_list(items: list) -> list[tuple[str, str]]:
     """Parse `a b - t c - u d` into [(a,t),(b,t),(c,u),(d,object)]."""
+    if not isinstance(items, list):
+        line, col = _pos(items)
+        raise ParseError("expected a list of typed names", line, col, expected="'('")
     out: list[tuple[str, str]] = []
     pending: list[str] = []
     i = 0
@@ -255,8 +287,9 @@ def _parse_typed_list(items: list) -> list[tuple[str, str]]:
 
 def _parse_num_expr(node) -> NumExpr:
     if isinstance(node, Token):
-        if _is_number(node.text):
-            return NumExpr("const", value=Fraction(node.text))
+        value = _number(node.text)
+        if value is not None:
+            return NumExpr("const", value=value)
         # bare fluent name without parentheses is not part of the fragment
         raise ParseError(f"expected a number, found '{node.text}'", node.line, node.column,
                          expected="number or (fluent ...)")
@@ -331,11 +364,11 @@ def parse_domain(text: str) -> DomainAST:
     if _head(tree) != "define":
         line, col = _pos(tree)
         raise ParseError("domain file must start with (define ...)", line, col, expected="define")
-    name_form = tree[1]
+    name_form = _item(tree, 1, "(domain NAME)")
     if _head(name_form) != "domain":
         line, col = _pos(name_form)
         raise ParseError("expected (domain NAME)", line, col, expected="domain")
-    name = _atom(name_form[1])
+    name = _atom(_item(name_form, 1, "name"))
 
     types: dict[str, str] = {"object": "object"}
     constants: list[tuple[str, str]] = []
@@ -358,12 +391,14 @@ def parse_domain(text: str) -> DomainAST:
             constants.extend(_parse_typed_list(section[1:]))
         elif head == ":predicates":
             for decl in section[1:]:
-                predicates[_head(decl)] = tuple(t for _, t in _parse_typed_list(decl[1:]))
+                predicate = _head(decl)
+                predicates[predicate] = tuple(t for _, t in _parse_typed_list(decl[1:]))
         elif head == ":functions":
             # strip optional "- number" return-type annotations between declarations
             decls = [item for item in section[1:] if isinstance(item, list)]
             for decl in decls:
-                functions[_head(decl)] = tuple(t for _, t in _parse_typed_list(decl[1:]))
+                function = _head(decl)
+                functions[function] = tuple(t for _, t in _parse_typed_list(decl[1:]))
         elif head == ":action":
             actions.append(_parse_action(section, types))
         elif head in (":durative-action", ":derived", ":constraints"):
@@ -379,7 +414,7 @@ def parse_domain(text: str) -> DomainAST:
 
 
 def _parse_action(section: list, types: dict[str, str]) -> ActionAST:
-    name = _atom(section[1])
+    name = _atom(_item(section, 1, "name"))
     parameters: tuple[tuple[str, str], ...] = ()
     pre_atoms: list[Atom] = []
     pre_comparisons: list[ComparisonAST] = []
@@ -389,6 +424,10 @@ def _parse_action(section: list, types: dict[str, str]) -> ActionAST:
     i = 2
     while i < len(section):
         key = _atom(section[i])
+        if key in (":parameters", ":precondition", ":effect"):
+            if i + 1 >= len(section):
+                line, col = _pos(section[i])
+                raise ParseError(f"'{key}' has no value", line, col, expected="'('")
         if key == ":parameters":
             parameters = tuple(_parse_typed_list(section[i + 1]))
         elif key == ":precondition":
@@ -419,10 +458,10 @@ def _parse_action(section: list, types: dict[str, str]) -> ActionAST:
 def parse_problem(text: str, domain: DomainAST) -> ProblemAST:
     """Parse problem text and validate it against the domain declarations."""
     tree = _Reader(text).read_top()
-    if _head(tree) != "define" or _head(tree[1]) != "problem":
+    if _head(tree) != "define" or _head(_item(tree, 1, "(problem NAME)")) != "problem":
         line, col = _pos(tree)
         raise ParseError("problem file must start with (define (problem NAME) ...)", line, col)
-    name = _atom(tree[1][1])
+    name = _atom(_item(tree[1], 1, "name"))
 
     domain_name = ""
     objects: list[tuple[str, str]] = list(domain.constants)
@@ -434,21 +473,21 @@ def parse_problem(text: str, domain: DomainAST) -> ProblemAST:
     for section in tree[2:]:
         head = _head(section)
         if head == ":domain":
-            domain_name = _atom(section[1])
+            domain_name = _atom(_item(section, 1, "domain name"))
         elif head == ":objects":
             objects.extend(_parse_typed_list(section[1:]))
         elif head == ":init":
             for entry in section[1:]:
                 entry_head = _head(entry)
                 if entry_head == "=":
-                    fluent_node = entry[1]
+                    fluent_node = _item(entry, 1, "fluent")
                     fluent = FluentRef(_head(fluent_node),
                                        tuple(_atom(a) for a in fluent_node[1:]))
-                    init_values[fluent] = Fraction(_atom(entry[2]))
+                    init_values[fluent] = _number_node(_item(entry, 2, "value"))
                 else:
                     init_atoms.append(Atom(entry_head, tuple(_atom(a) for a in entry[1:])))
         elif head == ":goal":
-            body = section[1]
+            body = _item(section, 1, "condition")
             if body != []:
                 _parse_condition(body, goal_atoms, goal_comparisons)
         elif head == ":metric":

@@ -103,8 +103,6 @@ class Evaluator:
             for action_id, count, _, _ in result.trace:
                 counts[action_id] = counts.get(action_id, 0) + int(count)
             penalty = rpg.sapa_penalty(state, counts, self.analysed)
-            if penalty is None:
-                return extract.DEAD_END
             if penalty:
                 result = extract.HeuristicResult(result.h + penalty, result.helpful,
                                                  result.trace)

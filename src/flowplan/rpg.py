@@ -536,12 +536,13 @@ def propagate_costs(graph: RPGraph, task: GroundTask, variant: str) -> dict[int,
 
 
 def sapa_penalty(state: State, action_counts: dict[int, int],
-                 analysed: AnalysedTask) -> int | None:
+                 analysed: AnalysedTask) -> int:
     """Extra actions needed to cover the relaxed plan's net consumption.
 
     For each variable the relaxed plan overdraws, adds ceil(shortfall /
-    best single-action production). Returns None (dead end) when a
-    shortfall variable has no producer at all.
+    best single-action constant production). A shortfall that no action
+    covers by a constant amount adds nothing: the relaxed plan may
+    overdraw a variable a real plan need not, so it proves no dead end.
     """
     consumption: dict[int, Number] = {}
     production: dict[int, Number] = {}
@@ -564,7 +565,6 @@ def sapa_penalty(state: State, action_counts: dict[int, int],
         if shortfall <= 0:
             continue
         best = analysed.best_production.get(var)
-        if best is None:
-            return None
-        penalty += math.ceil(divide(shortfall, best))
+        if best is not None:
+            penalty += math.ceil(divide(shortfall, best))
     return penalty

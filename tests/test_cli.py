@@ -95,6 +95,42 @@ def test_invalid_heuristic_config_is_a_usage_error(tmp_path, flags):
     assert cli.main(["run", str(missing), str(missing), *flags]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec", [{"lp_prop_goals": False}, {"ints": "most"},
+                                  {"heuristic": "lama"}, {"weight": "k:0"},
+                                  {"lp_landmark": False}, {"lp_landmarks": "no"},
+                                  ["lp_landmarks"]])
+def test_bench_rejected_config_is_a_usage_error(tmp_path, spec):
+    """A config the heuristic rejects, or one naming an unknown policy, mode
+    or key, exits 2 with one error line before any problem is read: the
+    manifest's files do not even exist, and no matrix is written."""
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("problem_id,domain,problem\n"
+                        f"ghost,{tmp_path}/missing-d.pddl,{tmp_path}/missing-p.pddl\n")
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps({"good": {}, "bad": spec}))
+    out_csv = tmp_path / "matrix.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "flowplan.cli", "bench", "--manifest", str(manifest),
+         "--configs", str(configs), "--out", str(out_csv)],
+        capture_output=True, text=True)
+    assert result.returncode == cli.EXIT_USAGE
+    assert result.stderr.startswith("error: config 'bad': ")
+    assert result.stderr.count("\n") == 1
+    assert not out_csv.exists()
+
+
+def test_malformed_pddl_is_an_input_error(tmp_path):
+    """Malformed text exits 3 with one error line that gives its position."""
+    domain, problem = write_fixture(tmp_path, PUMP)
+    problem.write_text(problem.read_text().replace("(:init", "(:init (= (broken) 1/0)", 1))
+    result = subprocess.run(
+        [sys.executable, "-m", "flowplan.cli", "run", str(domain), str(problem)],
+        capture_output=True, text=True)
+    assert result.returncode == cli.EXIT_INPUT
+    assert result.stderr.startswith("error: expected a number, found '1/0' at line ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_pump_unsolvable_exit_code(tmp_path):
     domain, problem = write_fixture(tmp_path, PUMP_UNSOLVABLE)
     assert cli.main(["run", str(domain), str(problem)]) == cli.EXIT_UNSOLVABLE

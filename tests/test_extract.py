@@ -143,6 +143,43 @@ def test_regression_numeric_choice_is_helpful_only_at_layer_one():
     assert result.helpful == frozenset()
 
 
+def test_regression_past_the_stepwise_limit_takes_whole_rounds():
+    """One unbounded layer lets `spend` bring v from 10**6 to 0: the residual
+    needs 10**6 applications. The first 1,000 are chosen one by one, the
+    rest in one bulk round and a last single step (before: a RuntimeError
+    after 100,000)."""
+    from flowplan.model import LE
+    builder = TaskBuilder()
+    v = builder.var("(v)", 10**6)
+    builder.action("spend", effects=[(v, "decrease", 1)])
+    builder.goal(conditions=[builder.condition({v: 1}, LE, 0)])
+    task = builder.build()
+    _, graph = graph_for(task, rpg.METRICFF_UNBOUNDED)
+    assert graph.final_layer == 1
+    result = extract.extract_metricff(graph, task)
+    spend = task.action_named("(spend)").id
+    assert result.h == 10**6
+    assert result.trace[1_000] == (spend, 998_999, 1, 1)
+    assert len(result.trace) == 1_002
+
+
+def test_regression_lowers_by_the_smallest_change():
+    """For an upper bound, the mover is the action whose change can be most
+    negative: `reset` adds -v, which over v in [0, 8] can take 8 off, though
+    its largest change is 0."""
+    from flowplan.model import LE
+    builder = TaskBuilder()
+    v = builder.var("(v)", 0)
+    builder.action("fill", effects=[(v, "increase", 8)])
+    builder.action("reset", effects=[(v, "increase", ({v: -1}, 0))])
+    builder.goal(conditions=[builder.condition({v: 1}, LE, -4)])
+    task = builder.build()
+    _, graph = graph_for(task, rpg.METRICFF)
+    reset = task.action_named("(reset)").id
+    result = extract.extract_metricff(graph, task)
+    assert reset in [a for a, _, _, _ in result.trace]
+
+
 def test_five_cart_lp_extraction_first_layer_integrality():
     dom, prob = fixture(FIVE_CART)
     task = model.parse_and_ground(dom, prob)
@@ -432,8 +469,8 @@ def test_pinned_runs_never_compute_a_float(monkeypatch, mode, family, size, opti
         check("interval layers", graph.numeric_layers)
         return graph
 
-    def checking_solve(self):
-        solution = real_solve(self)
+    def checking_solve(self, reads=mpsolver.VERTEX):
+        solution = real_solve(self, reads=reads)
         check("solution", (solution.objective, solution.values))
         return solution
 

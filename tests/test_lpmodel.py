@@ -15,6 +15,7 @@ from flowplan.lpmodel import (
 from flowplan.model import GE, LE
 
 from bruteforce import all_plans
+from coldsolve import cold_vertex, status_and_objective
 from microtasks import random_pc_task
 from flowcheck import forced_columns
 from taskbuild import TaskBuilder
@@ -506,3 +507,96 @@ def test_equality_goal_produces_equality_row():
     flow.model.pop_scratch()
     assert solution.status == mp.OPTIMAL
     assert solution.values[flow.post_col[v]] == 3
+
+
+# -- warm bound queries ------------------------------------------------------------
+
+
+def _layered_bounds(task, layers, queries):
+    """Bound queries on a flow model extended layer by layer, each asked
+    again of a flow model built cold over the same actions. Returns the
+    model's counters."""
+    analysed = analyse(task)
+    flow = FlowModel(analysed, task.initial)
+    flow.add_catalytic()
+    reached = []
+    for layer, layer_queries in zip(layers, queries):
+        flow.extend(layer)
+        reached += layer
+        for var, direction in layer_queries:
+            _, fresh = build_flow_for(task, reached)
+            assert flow.query_bound(var, direction, None) == \
+                fresh.query_bound(var, direction, None), (reached, var, direction)
+    return flow.model.counters
+
+
+def test_bound_queries_grow_one_live_simplex():
+    """Later layers only add columns, so every query after the first is
+    re-optimised from the live simplex."""
+    builder = TaskBuilder()
+    ore = builder.var("(ore)", 1)
+    cash = builder.var("(cash)", 0)
+    mine = builder.action("mine", effects=[(ore, "increase", 2)])
+    sell = builder.action("sell", num_pre=[builder.condition({ore: 1}, GE, 3)],
+                          effects=[(ore, "decrease", 3), (cash, "increase", Fraction(5, 2))])
+    buy = builder.action("buy", num_pre=[builder.condition({cash: 1}, GE, 1)],
+                         effects=[(cash, "decrease", 1), (ore, "increase", 1)])
+    builder.goal(conditions=[builder.condition({cash: 1}, GE, 4)])
+    task = builder.build()
+    analysed = analyse(task)
+    assert not analysed.classification.catalytic_groups
+    counters = _layered_bounds(task, [[mine], [sell], [buy]],
+                               [[(ore, "max")], [(cash, "max"), (ore, "min")],
+                                [(cash, "min"), (ore, "max")]])
+    assert (counters.lp_cold, counters.lp_warm) == (1, 4)
+
+
+def test_catalytic_switch_refresh_sends_the_bound_query_cold():
+    """Adding a member of a catalytic group raises its switch's big-M
+    coefficient, a change to an existing column: that query is solved cold,
+    and counted so; the next one in the same layer is warm again."""
+    builder = TaskBuilder()
+    v = builder.var("(v)", 0)
+    out = builder.var("(out)", 0)
+    make = builder.action("make", num_pre=[builder.condition({v: 1}, LE, 5)],
+                          effects=[(v, "increase", 1)])
+    use = builder.action("use", num_pre=[builder.condition({v: 1}, GE, 3),
+                                         builder.condition({out: 1}, LE, 4)],
+                         effects=[(out, "increase", 1)])
+    builder.goal(conditions=[builder.condition({out: 1}, GE, 1)])
+    task = builder.build()
+    assert analyse(task).classification.catalytic_groups
+    counters = _layered_bounds(task, [[make], [use]],
+                               [[(v, "max")], [(out, "max"), (v, "max")]])
+    assert (counters.lp_cold, counters.lp_warm) == (2, 1)
+
+
+@pytest.mark.parametrize("family,size,all_props", [
+    ("market-trader", 2, False), ("mini-settlers", 2, False), ("pump-catalyst", 3, True)])
+def test_warm_bound_queries_equal_cold_solves_over_plan_runs(monkeypatch, family, size,
+                                                              all_props):
+    """Every objective-only solve of a plan_task run, bound queries warm from
+    the live simplex among them, returns the status and objective, types
+    included, of a cold solve of the same model."""
+    from flowplan import generators, planner
+    real_solve = mp.MPModel.solve
+    seen = {"objective": 0, "warm": 0, "mismatched": []}
+
+    def checked_solve(self, reads=mp.VERTEX):
+        warm = self.counters.lp_warm
+        solution = real_solve(self, reads=reads)
+        if reads == mp.OBJECTIVE:
+            seen["objective"] += 1
+            seen["warm"] += self.counters.lp_warm - warm
+            key = [status_and_objective(s) for s in (solution, cold_vertex(self))]
+            if key[0] != key[1]:
+                seen["mismatched"].append(key)
+        return solution
+
+    monkeypatch.setattr(mp.MPModel, "solve", checked_solve)
+    task = model.parse_and_ground(*generators.generate(family, size, 1))
+    outcome = planner.plan_task(task, mode=planner.MODE_LPRPG,
+                                config=HeuristicConfig(include_all_propositions=all_props))
+    assert outcome.status == "solved"
+    assert seen["mismatched"] == []
+    assert seen["objective"] > seen["warm"] > 0, seen

@@ -11,6 +11,7 @@ import pytest
 from flowplan import mpsolver as mp
 from flowplan.errors import SolverError
 
+from coldsolve import cold_vertex, status_and_objective
 from oracles import lp_by_vertex_enumeration, lp_optimal_vertices, mip_by_lattice_enumeration
 
 
@@ -446,6 +447,194 @@ def test_pivots_that_drive_artificials_out_are_counted(monkeypatch):
     assert model.counters.pivots == simplex.pivots
 
 
+# -- objective-only solves from the live simplex ------------------------------------
+
+
+def _query(model, objective, sense):
+    """An objective-only solve under a scratch-scoped objective, and the cold
+    vertex solve of the same model."""
+    model.push_scratch()
+    try:
+        model.set_objective(objective, sense)
+        return model.solve(reads=mp.OBJECTIVE), cold_vertex(model)
+    finally:
+        model.pop_scratch()
+
+
+def _grown_lps(rng: random.Random, rational: bool):
+    """Models whose columns arrive in layers, as a flow model's do: rows over
+    structural columns with general bounds (an equality row over a
+    singleton column, as a flow row over its post column, among them), then
+    columns with lower bound 0 wired into those rows. Between layers an
+    existing coefficient sometimes changes, and a scratch row is sometimes
+    added and solved. Yields the model at every objective-only query."""
+    for _ in range(60):
+        model = mp.MPModel()
+        base = []
+        for _ in range(rng.randint(1, 3)):
+            lb, ub = _random_bounds(rng, rational)
+            kind = rng.random()
+            base.append(model.add_variable(None if kind < 0.2 else lb,
+                                           None if kind < 0.4 else ub))
+        for var in base[:rng.randint(0, len(base))]:
+            model.add_constraint({var: _draw(rng, 1, 3, rational)}, "=",
+                                 _draw(rng, -4, 8, rational))
+        for _ in range(rng.randint(1, 4)):
+            cols = rng.sample(base, rng.randint(0, len(base)))
+            coeffs = {c: _draw(rng, -5, 5, rational) for c in cols}
+            model.add_constraint(coeffs, rng.choice(["<=", ">="]),
+                                 _draw(rng, -4, 20, rational))
+        for _ in range(rng.randint(2, 5)):
+            for _ in range(rng.randint(0, 3)):
+                col = model.add_variable(0, rng.choice([None, _draw(rng, 1, 8, rational)]))
+                for row in rng.sample(range(len(model.constraints)),
+                                      rng.randint(1, len(model.constraints))):
+                    model.set_coefficient(row, col, _draw(rng, -5, 5, rational))
+            if rng.random() < 0.15:
+                row = rng.randrange(len(model.constraints))
+                model.set_coefficient(row, rng.randrange(len(model.variables)),
+                                      _draw(rng, -3, 3, rational))
+            if rng.random() < 0.2:
+                model.push_scratch()
+                model.add_constraint({rng.randrange(len(model.variables)): 1}, ">=",
+                                     _draw(rng, 0, 4, rational))
+                model.solve()
+                model.pop_scratch()
+            for _ in range(rng.randint(1, 3)):
+                yield model
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_objective_only_solves_equal_cold_solves_on_grown_lps(data):
+    """Every objective-only solve of a model grown column by column returns
+    the status and objective, types included, of a cold solve, warm from
+    the live simplex or cold where the model changed otherwise."""
+    rng = random.Random(4242)
+    counters = mp.Counters()
+    for model in _grown_lps(rng, data == "rational"):
+        model.counters = counters
+        cols = rng.sample(range(len(model.variables)),
+                          min(len(model.variables), rng.randint(1, 2)))
+        objective = {c: _draw(rng, -3, 3, data == "rational") or 1 for c in cols}
+        got, cold = _query(model, objective, rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
+        assert status_and_objective(got) == status_and_objective(cold)
+        assert got.values == ()
+    assert counters.lp_warm > 100 and counters.lp_cold > 50, counters
+
+
+def test_new_column_reads_flipped_and_structural_unit_columns():
+    """A column added after the unit columns of its rows moved: the slack of
+    row 0 left the basis at its upper bound (flipped) and the equality row
+    is covered by its structural singleton column."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 4)
+    post = model.add_variable(-10, 10)
+    model.add_constraint({x: 1}, "<=", 3)                    # slack of row 0
+    model.add_constraint({post: 2, x: -1}, "=", Fraction(-3, 2))  # negated row
+    got, cold = _query(model, {x: 1}, mp.MAXIMIZE)
+    assert (got.status, got.objective) == (cold.status, cold.objective) == (mp.OPTIMAL, 3)
+    y = model.add_variable(0, Fraction(7, 2))
+    model.set_coefficient(0, y, 1)
+    model.set_coefficient(1, y, Fraction(-1, 3))
+    for objective, sense in (({post: 1}, mp.MINIMIZE), ({post: 1, y: 2}, mp.MAXIMIZE),
+                             ({y: 1}, mp.MAXIMIZE)):
+        got, cold = _query(model, objective, sense)
+        assert status_and_objective(got) == status_and_objective(cold)
+    assert model.counters.lp_warm == 3 and model.counters.lp_cold == 1
+
+
+def test_columns_added_together_share_their_row_denominator():
+    """Two columns whose entries in one row are over 2 and over 3 scale
+    that row once, by 6."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 10)
+    model.add_constraint({x: 1}, "<=", 4)
+    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 4
+    y = model.add_variable(0, 20)
+    z = model.add_variable(0, 20)
+    model.set_coefficient(0, y, Fraction(1, 2))
+    model.set_coefficient(0, z, Fraction(1, 3))
+    for objective, want in (({y: 1}, 8), ({z: 1}, 12), ({x: 1, y: 1, z: 1}, 12)):
+        got, cold = _query(model, objective, mp.MAXIMIZE)
+        assert (got.status, got.objective) == (cold.status, cold.objective) == (mp.OPTIMAL,
+                                                                                want)
+    assert model.counters.lp_warm == 3
+
+
+def test_changed_coefficient_or_undo_below_the_live_point_goes_cold():
+    model = mp.MPModel()
+    x = model.add_variable(0, 5)
+    y = model.add_variable(0, 5)
+    model.add_constraint({x: 1, y: 1}, "<=", 4)
+    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 4   # cold build
+    assert _query(model, {y: 1}, mp.MAXIMIZE)[0].objective == 4   # warm
+    model.set_coefficient(0, x, 2)                                 # existing column
+    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 2   # cold
+    model.set_coefficient(0, x, 2)                                 # same value again
+    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 2   # warm
+    model.push_scratch()
+    model.set_variable_bounds(y, 0, 1)
+    assert _query(model, {y: 1}, mp.MAXIMIZE)[0].objective == 1   # cold: bounds moved
+    model.pop_scratch()                                            # undoes the live point
+    assert _query(model, {y: 1}, mp.MAXIMIZE)[0].objective == 4   # cold
+    z = model.add_variable(1, 5)                                   # lower bound not 0
+    model.set_coefficient(0, z, 1)
+    assert _query(model, {z: 1}, mp.MAXIMIZE)[0].objective == 4   # cold
+    assert (model.counters.lp_warm, model.counters.lp_cold) == (2, 5)
+
+
+def test_undo_and_redo_to_the_same_length_goes_cold():
+    """The live simplex is brought up to date inside a scratch scope that
+    ends with a new column; the scope is undone and another column, with
+    other bounds, takes its place at the same undo-log length."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 5)
+    model.add_constraint({x: 1}, "<=", 4)
+    model.push_scratch()
+    model.add_variable(0, 5)
+    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 4
+    model.pop_scratch()
+    z = model.add_variable(0, 1)
+    got, cold = _query(model, {z: 1}, mp.MAXIMIZE)
+    assert got.objective == cold.objective == 1
+    assert (model.counters.lp_warm, model.counters.lp_cold) == (0, 2)
+
+
+def test_objective_only_solve_of_a_mip_is_its_branch_and_bound_result():
+    model = mp.MPModel()
+    x = model.add_variable(0, 5, kind=mp.INTEGER)
+    model.add_constraint({x: 2}, "<=", 7)
+    got, cold = _query(model, {x: 1}, mp.MAXIMIZE)
+    assert (got.status, got.objective, got.values) == (cold.status, 3, (3,))
+    assert model.counters.lp_warm == model.counters.lp_cold == 0
+
+
+def test_status_only_solve_stops_after_phase_one(monkeypatch):
+    """A feasibility check under the empty objective returns its 0 once phase
+    1 finds a feasible basis; here that basis keeps an artificial basic at
+    zero, which a vertex solve drives out and a status-only solve leaves."""
+    drive_outs = []
+    real_drive_out = mp._Simplex._drive_out
+    monkeypatch.setattr(mp._Simplex, "_drive_out",
+                        lambda self, cols: drive_outs.append(cols) or real_drive_out(self, cols))
+    model = mp.MPModel()
+    x = model.add_variable(0, None)
+    y = model.add_variable(0, None)
+    model.add_constraint({x: 2, y: 2}, "=", 2)
+    model.add_constraint({x: 2, y: 1}, "=", 1)
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 0, ())
+    assert drive_outs == [] and model.counters.pivots == 2
+    assert model.solve() == mp.MPSolution(mp.OPTIMAL, 0, (0, 1))
+    assert len(drive_outs) == 1 and model.counters.pivots == 2 + 3
+    model.add_constraint({x: 1}, ">=", 1)
+    assert model.solve(reads=mp.STATUS).status == mp.INFEASIBLE
+    # under an objective, a status-only solve still runs phase 2
+    unbounded = mp.MPModel()
+    z = unbounded.add_variable(0, None)
+    unbounded.set_objective({z: 1}, mp.MAXIMIZE)
+    assert unbounded.solve(reads=mp.STATUS).status == mp.UNBOUNDED
+
+
 def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
     model = mp.MPModel()
     x = model.add_variable(None, None, kind=mp.INTEGER)  # free: split in two columns
@@ -473,15 +662,19 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # bound queries, with the pivots that drive artificials out of the basis
 # counted and no phase-2 bound flips of artificial columns, which leave the
 # tableau after phase 1. The pivot counts include those of the dual
-# simplex on warm branch-and-bound children, kept or not. Any change to the
-# pivot rules (entering choice, ratio tie-break, Bland switch, bound flips)
-# moves at least one of them.
+# simplex on warm branch-and-bound children, kept or not, and those of bound
+# queries re-optimised from the live simplex; a feasibility check of an LP
+# stops after phase 1. Bound queries and feasibility checks read no vertex,
+# so their records are those of a cold solve of the same model, whose status
+# and objective they must return. Any change to the pivot rules (entering
+# choice, ratio tie-break, Bland switch, bound flips) moves at least one of
+# the pivot counts.
 PINNED_RUNS = (
-    ("market-trader", 2, False, 50, 153, 10,
+    ("market-trader", 2, False, 50, 120, 10,
      "6e3ec0e23702803fefd773a1c9873ad911e1d710c74f04aabb2c30b80bdf5458"),
-    ("mini-settlers", 2, False, 49, 158, 10,
+    ("mini-settlers", 2, False, 49, 135, 10,
      "905385888a0bbb8dd2890eb4988cf588be0b3d08d7d506581fa5d036500de7b1"),
-    ("pump-catalyst", 3, True, 29, 202, 13,
+    ("pump-catalyst", 3, True, 29, 164, 13,
      "580e4def308bc8e9b3a276cded993d0f4a8bc65e0bda054ae49ca2bb94146149"),
 )
 
@@ -497,11 +690,17 @@ def test_solver_behaviour_over_plan_task_is_pinned(monkeypatch, family, size, al
     totals = {"pivots": 0, "bb_nodes": 0}
     real_solve = mp.MPModel.solve
 
-    def recording_solve(self):
+    def recording_solve(self, reads=mp.VERTEX):
         before = (self.counters.pivots, self.counters.bb_nodes)
-        solution = real_solve(self)
+        solution = real_solve(self, reads=reads)
         totals["pivots"] += self.counters.pivots - before[0]
         totals["bb_nodes"] += self.counters.bb_nodes - before[1]
+        if reads != mp.VERTEX:
+            # a bound query or feasibility check: record the vertex of a cold
+            # solve, whose status and objective the solve must return
+            vertex = cold_vertex(self)
+            assert status_and_objective(solution) == status_and_objective(vertex)
+            solution = vertex
         records.append(repr((solution.status, str(solution.objective),
                              tuple(str(v) for v in solution.values))))
         return solution
@@ -650,9 +849,9 @@ def test_integral_solver_results_are_ints(monkeypatch, family, size, all_props):
     solves = 0
     integral_fractions = []
 
-    def checked_solve(self):
+    def checked_solve(self, reads=mp.VERTEX):
         nonlocal solves
-        solution = real_solve(self)
+        solution = real_solve(self, reads=reads)
         solves += 1
         for value in (solution.objective, *solution.values):
             if isinstance(value, Fraction) and value.denominator == 1:
@@ -712,9 +911,9 @@ def test_every_solve_agrees_with_highs(monkeypatch, family, size, all_props):
     solves = 0
     real_solve = mp.MPModel.solve
 
-    def checked_solve(self):
+    def checked_solve(self, reads=mp.VERTEX):
         nonlocal solves
-        solution = real_solve(self)
+        solution = real_solve(self, reads=reads)
         solves += 1
         status, objective = _solve_with_highs(self)
         if status != solution.status:

@@ -155,3 +155,98 @@ def test_decimal_constants_parse_exactly():
     action = domain.actions[0]
     assert action.pre_comparisons[0].right.value == Fraction(1, 4)
     assert action.numeric_effects[0].magnitude.value == Fraction(3, 2)
+
+
+# -- malformed input is a ParseError with a position ---------------------------------
+
+
+def _market_trader_2():
+    from flowplan import generators
+    return generators.generate("market-trader", 2, 1)
+
+
+@pytest.mark.parametrize("where,old,new,line,column", [
+    ("problem", "(= (food) 4)", "(= (food) l1)", 7, 15),       # not a number
+    ("problem", "(= (food) 4)", "(= (food) 1/0)", 7, 15),      # zero denominator
+    ("problem", "(:domain market-trader)", "(:domain)", 2, 4),
+    ("domain", "(:predicates (at ?m - market)", "(:predicates at", 4, 16),
+])
+def test_malformed_market_trader_text_is_a_parse_error(where, old, new, line, column):
+    from flowplan.model import parse_and_ground
+    domain, problem = _market_trader_2()
+    if where == "problem":
+        assert old in problem
+        problem = problem.replace(old, new)
+    else:
+        assert old in domain
+        domain = domain.replace(old, new)
+    with pytest.raises(ParseError) as err:
+        parse_and_ground(domain, problem)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_empty_form_error_points_at_its_parenthesis():
+    with pytest.raises(ParseError) as err:
+        pddl.parse_domain("(define (domain d)\n  (:action a :parameters ()\n    :effect))")
+    assert (err.value.line, err.value.column) == (3, 5)
+    with pytest.raises(ParseError) as err:
+        pddl.parse_domain("(define (domain d) (:predicates\n   ()))")
+    assert (err.value.line, err.value.column) == (2, 4)
+
+
+def _tokens(text):
+    import re
+    return re.findall(r"\(|\)|[^\s()]+", text)
+
+
+MUTANT_TOKENS = ("(", ")", "-", "=", "0", "-1", "1/0", "0/0", "1/2", "l1", "?x", "and",
+                 "not", "+", "*", ":domain", ":init", ":action", ":parameters", "()",
+                 "(:domain)")
+
+
+def _mutant(rng, tokens):
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        kind = rng.randrange(5)
+        if kind == 0:
+            del tokens[i]
+        elif kind == 1:
+            tokens.insert(i, tokens[rng.randrange(len(tokens))])
+        elif kind == 2:
+            tokens[i] = rng.choice(MUTANT_TOKENS)
+        elif kind == 3:
+            j = rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens.insert(i, rng.choice(MUTANT_TOKENS))
+        if not tokens:
+            tokens = ["("]
+    return " ".join(tokens)
+
+
+def test_token_mutants_of_generated_texts_raise_only_flowplan_errors():
+    """Seeded token mutations (delete, duplicate, swap, replace, insert) of
+    the three generators' domain and problem texts: parsing and grounding
+    either succeed or raise a FlowplanError, never another exception."""
+    import random
+    from flowplan import generators
+    from flowplan.errors import FlowplanError
+    from flowplan.model import parse_and_ground
+
+    rng = random.Random(2014)
+    pairs = [generators.generate(name, 2, 1)
+             for name in ("market-trader", "mini-settlers", "pump-catalyst")]
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(1500):
+        domain, problem = rng.choice(pairs)
+        if rng.random() < 0.5:
+            domain = _mutant(rng, _tokens(domain))
+        else:
+            problem = _mutant(rng, _tokens(problem))
+        try:
+            parse_and_ground(domain, problem)
+            outcomes["parsed"] += 1
+        except FlowplanError:
+            outcomes["rejected"] += 1
+    assert outcomes["parsed"] > 20 and outcomes["rejected"] > 1000, outcomes

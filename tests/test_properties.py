@@ -5,19 +5,24 @@ inputs are all `Fraction` or normalised by `model.exact` (an int where
 the value is integral), and the normalised run never yields a float.
 `model.divide` agrees with Fraction division in value and type.
 `rpg.expand` builds the same graph as the scanning reference in
-`oracles.expand_by_scanning`.
+`oracles.expand_by_scanning`. Every bound query of an LP-mode expansion,
+warm from the live simplex or cold, returns what a cold solve returns.
+Whole planner runs in every heuristic mode emit only plans that validate,
+and never report a dead end at a root that breadth-first search solves.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from flowplan import model, rpg
+from flowplan import model, planner, rpg, search
 from flowplan import mpsolver as mp
 from flowplan.analysis import AnalysedTask, LandmarkSet, analyse, classify
 from flowplan.lpmodel import HeuristicConfig
 from flowplan.model import GE, GT, LE, LT, EQ, LinearExpr, exact
 
+from bruteforce import optimal_plan
+from coldsolve import cold_vertex, status_and_objective
 from oracles import expand_by_scanning
 from taskbuild import TaskBuilder
 
@@ -204,3 +209,56 @@ def test_expand_matches_scanning_reference(task, data):
         reference = expand_by_scanning(analysed, state, config, mode, reference_counters)
         assert _graph_record(graph) == _graph_record(reference), mode
         assert counters.solves == reference_counters.solves, mode
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(small_task(), st.data())
+def test_bound_queries_equal_cold_solves(task, data):
+    """Each objective-only solve of an LP-mode expansion, from the initial or
+    an arbitrary state, has the status and objective, types included, of a
+    cold solve of the same model."""
+    analysed = analyse(task, with_landmarks=False)
+    state = analysed.task.initial
+    if data.draw(st.booleans()):
+        facts = data.draw(st.frozensets(st.integers(0, N_FACTS - 1)))
+        state = model.State(facts, tuple(exact(data.draw(small)) for _ in range(N_VARS)))
+    config = HeuristicConfig(max_layers=data.draw(st.integers(1, 15)))
+    real_solve = mp.MPModel.solve
+    mismatches = []
+
+    def checked_solve(self, reads=mp.VERTEX):
+        solution = real_solve(self, reads=reads)
+        if reads == mp.OBJECTIVE:
+            key = [status_and_objective(s) for s in (solution, cold_vertex(self))]
+            if key[0] != key[1]:
+                mismatches.append(key)
+        return solution
+
+    mp.MPModel.solve = checked_solve
+    try:
+        graph = rpg.expand(analysed, state, config, rpg.LPRPG)
+        if graph.flow is not None:
+            graph.lp_bounds(graph.final_layer)
+    finally:
+        mp.MPModel.solve = real_solve
+    assert mismatches == []
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_task())
+def test_plans_validate_and_solvable_roots_are_no_dead_ends(task):
+    """In every heuristic mode, an emitted plan passes `search.validate`, and
+    a root that breadth-first search solves is never reported relaxed-
+    unsolvable: that verdict prunes the whole task."""
+    try:
+        solvable = optimal_plan(task, max_depth=6, max_states=5_000) is not None
+    except RuntimeError:  # state cap: unknown
+        solvable = False
+    for mode in planner.MODES:
+        outcome = planner.plan_task(task, mode=mode, config=HeuristicConfig(max_layers=40),
+                                    budget=search.Budget(200, 60))
+        if outcome.plan is not None:
+            report = search.validate(task, outcome.plan)
+            assert report.ok, (mode, report.message)
+        if solvable:
+            assert outcome.status != search.UNSOLVABLE_AT_ROOT, mode

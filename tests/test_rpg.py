@@ -399,14 +399,24 @@ def test_penalty_zero_without_shortfall():
     assert rpg.sapa_penalty(task.initial, {consume: 1}, analyse(task)) == 0
 
 
-def test_penalty_dead_end_without_producer():
+def test_penalty_without_producer_adds_nothing():
+    """No action adds a constant to v or w (`raise` adds w + 1 to w), so no
+    production is counted for their shortfalls, and a relaxed plan that
+    overdraws them proves no dead end: (g) has the adder `earn` too, and
+    `raise` can lift w."""
     builder = TaskBuilder()
     v = builder.var("(v)", 0)
-    builder.action("consume", num_pre=[builder.condition({v: 1}, GE, 1)],
-                   effects=[(v, "decrease", 1)])
+    w = builder.var("(w)", 0)
+    g = builder.fact("(g)")
+    builder.action("spend", add=[g], effects=[(v, "decrease", 1), (w, "decrease", 1)])
+    builder.action("earn", add=[g])
+    builder.action("raise", effects=[(w, "increase", ({w: 1}, 1))])
+    builder.goal(facts=[g], conditions=[builder.condition({v: 1}, GE, 0)])
     task = builder.build()
-    consume = task.action_named("(consume)").id
-    assert rpg.sapa_penalty(task.initial, {consume: 4}, analyse(task)) is None
+    analysed = analyse(task)
+    assert analysed.best_production == {}
+    spend = task.action_named("(spend)").id
+    assert rpg.sapa_penalty(task.initial, {spend: 4}, analysed) == 0
 
 
 def test_lp_mode_untracked_intervals_match_full_interval_update():
