@@ -10,7 +10,10 @@ checks, subgoal constraints) are scratch-scoped, and bound queries add
 no rows at all. A bound query reads only the optimum, so it is solved
 with `reads=OBJECTIVE`: the model's live simplex takes the columns that
 `extend` appended since the last query and is re-optimised from its
-basis; a feasibility check reads only the status (`reads=STATUS`).
+basis. A feasibility check reads only the status (`reads=STATUS`); it,
+and an extraction solve at the final layer, start from a copy of the
+live simplex with the scratch rows appended, which leaves the live
+simplex as the bound queries left it.
 """
 
 from __future__ import annotations
@@ -340,7 +343,12 @@ class FlowModel:
     def feasible(self) -> bool:
         """Feasibility of the current model (plus scratch rows), solved as
         built, integrality included: under `--lp-all-props` the fact columns
-        are binary, so each such check is a branch-and-bound run."""
+        are binary, so each such check is a branch-and-bound run. The model
+        is read for its status only, so the root starts from a copy of the
+        live simplex whenever the model since the last bound query has only
+        gained columns and rows, and an LP check stops once phase 1 settles
+        it. A check cut by the pivot limit counts as feasible, with a
+        warning."""
         self.model.push_scratch()
         try:
             self.model.set_objective({}, mp.MINIMIZE)

@@ -19,8 +19,8 @@ artificials leave the tableau, so phase 2 never prices one (Chvátal,
 variables are solved by depth-first branch-and-bound over the simplex
 relaxation: every node carries the full list of column bounds, and a
 branch on the lowest-index fractional variable replaces one side of its
-bounds, floor branch first, prune on bound. The root is solved cold; a
-child starts from a copy of its parent's final tableau with the one
+bounds, floor branch first, prune on bound. The root is solved cold
+unless it can start from the live simplex (below); a child starts from a copy of its parent's final tableau with the one
 bound changed and is re-optimised by the dual simplex (Koberstein, *The
 Dual Simplex Method*, 2005). The warm result is kept only when it is
 infeasible or its optimal basis is dual nondegenerate, so that the
@@ -38,8 +38,22 @@ column-addition warm start; Chvátal, *Linear Programming*, 1983, ch. 10).
 Any other change sends the solve cold. An LP read for its status only
 under the empty objective stops after phase 1. An LP's optimum value and
 status are unique, so these return what a cold solve returns; only the
-pivot count differs. `Counters` accumulates solves, pivots,
-branch-and-bound nodes and warm and cold objective-only solves.
+pivot count differs.
+
+Every other root relaxation, an LP's or a branch-and-bound root's, whose
+model is the live one plus appended columns and rows (a goal check, an
+extraction at the final layer) starts from a copy of the live simplex:
+the new rows are written over its current basis, each with a basic
+slack or an artificial, and phase 1 over those artificials restores
+feasibility (the row-addition warm start, ibid.). A changed coefficient
+or effective bound of an existing column sends it cold. A status read
+keeps any warm result; a branch-and-bound tree grown from a warm root
+may then differ from the cold one, but not its status. A vertex read
+keeps a warm result only if it is infeasible or its optimum is unique,
+by the rule the children use, so that it is the cold solve's vertex;
+any other goes cold. `Counters` accumulates solves, pivots,
+branch-and-bound nodes, warm and cold objective-only solves, and warm
+roots kept and fallen back cold.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -105,6 +119,9 @@ class Counters:
     lp_warm: int = 0     # objective-only LP solves re-optimised from the live simplex
     lp_cold: int = 0     # objective-only LP solves solved cold: a model's first, or
                          # one after a change the live simplex cannot take
+    root_warm: int = 0   # root relaxations solved from a copy of the live simplex
+                         # and kept
+    root_cold_fallback: int = 0  # warm root relaxations not kept, solved cold
 
 
 @dataclass
@@ -332,27 +349,25 @@ class MPModel:
         and returns its vertex whatever `reads` says. An LP read for its
         objective only (`OBJECTIVE`) is re-optimised from the live simplex
         (`_solve_live`); one read for its status only (`STATUS`) under an
-        empty objective stops after phase 1. Status and objective are those
-        of a cold solve in every case: an LP's optimum value is unique.
+        empty objective stops after phase 1. The root relaxation of any
+        other solve starts from a copy of the live simplex where it can
+        (`_solve_root`). Status and objective are those of a cold solve in
+        every case: an LP's optimum value is unique.
         """
         start = time.perf_counter()
         self.counters.solves += 1
         try:
             if any(v.kind in (INTEGER, BINARY) for v in self.variables):
                 bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
-                return self._branch_and_bound(bounds)
+                return self._branch_and_bound(bounds, reads)
             if reads == OBJECTIVE:
                 return self._solve_live()
             bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
-            return self._solve_relaxation(bounds, reads)
+            if _crossed(bounds):
+                return MPSolution(INFEASIBLE, None, ())
+            return self._solve_root(bounds, reads, reads == STATUS)[0]
         finally:
             self.counters.solve_time += time.perf_counter() - start
-
-    def _solve_relaxation(self, bounds: list[tuple[Number | None, Number | None]],
-                          reads: str = VERTEX) -> MPSolution:
-        if _crossed(bounds):
-            return MPSolution(INFEASIBLE, None, ())
-        return self._solve_cold(bounds, reads)[0]
 
     def _solve_cold(self, bounds: list[tuple[Number | None, Number | None]],
                     reads: str = VERTEX) -> tuple[MPSolution, _Simplex]:
@@ -361,6 +376,39 @@ class MPModel:
             return simplex.run(reads), simplex
         finally:
             self.counters.pivots += simplex.pivots
+
+    def _solve_root(self, bounds: list[tuple[Number | None, Number | None]],
+                    reads: str, keep_any: bool) -> tuple[MPSolution, _Simplex]:
+        """A root relaxation whose bounds do not cross, warm from the live
+        simplex where the model is the live one plus appended rows.
+
+        If the model has since only gained columns and rows, changed its
+        objective, or changed a column's kind but not its effective bounds,
+        a copy of the live simplex takes the new columns nonbasic at 0
+        (`add_columns`) and the new rows with a slack or an artificial each
+        (`add_rows`), and phase 1 over those artificials restores
+        feasibility from the live basis. The warm result is kept whatever
+        it is if `keep_any` (the caller reads only a status, which is that
+        of a cold solve whatever vertex is reached), and otherwise only if
+        it is infeasible or its optimum is unique, so that it equals the
+        cold solve's vertex; any other warm result is counted and solved
+        cold. Every other change since the live point means a cold solve.
+        """
+        live = self._live
+        added = self._live_changes() if live is not None else None
+        if added is not None:
+            warm = live.copy()
+            if warm.add_columns(added):
+                try:
+                    solution = warm.finish(warm.add_rows(len(live.tableau)), reads)
+                finally:
+                    self.counters.pivots += warm.pivots
+                if keep_any or solution.status == INFEASIBLE or (
+                        solution.status == OPTIMAL and warm.unique_optimum()):
+                    self.counters.root_warm += 1
+                    return solution, warm
+                self.counters.root_cold_fallback += 1
+        return self._solve_cold(bounds, reads)
 
     def _solve_live(self) -> MPSolution:
         """An LP read for its objective only, re-optimised from the live simplex.
@@ -377,8 +425,9 @@ class MPModel:
         found a feasible basis.
         """
         live = self._live
-        added = self._added_columns() if live is not None else None
-        if added is not None and live.add_columns(added):
+        added = self._live_changes() if live is not None else None
+        if (added is not None and len(self.constraints) == len(live.tableau)
+                and live.add_columns(added)):
             self.counters.lp_warm += 1
             try:
                 solution = live.reoptimize()
@@ -403,18 +452,19 @@ class MPModel:
         self._live_tail = self._undo[at - 1] if at else None
         return solution
 
-    def _added_columns(self) -> dict[int, list[int]] | None:
+    def _live_changes(self) -> dict[int, list[int]] | None:
         """The columns added since the live simplex was last brought up to
-        date, each with the rows it was given coefficients in, or None if
-        anything else it depends on changed since: a row, an existing
-        column's coefficient or bounds, or an undo that reached below that
-        point."""
+        date, each with the rows of the live simplex it was given
+        coefficients in, or None if anything else the live simplex depends
+        on changed since: an existing column's coefficient in one of those
+        rows or its effective bounds, or an undo that reached below that
+        point. Rows appended since are not checked: a caller reads them
+        whole."""
         at, undo = self._live_at, self._undo
         if len(undo) < at or (at and undo[at - 1] is not self._live_tail):
             return None
         live = self._live
-        if len(self.constraints) != len(live.tableau):
-            return None
+        nrows = len(live.tableau)
         first = len(live.col_of)
         added: dict[int, list[int]] = {col: [] for col in range(first, len(self.variables))}
         seen = set()
@@ -424,35 +474,39 @@ class MPModel:
             # the first undo entry of a cell holds its value at that point
             if tag == "coefficient":
                 row, col, old = entry[1], entry[2], entry[3]
+                if row >= nrows:
+                    continue
                 if col >= first:
                     added[col].append(row)
                 elif (row, col) not in seen:
                     seen.add((row, col))
                     if self.constraints[row].coeffs.get(col) != old:
                         return None
-            elif tag == "bounds":
+            elif tag == "bounds" or tag == "kind":
                 col = entry[1]
                 if col < first and col not in seen:
                     seen.add(col)
-                    var = self.variables[col]
-                    if (var.lb, var.ub) != (entry[2], entry[3]):
+                    if self.effective_bounds(col) != live.bounds_of(col):
                         return None
         return added
 
     def _solve_node(self, bounds: list[tuple[Number | None, Number | None]],
-                    parent: _Simplex | None, var: int, shared: bool
-                    ) -> tuple[MPSolution, _Simplex | None]:
+                    parent: _Simplex | None, var: int, shared: bool,
+                    keep_any: bool = False) -> tuple[MPSolution, _Simplex | None]:
         """The relaxation of a branch-and-bound node whose bounds do not cross.
 
-        A child (`parent` given) first runs the dual simplex from the
-        parent's final state with `var`'s bounds replaced, in a copy when
-        the parent is `shared`. An infeasible result is final. An optimal
-        one is final when every nonbasic column that can move has a
-        nonzero reduced cost: that optimum is unique, so a cold solve
-        returns the same one. Anything else is solved cold. The simplex
-        returned alongside holds the final state a child of this node
-        starts from.
+        The root (`var` < 0) is solved by `_solve_root`, which keeps any
+        warm result if `keep_any`. A child with a `parent` first runs the
+        dual simplex from the parent's final state with `var`'s bounds
+        replaced, in a copy when the parent is `shared`. An infeasible
+        result is final. An optimal one is final when every nonbasic column
+        that can move has a nonzero reduced cost: that optimum is unique,
+        so a cold solve returns the same one. Anything else is solved cold.
+        The simplex returned alongside holds the final state a child of
+        this node starts from.
         """
+        if var < 0:
+            return self._solve_root(bounds, VERTEX, keep_any)
         if parent is not None:
             warm = parent.copy() if shared else parent
             lb, ub = bounds[var]
@@ -470,15 +524,19 @@ class MPModel:
                 self.counters.bb_cold_fallback += 1
         return self._solve_cold(bounds)
 
-    def _branch_and_bound(self, bounds: list[tuple[Number | None, Number | None]]
-                          ) -> MPSolution:
+    def _branch_and_bound(self, bounds: list[tuple[Number | None, Number | None]],
+                          reads: str = VERTEX) -> MPSolution:
         """Depth-first branch-and-bound, floor branch first.
 
-        The root relaxation is solved cold. Each child carries its parent's
-        final `_Simplex`, unless the parent's reduced costs are all zero,
-        and is solved by `_solve_node`: warm by the dual simplex where that
-        provably gives the cold solve's status, objective and values, cold
-        otherwise. So the tree, the incumbents
+        The root relaxation is solved warm from the live simplex where that
+        gives the cold solve's status, objective and values, cold otherwise;
+        a run read for its status only keeps any warm root, so its tree may
+        differ from the cold one, though not its status. Each child carries
+        its parent's final `_Simplex`, unless the parent's reduced costs are
+        all zero, and is solved by `_solve_node`: warm by the dual simplex
+        where that provably gives the cold solve's status, objective and
+        values, cold otherwise. So, unless the run is read for its status
+        only, the tree, the incumbents
         and the result are those of cold solves at every node. A run cut
         short by `node_limit` or a relaxation's pivot limit returns its
         incumbent if it has one, which is feasible but not proven optimal,
@@ -504,7 +562,7 @@ class MPModel:
             # a child changes only the branched variable's bounds
             if _crossed(bounds if var < 0 else (bounds[var],)):
                 continue
-            relaxed, simplex = self._solve_node(bounds, parent, var, shared)
+            relaxed, simplex = self._solve_node(bounds, parent, var, shared, reads == STATUS)
             if relaxed.status == LIMIT:
                 hit_limit = True
                 break
@@ -622,7 +680,10 @@ class _Simplex:
     `run` solves cold and keeps its final state, the reduced costs
     included. A branch-and-bound child takes that state (`copy`), narrows
     one variable's bounds (`tighten`), which keeps the basis dual
-    feasible, and `dual` re-optimises it.
+    feasible, and `dual` re-optimises it. A root relaxation takes a copy
+    of the model's live simplex, appends the model's new columns
+    (`add_columns`) and rows (`add_rows`), and `finish` runs phase 1 over
+    the new rows' artificials only.
     """
 
     def __init__(self, model: MPModel, bounds: list[tuple[Number | None, Number | None]]):
@@ -652,6 +713,9 @@ class _Simplex:
                 self.upper.extend([None, None])
                 ncols += 2
         self.nstruct = ncols
+        # the reduced costs of the last objective `_optimize` proved optimal
+        self.reduced: list[int] = []
+        self.rden = 1
 
     def run(self, reads: str = VERTEX) -> MPSolution:
         model = self.model
@@ -756,7 +820,12 @@ class _Simplex:
         self.basis = basis
         self.ncols = ncols
         self.flipped = [False] * ncols
+        return self.finish(artificial_cols, reads)
 
+    def finish(self, artificial_cols: list[int], reads: str) -> MPSolution:
+        """Phase 1 over the basic `artificial_cols`, from a basis feasible
+        but for them, then phase 2 unless a status read of the empty
+        objective is settled."""
         if artificial_cols:
             artificial = set(artificial_cols)
             status = self._optimize(dict.fromkeys(artificial_cols, 1))
@@ -764,9 +833,9 @@ class _Simplex:
                 return MPSolution(LIMIT, None, ())
             # artificials have no upper bound in phase 1, so none is flipped
             # and the phase-1 objective is the sum of the basic ones' rhs
-            if any(value and b in artificial for value, b in zip(rhs, basis)):
+            if any(value and b in artificial for value, b in zip(self.rhs, self.basis)):
                 return MPSolution(INFEASIBLE, None, ())
-        if reads == STATUS and not model.objective:
+        if reads == STATUS and not self.model.objective:
             # a feasible basis settles a feasibility check: the empty
             # objective is 0 everywhere
             return MPSolution(OPTIMAL, 0, ())
@@ -775,8 +844,8 @@ class _Simplex:
             # phase 2 never lets an artificial re-enter: a nonbasic one leaves
             # the tableau, and one still basic in a redundant row stays
             # pinned at zero
-            leaving = artificial.difference(basis)
-            for row in tableau:
+            leaving = artificial.difference(self.basis)
+            for row in self.tableau:
                 for col in leaving.intersection(row):
                     del row[col]
             for col in artificial_cols:
@@ -844,16 +913,15 @@ class _Simplex:
         entries a_r then reads B^-1 (s a_r)_r = sum over r of
         a_r (s / c) B^-1 e_r. The basic values do not move, so the basis
         stays primal feasible. Returns False, changing nothing, if a
-        variable's lower bound is not 0 or one of its rows has no unit
-        column.
+        variable's effective lower bound is not 0 or one of its rows has no
+        unit column.
         """
         model, unit, flipped = self.model, self.unit, self.flipped
         constraints = model.constraints
         new_columns = []
         for var, rows in columns.items():
-            # the model has no integer columns, so these are its bounds
-            variable = model.variables[var]
-            if variable.lb != 0:
+            lb, ub = model.effective_bounds(var)
+            if lb != 0:
                 return False
             # the multiplier of each unit column, (p, d) for p / d; a row
             # listed twice has one unit column, so it counts once
@@ -870,8 +938,7 @@ class _Simplex:
                 terms[u] = (-p if flipped[u] else p, d)
                 if d != 1:
                     q = lcm(q, d)
-            new_columns.append((variable.ub, [(u, p * (q // d)) for u, (p, d) in terms.items()],
-                                q))
+            new_columns.append((ub, [(u, p * (q // d)) for u, (p, d) in terms.items()], q))
         tableau, rhs, den = self.tableau, self.rhs, self.den
         row_of = {b: i for i, b in enumerate(self.basis)}
         # current tableau columns of nonbasic unit columns, as (row, entry)
@@ -918,6 +985,100 @@ class _Simplex:
                 row[j] = p * (scale // q)
         return True
 
+    def add_rows(self, first: int) -> list[int]:
+        """Append the model's rows from index `first` on to this feasible
+        basis; returns the artificial columns of those that need one, for
+        `finish`.
+
+        A row is written over the current columns: each term's offset moves
+        to the rhs and a mirrored or split column takes its sign, as in
+        `run`, and a flipped column reads upper - x', so its entry is
+        negated and the entry times its upper bound moves to the rhs too.
+        Each basic column is then eliminated with its tableau row, in int
+        arithmetic, which leaves the row over nonbasic columns, with its
+        rhs less its value at the current point as its rhs. A <= or >= row
+        whose slack is nonnegative there gets that slack as its basic
+        column; any other row (an equality, or an inequality the point
+        violates) is negated if its rhs is negative and gets a basic
+        artificial. So the basis is feasible but for the
+        artificials, and phase 1 over them alone restores feasibility
+        (Chvátal, *Linear Programming*, 1983, ch. 10). An appended row has
+        no unit column for `add_columns`.
+        """
+        model = self.model
+        tableau, rhs, den, basis = self.tableau, self.rhs, self.den, self.basis
+        offset, upper, flipped = self.offset, self.upper, self.flipped
+        row_of = {b: i for i, b in enumerate(basis)}
+        artificial_cols = []
+
+        def new_column() -> int:
+            self.ncols += 1
+            upper.append(None)
+            flipped.append(False)
+            return self.ncols - 1
+
+        for constraint in model.constraints[first:]:
+            terms: dict[int, Number] = {}
+            value = constraint.rhs
+            for var, weight in constraint.coeffs.items():
+                if offset[var]:
+                    value -= weight * offset[var]
+                for col, sign in self.col_of[var]:
+                    a = weight if sign == 1 else -weight
+                    if flipped[col]:
+                        value -= a * upper[col]
+                        a = -a
+                    terms[col] = a
+            # numerators over the least common denominator d
+            d = value.denominator
+            for x in terms.values():
+                if type(x) is not int:
+                    d = lcm(d, x.denominator)
+            row = {col: x.numerator * (d // x.denominator) for col, x in terms.items()}
+            value = value.numerator * (d // value.denominator)
+            # row / d - (c / d) (tableau[i] / den[i]) is over d * den[i]; the
+            # other basic columns are 0 in tableau[i], so one pass clears all
+            for col in [col for col in row if col in row_of]:
+                c = row.pop(col)
+                i = row_of[col]
+                di = den[i]
+                if di != 1:
+                    row = {j: x * di for j, x in row.items()}
+                    value *= di
+                    d *= di
+                for j, x in tableau[i].items():
+                    if j != col:
+                        y = row.get(j, 0) - c * x
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+                value -= c * rhs[i]
+            # the sign of the slack's entry, in row + s = value (<=) or
+            # row - s = value (>=); the slack is slack * value / d at the
+            # current point
+            op = constraint.op
+            slack = 0 if op == "=" else 1 if op == "<=" else -1
+            basic_slack = slack != 0 and slack * value >= 0
+            if (slack == -1) if basic_slack else (value < 0):
+                row = {j: -x for j, x in row.items()}
+                value = -value
+                slack = -slack
+            if slack:
+                j = new_column()
+                row[j] = slack * d
+            if not basic_slack:
+                j = new_column()
+                row[j] = d
+                artificial_cols.append(j)
+            basis.append(j)
+            tableau.append(row)
+            rhs.append(value)
+            den.append(d)
+            self.unit.append(None)
+            self._reduce(len(tableau) - 1)
+        return artificial_cols
+
     def reoptimize(self) -> MPSolution:
         """Primal phase 2 under the model's current objective from this
         primal feasible basis; pivots count from 0, as in a cold solve."""
@@ -928,12 +1089,16 @@ class _Simplex:
     # -- warm start from a parent's final state -------------------------------
 
     def copy(self) -> _Simplex:
-        """An independent copy of the state after `run` or `dual`."""
+        """An independent copy of the state after `run`, `dual` or
+        `reoptimize`, whatever status it ended with; its pivots count from
+        0 against the model's limit."""
         clone = _Simplex.__new__(_Simplex)
         clone.model = self.model
-        clone.pivot_limit = self.pivot_limit
+        clone.pivot_limit = self.model.pivot_limit
         clone.pivots = 0
-        clone.col_of = self.col_of  # fixed at construction
+        # add_columns appends to col_of and unit, never changes an entry
+        clone.col_of = self.col_of.copy()
+        clone.unit = self.unit.copy()
         clone.offset = self.offset.copy()
         clone.upper = self.upper.copy()
         clone.flipped = self.flipped.copy()
@@ -946,6 +1111,17 @@ class _Simplex:
         clone.reduced = self.reduced.copy()
         clone.rden = self.rden
         return clone
+
+    def bounds_of(self, var: int) -> tuple[Number | None, Number | None]:
+        """The bounds of model variable `var` as this simplex holds them."""
+        cols = self.col_of[var]
+        if len(cols) == 2:
+            return None, None
+        ((col, sign),) = cols
+        if sign == -1:
+            return None, self.offset[var]
+        upper = self.upper[col]
+        return self.offset[var], None if upper is None else self.offset[var] + upper
 
     def tighten(self, var: int, lb: Number | None, ub: Number | None) -> bool:
         """Narrow model variable `var` to [lb, ub] inside its current bounds.

@@ -9,12 +9,15 @@ _SOLVE = mp.MPModel.solve  # taken at import, before any test wraps it
 
 
 def cold_vertex(model: mp.MPModel) -> mp.MPSolution:
-    """A cold solve of `model` for its vertex, left out of the model's counters."""
+    """A cold solve of `model` for its vertex, left out of the model's
+    counters: the live simplex is set aside, so no root starts from it."""
     counters, model.counters = model.counters, mp.Counters()
+    live, model._live = model._live, None
     try:
         return _SOLVE(model)
     finally:
         model.counters = counters
+        model._live = live
 
 
 def status_and_objective(solution: mp.MPSolution) -> tuple:

@@ -2,6 +2,7 @@
 goal constraints, objective weighting, integrality, and bound queries."""
 
 import itertools
+import logging
 from fractions import Fraction
 
 import pytest
@@ -569,6 +570,77 @@ def test_catalytic_switch_refresh_sends_the_bound_query_cold():
     counters = _layered_bounds(task, [[make], [use]],
                                [[(v, "max")], [(out, "max"), (v, "max")]])
     assert (counters.lp_cold, counters.lp_warm) == (2, 1)
+
+
+def test_warm_goal_checks_leave_the_bound_queries_as_they_were():
+    """A goal check after each layer starts from a copy of the live simplex
+    and adds the layer's new columns and the goal rows to that copy only:
+    every bound query returns what it returns without the goal checks, with
+    the same pivots."""
+    builder = TaskBuilder()
+    ore = builder.var("(ore)", 1)
+    cash = builder.var("(cash)", 0)
+    mine = builder.action("mine", effects=[(ore, "increase", 2)])
+    sell = builder.action("sell", num_pre=[builder.condition({ore: 1}, GE, 3)],
+                          effects=[(ore, "decrease", 3), (cash, "increase", Fraction(5, 2))])
+    buy = builder.action("buy", num_pre=[builder.condition({cash: 1}, GE, 1)],
+                         effects=[(cash, "decrease", 1), (ore, "increase", 1)])
+    builder.goal(conditions=[builder.condition({cash: 1}, GE, 4)])
+    task = builder.build()
+    runs = []
+    for goal_checks in (False, True):
+        analysed = analyse(task)
+        flow = FlowModel(analysed, task.initial)
+        flow.add_catalytic()
+        queries, checks = [], []
+        for layer, (var, direction) in zip([[mine], [sell], [buy]],
+                                           [(ore, "max"), (cash, "max"), (ore, "min")]):
+            flow.extend(layer)
+            if goal_checks:
+                flow.model.push_scratch()
+                flow.add_goal_constraints(HeuristicConfig(), LandmarkView(),
+                                          frozenset(flow.action_col))
+                checks.append((flow.feasible(),
+                               cold_vertex(flow.model).status == mp.OPTIMAL))
+                flow.model.pop_scratch()
+            pivots = flow.counters.pivots
+            queries.append((flow.query_bound(var, direction, None),
+                            flow.counters.pivots - pivots))
+        runs.append((queries, flow.counters.lp_warm, flow.counters.lp_cold))
+    assert runs[0] == runs[1]
+    assert checks == [(False, False), (True, True), (True, True)]
+    # the first check comes before any query, so it is cold
+    assert (flow.counters.root_warm, flow.counters.root_cold_fallback) == (2, 0)
+
+
+def test_warm_goal_check_at_the_pivot_limit_assumes_feasible(caplog):
+    """With a pivot limit of 0, a warm goal check whose rows need phase 1
+    stops at the limit, and `feasible` reports the goal reachable with a
+    warning, though the layer has no achiever of the goal fact."""
+    builder = TaskBuilder()
+    g = builder.fact("(g)")
+    v = builder.var("(v)", 4)
+    use = builder.action("use", num_pre=[builder.condition({v: 1}, GE, 1)],
+                         effects=[(v, "decrease", 1)])
+    builder.action("make", num_pre=[builder.condition({v: 1}, LE, 3)], add=[g],
+                   effects=[(v, "increase", 2)])
+    builder.goal(facts=[g], conditions=[builder.condition({v: 1}, GE, 5)])
+    task = builder.build()
+    _, flow = build_flow_for(task, action_ids=[use])
+    assert flow.query_bound(v, "min", None) == 0  # brings up the live simplex
+    checks = []
+    with caplog.at_level(logging.WARNING, logger="flowplan"):
+        for limit in (0, mp.DEFAULT_PIVOT_LIMIT):
+            flow.model.pivot_limit = limit
+            flow.model.push_scratch()
+            flow.add_goal_constraints(HeuristicConfig(), LandmarkView(),
+                                      frozenset(flow.action_col))
+            checks.append(flow.feasible())
+            flow.model.pop_scratch()
+    assert checks == [True, False]
+    assert (flow.counters.root_warm, flow.counters.root_cold_fallback) == (2, 0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "LP iteration limit during feasibility check; assuming feasible"]
 
 
 @pytest.mark.parametrize("family,size,all_props", [

@@ -6,7 +6,9 @@ the value is integral), and the normalised run never yields a float.
 `model.divide` agrees with Fraction division in value and type.
 `rpg.expand` builds the same graph as the scanning reference in
 `oracles.expand_by_scanning`. Every bound query of an LP-mode expansion,
-warm from the live simplex or cold, returns what a cold solve returns.
+warm from the live simplex or cold, returns what a cold solve returns, and
+so does every goal check and extraction solve, roots warm from a copy of
+the live simplex among them.
 Whole planner runs in every heuristic mode emit only plans that validate,
 and never report a dead end at a root that breadth-first search solves.
 """
@@ -15,10 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from flowplan import model, planner, rpg, search
+from flowplan import extract, model, planner, rpg, search
 from flowplan import mpsolver as mp
 from flowplan.analysis import AnalysedTask, LandmarkSet, analyse, classify
-from flowplan.lpmodel import HeuristicConfig
+from flowplan.lpmodel import FlowModel, HeuristicConfig, LandmarkView, layer_weights
 from flowplan.model import GE, GT, LE, LT, EQ, LinearExpr, exact
 
 from bruteforce import optimal_plan
@@ -239,6 +241,68 @@ def test_bound_queries_equal_cold_solves(task, data):
         graph = rpg.expand(analysed, state, config, rpg.LPRPG)
         if graph.flow is not None:
             graph.lp_bounds(graph.final_layer)
+    finally:
+        mp.MPModel.solve = real_solve
+    assert mismatches == []
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(small_task(), st.data())
+def test_goal_checks_and_extraction_roots_equal_cold_solves(task, data):
+    """Each status or vertex solve of an LP-mode expansion and of its
+    extraction, from the initial or an arbitrary state, with or without the
+    all-propositions encoding, has the status, and for a vertex read the
+    objective and values, types included, of a cold solve of the same
+    model: goal checks and extraction roots warm from the live simplex
+    among them. The expansion skips the bound queries it cannot need, so
+    its goal checks often find no live simplex; a second flow model over
+    the graph's layers asks one query per tracked variable at each layer
+    before its goal check and extraction-like solve."""
+    analysed = analyse(task, with_landmarks=False)
+    state = analysed.task.initial
+    if data.draw(st.booleans()):
+        facts = data.draw(st.frozensets(st.integers(0, N_FACTS - 1)))
+        state = model.State(facts, tuple(exact(data.draw(small)) for _ in range(N_VARS)))
+    config = HeuristicConfig(max_layers=data.draw(st.integers(1, 15)),
+                             include_all_propositions=data.draw(st.booleans()))
+    real_solve = mp.MPModel.solve
+    mismatches = []
+
+    def key(solution, reads):
+        if reads == mp.STATUS:
+            return status_and_objective(solution)
+        return (solution.status, solution.objective, type(solution.objective),
+                solution.values, tuple(map(type, solution.values)))
+
+    def checked_solve(self, reads=mp.VERTEX):
+        solution = real_solve(self, reads=reads)
+        if reads != mp.OBJECTIVE:
+            got, cold = key(solution, reads), key(cold_vertex(self), reads)
+            if got != cold:
+                mismatches.append((got, cold))
+        return solution
+
+    mp.MPModel.solve = checked_solve
+    try:
+        graph = rpg.expand(analysed, state, config, rpg.LPRPG)
+        if graph.status == rpg.GOALS_REACHED:
+            extract.extract_lprpg(graph, analysed, LandmarkView(), config)
+        if graph.flow is not None:
+            flow = FlowModel(analysed, state)
+            flow.add_catalytic()
+            weights = layer_weights(config, graph.first_action_layer, None)
+            first_layer = graph.actions_at(1)
+            for actions in graph.action_layers:
+                flow.extend(actions)
+                for var in sorted(flow.tracked):
+                    flow.query_bound(var, data.draw(st.sampled_from(("min", "max"))), None)
+                flow.model.push_scratch()
+                flow.add_goal_constraints(config, LandmarkView(), actions)
+                flow.feasible()
+                flow.apply_integrality(config, first_layer, frozenset(), frozenset())
+                flow.set_action_objective(weights)
+                flow.model.solve()
+                flow.model.pop_scratch()
     finally:
         mp.MPModel.solve = real_solve
     assert mismatches == []
