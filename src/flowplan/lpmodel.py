@@ -343,12 +343,13 @@ class FlowModel:
     def feasible(self) -> bool:
         """Feasibility of the current model (plus scratch rows), solved as
         built, integrality included: under `--lp-all-props` the fact columns
-        are binary, so each such check is a branch-and-bound run. The model
-        is read for its status only, so the root starts from a copy of the
-        live simplex whenever the model since the last bound query has only
-        gained columns and rows, and an LP check stops once phase 1 settles
-        it. A check cut by the pivot limit counts as feasible, with a
-        warning."""
+        are binary, so each such check is a branch-and-bound run, which
+        `MPModel.solve` runs as a feasibility search that stops at the first
+        integral node. The model is read for its status only, so the root
+        starts from a copy of the live simplex whenever the model since the
+        last bound query has only gained columns and rows, and an LP check
+        stops once phase 1 settles it. A check cut by the pivot or node
+        limit before it settles counts as feasible, with a warning."""
         self.model.push_scratch()
         try:
             self.model.set_objective({}, mp.MINIMIZE)

@@ -20,9 +20,10 @@ variables are solved by depth-first branch-and-bound over the simplex
 relaxation: every node carries the full list of column bounds, and a
 branch on the lowest-index fractional variable replaces one side of its
 bounds, floor branch first, prune on bound. The root is solved cold
-unless it can start from the live simplex (below); a child starts from a copy of its parent's final tableau with the one
-bound changed and is re-optimised by the dual simplex (Koberstein, *The
-Dual Simplex Method*, 2005). The warm result is kept only when it is
+unless it can start from the live simplex (below); a child starts from
+a copy of its parent's final tableau with the one bound changed and is
+re-optimised by the dual simplex (Koberstein, *The Dual Simplex Method*,
+2005). For a vertex read the warm result is kept only when it is
 infeasible or its optimal basis is dual nondegenerate, so that the
 optimum is unique and equals what a cold solve returns; any other child
 is solved cold.
@@ -51,9 +52,21 @@ keeps any warm result; a branch-and-bound tree grown from a warm root
 may then differ from the cold one, but not its status. A vertex read
 keeps a warm result only if it is infeasible or its optimum is unique,
 by the rule the children use, so that it is the cold solve's vertex;
-any other goes cold. `Counters` accumulates solves, pivots,
-branch-and-bound nodes, warm and cold objective-only solves, and warm
-roots kept and fallen back cold.
+any other goes cold.
+
+A MIP read for its status keeps every warm child too: a node's status is
+unique even where its vertex is not, and branch-and-bound over any
+optimal vertices ends with the same status. Under the empty objective,
+as in a goal check, it is a feasibility search: the solve sets a
+steering cost of 1 on every column with lower bound 0 and a finite upper
+bound (in a flow model, the action counts, switches and fact columns)
+in a scratch scope of its own, so that the reduced costs steer the dual
+simplex of every child, and returns at the first node whose integer
+columns are integral. It returns a cold solve's `(OPTIMAL, 0, ())` or
+`INFEASIBLE`, or `LIMIT` when a limit cuts it before an integral node;
+the model's objective, undo log and live simplex are as they were.
+`Counters` accumulates solves, pivots, branch-and-bound nodes, warm and
+cold objective-only solves, and warm roots kept and fallen back cold.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -346,20 +359,34 @@ class MPModel:
         """Solve the model; `reads` says what the caller reads of the result.
 
         A model with integer or binary columns is solved by branch-and-bound
-        and returns its vertex whatever `reads` says. An LP read for its
+        and returns its vertex, unless it is read for its status only
+        (`STATUS`) under the empty objective: that is a feasibility search
+        under a steering cost set and undone here, which returns
+        `(OPTIMAL, 0, ())` at its first integral node. An LP read for its
         objective only (`OBJECTIVE`) is re-optimised from the live simplex
-        (`_solve_live`); one read for its status only (`STATUS`) under an
-        empty objective stops after phase 1. The root relaxation of any
-        other solve starts from a copy of the live simplex where it can
+        (`_solve_live`); one read for its status only under the empty
+        objective stops after phase 1. The root relaxation of any other
+        solve starts from a copy of the live simplex where it can
         (`_solve_root`). Status and objective are those of a cold solve in
-        every case: an LP's optimum value is unique.
+        every case that no limit cuts short: an LP's optimum value is
+        unique.
         """
         start = time.perf_counter()
         self.counters.solves += 1
         try:
             if any(v.kind in (INTEGER, BINARY) for v in self.variables):
                 bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
-                return self._branch_and_bound(bounds, reads)
+                if reads != STATUS or self.objective:
+                    return self._branch_and_bound(bounds, reads)
+                # a feasibility search, steered by a cost that lives only
+                # inside this solve
+                self.push_scratch()
+                try:
+                    self.set_objective({col: 1 for col, (lb, ub) in enumerate(bounds)
+                                        if lb == 0 and ub is not None})
+                    return self._branch_and_bound(bounds, reads, search=True)
+                finally:
+                    self.pop_scratch()
             if reads == OBJECTIVE:
                 return self._solve_live()
             bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
@@ -499,11 +526,13 @@ class MPModel:
         warm result if `keep_any`. A child with a `parent` first runs the
         dual simplex from the parent's final state with `var`'s bounds
         replaced, in a copy when the parent is `shared`. An infeasible
-        result is final. An optimal one is final when every nonbasic column
-        that can move has a nonzero reduced cost: that optimum is unique,
-        so a cold solve returns the same one. Anything else is solved cold.
-        The simplex returned alongside holds the final state a child of
-        this node starts from.
+        result is final. An optimal one is final if `keep_any` (the run is
+        read for its status, which does not depend on which optimal vertex
+        is reached), and otherwise when every nonbasic column that can move
+        has a nonzero reduced cost: that optimum is unique, so a cold solve
+        returns the same one. Anything else is solved cold. The simplex
+        returned alongside holds the final state a child of this node
+        starts from.
         """
         if var < 0:
             return self._solve_root(bounds, VERTEX, keep_any)
@@ -518,32 +547,36 @@ class MPModel:
                 if status == INFEASIBLE:
                     self.counters.bb_warm += 1
                     return MPSolution(INFEASIBLE, None, ()), None
-                if status == OPTIMAL and warm.unique_optimum():
+                if status == OPTIMAL and (keep_any or warm.unique_optimum()):
                     self.counters.bb_warm += 1
                     return warm.solution(), warm
                 self.counters.bb_cold_fallback += 1
         return self._solve_cold(bounds)
 
     def _branch_and_bound(self, bounds: list[tuple[Number | None, Number | None]],
-                          reads: str = VERTEX) -> MPSolution:
+                          reads: str = VERTEX, search: bool = False) -> MPSolution:
         """Depth-first branch-and-bound, floor branch first.
 
         The root relaxation is solved warm from the live simplex where that
-        gives the cold solve's status, objective and values, cold otherwise;
-        a run read for its status only keeps any warm root, so its tree may
-        differ from the cold one, though not its status. Each child carries
-        its parent's final `_Simplex`, unless the parent's reduced costs are
-        all zero, and is solved by `_solve_node`: warm by the dual simplex
-        where that provably gives the cold solve's status, objective and
-        values, cold otherwise. So, unless the run is read for its status
-        only, the tree, the incumbents
-        and the result are those of cold solves at every node. A run cut
-        short by `node_limit` or a relaxation's pivot limit returns its
-        incumbent if it has one, which is feasible but not proven optimal,
-        and logs a warning.
+        gives the cold solve's status, objective and values, cold otherwise.
+        Each child carries its parent's final `_Simplex`, unless a vertex
+        read finds the parent's reduced costs all zero, and is solved by
+        `_solve_node`: warm by the dual simplex where that provably gives
+        the cold solve's status, objective and values, cold otherwise. So,
+        unless the run is read for its status only, the tree, the
+        incumbents and the result are those of cold solves at every node.
+        A run read for its status only keeps every warm root and child, so
+        its tree may differ from the cold one, though not its status; with
+        `search`, a feasibility search under the steering cost `solve` set,
+        it returns `(OPTIMAL, 0, ())` at the first node whose integer
+        columns are integral. A run cut short by `node_limit` or a
+        relaxation's pivot limit returns its incumbent if it has one, which
+        is feasible but not proven optimal, and logs a warning; a search
+        has no incumbent, so it returns `LIMIT`.
         """
         integer_cols = [i for i, v in enumerate(self.variables)
                         if v.kind in (INTEGER, BINARY)]
+        keep_any = reads == STATUS
         minimize = self.sense == MINIMIZE
         best: MPSolution | None = None
         nodes = 0
@@ -562,7 +595,7 @@ class MPModel:
             # a child changes only the branched variable's bounds
             if _crossed(bounds if var < 0 else (bounds[var],)):
                 continue
-            relaxed, simplex = self._solve_node(bounds, parent, var, shared, reads == STATUS)
+            relaxed, simplex = self._solve_node(bounds, parent, var, shared, keep_any)
             if relaxed.status == LIMIT:
                 hit_limit = True
                 break
@@ -583,6 +616,8 @@ class MPModel:
                     fractional = (col, value)
                     break
             if fractional is None:
+                if search:
+                    return MPSolution(OPTIMAL, 0, ())
                 candidate = MPSolution(OPTIMAL, relaxed.objective, relaxed.values)
                 if best is None or _better(candidate.objective, best.objective, minimize):
                     best = candidate
@@ -596,12 +631,12 @@ class MPModel:
             ceil_bounds[col] = (ceil(value), ub)
             floor_bounds = list(bounds)
             floor_bounds[col] = (lb, floor(value))
-            # reduced costs that are all zero, as under the empty objective
-            # of a feasibility check, stay zero through every dual pivot, so
-            # an optimal child is kept warm only if no nonbasic column can
-            # move: such children go cold, which measured faster than
-            # proving the infeasible ones warm
-            parent = simplex if any(simplex.reduced) else None
+            # reduced costs that are all zero stay zero through every dual
+            # pivot, so a vertex read would keep an optimal child warm only
+            # if no nonbasic column can move: such children go cold. A
+            # status read keeps every warm child, and a feasibility search
+            # prices its steering cost, which keeps its dual pivots short
+            parent = simplex if keep_any or any(simplex.reduced) else None
             stack.append((ceil_bounds, parent, col, False))
             stack.append((floor_bounds, parent, col, True))
         if best is not None:

@@ -307,8 +307,9 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     a condition once satisfiable stays so, and an unsatisfied condition
     over variables whose intervals did not change stays unsatisfied: only
     the open conditions over changed variables are re-tested, and
-    `_stagnated` compares those alone. The interval step recomputes only
-    the variables `_LayerEffects.join` names.
+    `_stagnated` compares those alone, unless a changed variable is read
+    by an effect's magnitude. The interval step recomputes only the
+    variables `_LayerEffects.join` names.
     """
     task = analysed.task
     landmarks = landmarks if landmarks is not None else LandmarkView()
@@ -386,7 +387,8 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
                 effects.join(new_actions, changed), intervals, unbounded)
         retest = _open_conditions(analysed, first_by_id, next_changed)
 
-        if not new_actions and _stagnated(conditions, retest, intervals, next_intervals):
+        if not new_actions and _stagnated(analysed, retest, next_changed,
+                                          intervals, next_intervals):
             graph.final_layer = layer
             graph.status = RELAXED_UNSOLVABLE
             # keep the tentative layer visible for diagnostics and tests
@@ -468,11 +470,17 @@ def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, effects: _LayerEffe
     return intervals, moved
 
 
-def _stagnated(conditions, open_ids, intervals: list[Interval],
+def _stagnated(analysed: AnalysedTask, open_ids, changed, intervals: list[Interval],
                next_intervals: list[Interval]) -> bool:
-    """No open condition's satisfiability extremum would move; `open_ids`
-    holds the open conditions over changed variables, since no other
-    condition's extremum can."""
+    """No open condition's satisfiability extremum would move, and no
+    changed variable is read by an effect's magnitude; `open_ids` holds the
+    open conditions over changed variables, since no other condition's
+    extremum can. A variable that a magnitude reads can widen an effect's
+    reach on the next step though every extremum held on this one."""
+    readers = analysed.magnitude_readers
+    if any(var in readers for var in changed):
+        return False
+    conditions = analysed.conditions
     for cond_id in open_ids:
         cond = conditions[cond_id]
         if _relevant_extremum(cond, intervals) != _relevant_extremum(cond, next_intervals):

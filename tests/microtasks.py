@@ -68,3 +68,17 @@ def random_pc_task(seed: int, bounded: bool = False) -> GroundTask:
         goal_conditions.append(builder.condition({variables[0]: 1}, GE, 1))
     builder.goal(facts=goal_facts, conditions=goal_conditions)
     return builder.build()
+
+
+def magnitude_reader_task() -> GroundTask:
+    """`a0: v0 += v2 - 1, v2 += 1` from v0 = -1, v2 = 0, goal v0 >= 0: the
+    upper bound of v0 holds for one layer while v2 keeps widening, and then
+    moves again. A 4-step plan solves it."""
+    builder = TaskBuilder()
+    v0 = builder.var("(v0)", -1)
+    builder.var("(v1)", 0)
+    v2 = builder.var("(v2)", 0)
+    builder.action("a0", effects=[(v0, "increase", ({v2: 1}, -1)),
+                                  (v2, "increase", 1)])
+    builder.goal(conditions=[builder.condition({v0: 1}, GE, 0)])
+    return builder.build()

@@ -177,7 +177,8 @@ def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
     layer and the satisfiable conditions, unions the adds of every in-layer
     action, recomputes every variable over every in-layer effect, and tests
     every unsatisfied condition; the stagnation test compares every
-    unsatisfied condition's extremum. No counters, no changed-variable rule.
+    unsatisfied condition's extremum, and fails while a variable that an
+    effect's magnitude reads changed. No counters, no changed-variable rule.
     """
     task = analysed.task
     n_vars = len(task.var_names)
@@ -253,7 +254,9 @@ def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
             next_intervals = interval_update(task, sorted(next_actions), intervals,
                                              unbounded=(mode == rpg.METRICFF_UNBOUNDED))
 
-        if not new_actions and all(
+        changed = [var for var in range(n_vars) if intervals[var] != next_intervals[var]]
+        if not new_actions and not any(var in analysed.magnitude_readers
+                                       for var in changed) and all(
                 cond in condition_first
                 or rpg._relevant_extremum(cond, intervals)
                 == rpg._relevant_extremum(cond, next_intervals)

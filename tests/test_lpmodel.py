@@ -643,6 +643,43 @@ def test_warm_goal_check_at_the_pivot_limit_assumes_feasible(caplog):
         "LP iteration limit during feasibility check; assuming feasible"]
 
 
+def test_goal_check_search_at_the_node_and_pivot_limits_assumes_feasible(caplog):
+    """Under the all-propositions encoding, "use" needs p, so its big-M row
+    puts p's binary column at count / 1,000,000 in the root relaxation of
+    the goal check: fractional. The floor branch is infeasible and the
+    ceil branch integral, so the search needs 3 nodes and the root, warm
+    from the live simplex, 2 pivots. Cut below either, it finds no integral node, and `feasible`
+    reports the goal reachable with its warning."""
+    builder = TaskBuilder()
+    p = builder.fact("(p)")
+    g = builder.fact("(g)")
+    v = builder.var("(v)", 0)
+    make = builder.action("make-p", add=[p], effects=[(v, "increase", 1)])
+    use = builder.action("use", pre=[p], num_pre=[builder.condition({v: 1}, GE, 1)],
+                         add=[g], effects=[(v, "decrease", 1)])
+    builder.goal(facts=[g])
+    task = builder.build()
+    _, flow = build_flow_for(task)
+    assert flow.query_bound(v, "max", None) == 1_000_000  # brings up the live simplex
+    config = HeuristicConfig(include_all_propositions=True)
+    model = flow.model
+    checks = []
+    with caplog.at_level(logging.WARNING, logger="flowplan"):
+        for node_limit, pivot_limit in ((2, mp.DEFAULT_PIVOT_LIMIT), (3, 2),
+                                        (3, mp.DEFAULT_PIVOT_LIMIT)):
+            model.node_limit, model.pivot_limit = node_limit, pivot_limit
+            model.push_scratch()
+            flow.add_goal_constraints(config, LandmarkView(), frozenset([make, use]))
+            nodes = flow.counters.bb_nodes
+            checks.append((model.solve(reads=mp.STATUS).status, flow.feasible(),
+                           (flow.counters.bb_nodes - nodes) // 2))
+            model.pop_scratch()
+    assert checks == [(mp.LIMIT, True, 2), (mp.LIMIT, True, 1), (mp.OPTIMAL, True, 3)]
+    assert (flow.counters.root_warm, flow.counters.bb_truncated) == (6, 0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "LP iteration limit during feasibility check; assuming feasible"] * 2
+
+
 @pytest.mark.parametrize("family,size,all_props", [
     ("market-trader", 2, False), ("mini-settlers", 2, False), ("pump-catalyst", 3, True)])
 def test_warm_bound_queries_equal_cold_solves_over_plan_runs(monkeypatch, family, size,

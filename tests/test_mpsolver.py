@@ -11,7 +11,7 @@ import pytest
 from flowplan import mpsolver as mp
 from flowplan.errors import SolverError
 
-from coldsolve import cold_vertex, status_and_objective
+from coldsolve import cold_vertex, model_state, status_and_objective, status_read
 from oracles import lp_by_vertex_enumeration, lp_optimal_vertices, mip_by_lattice_enumeration
 
 
@@ -1131,3 +1131,106 @@ def test_warm_children_of_shifted_and_mirrored_columns(monkeypatch):
     assert (solution.status, solution.objective) == (mp.OPTIMAL, best)
     assert model.check_assignment(list(solution.values)) == []
     assert model.counters.bb_warm == seen["warm"] > 0 and seen["mismatched"] == 0, seen
+
+
+# -- status reads of MIPs: a feasibility search ---------------------------------------
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_status_reads_of_random_mips_equal_cold_solves(data):
+    """A status read of each random MIP, under the empty objective (a
+    feasibility search) and under its own, returns the status and objective
+    of a cold vertex solve and leaves the model as it was; the search
+    returns no values."""
+    searches, optima = mp.Counters(), mp.Counters()
+    for trial, model in enumerate(_random_mips(data)):
+        model.counters = searches
+        got, cold = status_read(model)
+        assert status_and_objective(got) == status_and_objective(cold), trial
+        assert got.values == (), trial
+        model.counters = optima
+        before = model_state(model)
+        got = model.solve(reads=mp.STATUS)
+        assert model_state(model) == before
+        assert status_and_objective(got) == status_and_objective(cold_vertex(model)), trial
+    assert searches.bb_warm > 30 and optima.bb_warm > 30, (searches, optima)
+    assert searches.bb_truncated == optima.bb_truncated == 0
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_status_reads_of_grown_mips_equal_cold_solves(data):
+    """After each objective-only query of a grown LP, some columns are made
+    integer or binary and scratch rows are sometimes added; a status read
+    under the empty objective, its root warm from a copy of the live
+    simplex where the model allows, returns the cold solve's status and
+    objective and leaves the objective, the undo log and the live simplex
+    as they were."""
+    rational = data == "rational"
+    rng = random.Random(1618)
+    counters = mp.Counters()
+    for model in _grown_lps(rng, rational, mirrored=True):
+        model.counters = counters
+        col = rng.randrange(len(model.variables))
+        _query(model, {col: _draw(rng, 1, 3, rational)},
+               rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
+        model.push_scratch()
+        try:
+            for col in rng.sample(range(len(model.variables)),
+                                  rng.randint(1, len(model.variables))):
+                model.set_variable_kind(col, rng.choice([mp.INTEGER, mp.INTEGER, mp.BINARY]))
+            if rng.random() < 0.5:
+                cols = rng.sample(range(len(model.variables)),
+                                  rng.randint(1, min(3, len(model.variables))))
+                model.add_constraint({c: _draw(rng, -4, 4, rational) for c in cols},
+                                     rng.choice(["<=", ">=", "="]),
+                                     _draw(rng, -8, 6, rational))
+            got, cold = status_read(model)
+            assert status_and_objective(got) == status_and_objective(cold)
+        finally:
+            model.pop_scratch()
+    assert counters.root_warm > 40 and counters.bb_warm > 200, counters
+
+
+def test_status_read_at_the_node_limit_without_an_integral_node():
+    """x integer with 2x >= 3: the root (x = 3/2) and its floor branch
+    (infeasible) use up a node limit of 2 before the ceil branch finds
+    x = 2, so the search returns LIMIT; one more node finds it."""
+    model = mp.MPModel(node_limit=2)
+    x = model.add_variable(0, 10, kind=mp.INTEGER)
+    model.add_constraint({x: 2}, ">=", 3)
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.LIMIT, None, ())
+    model.node_limit = 3
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 0, ())
+    assert model.counters.bb_nodes == 5 and model.counters.bb_truncated == 0
+
+
+def test_status_read_at_the_pivot_limit():
+    """x = y integer with 2x + 2y >= 3: the root needs two pivots, so a
+    pivot limit of 2 stops it with no integral node and the search
+    returns LIMIT; at 3 the root (x = y = 3/4) and its two branches run."""
+    model = mp.MPModel(pivot_limit=2)
+    x = model.add_variable(0, 10, kind=mp.INTEGER)
+    y = model.add_variable(0, 10, kind=mp.INTEGER)
+    model.add_constraint({x: 2, y: 2}, ">=", 3)
+    model.add_constraint({x: 1, y: -1}, "=", 0)
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.LIMIT, None, ())
+    assert (model.counters.bb_nodes, model.counters.pivots) == (1, 2)
+    model.pivot_limit = 3
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 0, ())
+    assert model.counters.bb_nodes == 1 + 3 and model.counters.bb_truncated == 0
+
+
+def test_status_read_that_finds_an_integral_node_is_not_truncated(caplog):
+    """x integer and y continuous with 2x + 2y >= 3: the root sits at
+    x = 3/2 and its floor branch at x = 1, y = 1/2, whose integer column is
+    integral. That proves the model feasible, so the search returns there,
+    at the node limit of 2 with the ceil branch still open, with no
+    warning and no truncation counted."""
+    model = mp.MPModel(node_limit=2)
+    x = model.add_variable(0, 10, kind=mp.INTEGER)
+    y = model.add_variable(0, 10)
+    model.add_constraint({x: 2, y: 2}, ">=", 3)
+    with caplog.at_level(logging.WARNING, logger="flowplan"):
+        assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 0, ())
+    assert model.counters.bb_nodes == 2 and model.counters.bb_truncated == 0
+    assert caplog.records == []

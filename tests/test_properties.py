@@ -8,7 +8,8 @@ the value is integral), and the normalised run never yields a float.
 `oracles.expand_by_scanning`. Every bound query of an LP-mode expansion,
 warm from the live simplex or cold, returns what a cold solve returns, and
 so does every goal check and extraction solve, roots warm from a copy of
-the live simplex among them.
+the live simplex among them; a goal check under the all-propositions
+encoding, a feasibility search, also leaves its model as it found it.
 Whole planner runs in every heuristic mode emit only plans that validate,
 and never report a dead end at a root that breadth-first search solves.
 """
@@ -24,7 +25,8 @@ from flowplan.lpmodel import FlowModel, HeuristicConfig, LandmarkView, layer_wei
 from flowplan.model import GE, GT, LE, LT, EQ, LinearExpr, exact
 
 from bruteforce import optimal_plan
-from coldsolve import cold_vertex, status_and_objective
+from coldsolve import cold_vertex, model_state, status_and_objective
+from microtasks import magnitude_reader_task
 from oracles import expand_by_scanning
 from taskbuild import TaskBuilder
 
@@ -187,6 +189,30 @@ def small_task(draw):
     return task_builder.build()
 
 
+@st.composite
+def chained_task(draw):
+    """A small TaskBuilder task whose actions need facts that the initial
+    state, which holds p0 only, lacks, and add them for one another. Under
+    the all-propositions encoding its goal checks get binary fact columns
+    tied to the action counts by big-M rows."""
+    task_builder = TaskBuilder()
+    facts = [task_builder.fact(f"(p{i})", initially_true=i == 0) for i in range(N_FACTS)]
+    variables = [task_builder.var(f"(v{i})", draw(small)) for i in range(N_VARS)]
+    some_facts = st.lists(st.sampled_from(facts[1:]), min_size=1, max_size=2, unique=True)
+    for index in range(draw(st.integers(2, 6))):
+        effects = [(var, draw(st.sampled_from(("increase", "decrease"))), draw(small))
+                   for var in draw(st.lists(st.sampled_from(variables), max_size=2,
+                                            unique=True))]
+        # a precondition that holds throughout makes its variable tracked,
+        # so that bound queries bring up the live simplex
+        loose = [task_builder.condition({draw(st.sampled_from(variables)): 1}, GE, -30)]
+        task_builder.action(f"a{index}", pre=[draw(st.sampled_from(facts))],
+                            num_pre=loose if draw(st.booleans()) else [],
+                            add=draw(some_facts), effects=effects)
+    task_builder.goal(facts=draw(some_facts))
+    return task_builder.build()
+
+
 def _graph_record(graph):
     return (graph.status, graph.final_layer, graph.fact_layers, graph.numeric_layers,
             graph.action_layers, graph.first_fact_layer, graph.first_action_layer,
@@ -287,22 +313,74 @@ def test_goal_checks_and_extraction_roots_equal_cold_solves(task, data):
         graph = rpg.expand(analysed, state, config, rpg.LPRPG)
         if graph.status == rpg.GOALS_REACHED:
             extract.extract_lprpg(graph, analysed, LandmarkView(), config)
-        if graph.flow is not None:
-            flow = FlowModel(analysed, state)
-            flow.add_catalytic()
-            weights = layer_weights(config, graph.first_action_layer, None)
-            first_layer = graph.actions_at(1)
-            for actions in graph.action_layers:
-                flow.extend(actions)
-                for var in sorted(flow.tracked):
-                    flow.query_bound(var, data.draw(st.sampled_from(("min", "max"))), None)
-                flow.model.push_scratch()
-                flow.add_goal_constraints(config, LandmarkView(), actions)
-                flow.feasible()
-                flow.apply_integrality(config, first_layer, frozenset(), frozenset())
-                flow.set_action_objective(weights)
-                flow.model.solve()
-                flow.model.pop_scratch()
+        _replay_layers(graph, analysed, state, config, data, extraction=True)
+    finally:
+        mp.MPModel.solve = real_solve
+    assert mismatches == []
+
+
+def _replay_layers(graph, analysed, state, config, data, extraction):
+    """A second flow model over the layers of an LP-mode `graph`: at each
+    layer one bound query per tracked variable, which brings up the live
+    simplex, then a goal check and, with `extraction`, an extraction-like
+    vertex solve."""
+    if graph.flow is None:
+        return
+    flow = FlowModel(analysed, state)
+    flow.add_catalytic()
+    weights = layer_weights(config, graph.first_action_layer, None)
+    first_layer = graph.actions_at(1)
+    for actions in graph.action_layers:
+        flow.extend(actions)
+        for var in sorted(flow.tracked):
+            flow.query_bound(var, data.draw(st.sampled_from(("min", "max"))), None)
+        flow.model.push_scratch()
+        flow.add_goal_constraints(config, LandmarkView(), actions)
+        flow.feasible()
+        if extraction:
+            flow.apply_integrality(config, first_layer, frozenset(), frozenset())
+            flow.set_action_objective(weights)
+            flow.model.solve()
+        flow.model.pop_scratch()
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(chained_task(), st.data())
+def test_goal_check_searches_equal_cold_solves(task, data):
+    """Under the all-propositions encoding the fact columns are binary, so a
+    goal check is a status read of a MIP under the empty objective, which
+    `MPModel.solve` runs as a feasibility search under a cost of its own;
+    over chained tasks its root is often fractional and the search
+    branches. Each one, in an expansion and in a replay of its layers that
+    brings up the live simplex first, returns the status and objective of
+    a cold vertex solve, and leaves the model's objective, undo log and
+    live simplex as they were."""
+    analysed = analyse(task, with_landmarks=False)
+    state = analysed.task.initial
+    if data.draw(st.booleans()):
+        facts = data.draw(st.frozensets(st.integers(0, N_FACTS - 1)))
+        state = model.State(facts, tuple(exact(data.draw(small)) for _ in range(N_VARS)))
+    config = HeuristicConfig(max_layers=data.draw(st.integers(1, 15)),
+                             include_all_propositions=True)
+    real_solve = mp.MPModel.solve
+    mismatches = []
+
+    def checked_solve(self, reads=mp.VERTEX):
+        if reads != mp.STATUS:
+            return real_solve(self, reads=reads)
+        before = model_state(self)
+        solution = real_solve(self, reads=reads)
+        if model_state(self) != before:
+            mismatches.append("model state changed")
+        got, cold = status_and_objective(solution), status_and_objective(cold_vertex(self))
+        if got != cold:
+            mismatches.append((got, cold))
+        return solution
+
+    mp.MPModel.solve = checked_solve
+    try:
+        graph = rpg.expand(analysed, state, config, rpg.LPRPG)
+        _replay_layers(graph, analysed, state, config, data, extraction=False)
     finally:
         mp.MPModel.solve = real_solve
     assert mismatches == []
@@ -310,6 +388,7 @@ def test_goal_checks_and_extraction_roots_equal_cold_solves(task, data):
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(small_task())
+@hypothesis.example(magnitude_reader_task())
 def test_plans_validate_and_solvable_roots_are_no_dead_ends(task):
     """In every heuristic mode, an emitted plan passes `search.validate`, and
     a root that breadth-first search solves is never reported relaxed-

@@ -3,14 +3,14 @@ production-shortfall penalty."""
 
 import logging
 
-from flowplan import generators, model, rpg
+from flowplan import generators, model, planner, rpg, search
 from flowplan.analysis import analyse
 from flowplan.fixtures import FIXTURE_NAMES, fixture
 from flowplan.lpmodel import FlowModel, HeuristicConfig
 from flowplan.model import EQ, GE, LE
 
 from bruteforce import all_plans
-from microtasks import random_pc_task
+from microtasks import magnitude_reader_task, random_pc_task
 from oracles import interval_update
 from taskbuild import TaskBuilder
 
@@ -113,6 +113,21 @@ def test_growing_magnitude_variable_moves_its_reader():
         assert graph.numeric_layers[1][x] == (0, 0), mode
     graph = rpg.expand(analyse(task), task.initial, HeuristicConfig(), rpg.METRICFF)
     assert graph.numeric_layers[2] == [(0, 1), (0, 2)]
+
+
+def test_reader_of_a_widening_magnitude_is_not_stagnant():
+    """v0's upper bound holds at -1 from layer 1 to 2 while v2, which the
+    magnitude of v0's effect reads, keeps widening; at layer 3 it reaches
+    0. Expansion must not stop at layer 1, and every mode solves the task
+    (lprpg through its interval fallback: the magnitude is not constant)."""
+    task = magnitude_reader_task()
+    graph = rpg.expand(analyse(task), task.initial, HeuristicConfig(), rpg.METRICFF)
+    assert graph.status == rpg.GOALS_REACHED
+    assert [layer[0][1] for layer in graph.numeric_layers] == [-1, -1, -1, 0]
+    for mode in planner.MODES:
+        outcome = planner.plan_task(task, mode=mode, budget=search.Budget(200, 60))
+        assert outcome.status == search.SOLVED, mode
+        assert search.validate(task, outcome.plan).ok, mode
 
 
 def test_action_layer_membership_is_per_condition():
