@@ -23,10 +23,13 @@ bounds, floor branch first, prune on bound. The root is solved cold
 unless it can start from the live simplex (below); a child starts from
 a copy of its parent's final tableau with the one bound changed and is
 re-optimised by the dual simplex (Koberstein, *The Dual Simplex Method*,
-2005). For a vertex read the warm result is kept only when it is
-infeasible or its optimal basis is dual nondegenerate, so that the
-optimum is unique and equals what a cold solve returns; any other child
-is solved cold.
+2005).
+
+Every optimum read for its vertex, LP or branch-and-bound node, is moved
+to the lexicographically smallest point of its optimal face
+(`_Simplex.canonicalize`; Isermann, 1982), which depends on the LP only,
+never on the starting basis. So every warm root and child is kept, and a
+tree read for its vertex is the cold tree, node for node.
 
 `MPModel.solve(reads=...)` takes what the caller reads of the result:
 the vertex (`VERTEX`, the default), the objective (`OBJECTIVE`) or the
@@ -47,16 +50,13 @@ extraction at the final layer) starts from a copy of the live simplex:
 the new rows are written over its current basis, each with a basic
 slack or an artificial, and phase 1 over those artificials restores
 feasibility (the row-addition warm start, ibid.). A changed coefficient
-or effective bound of an existing column sends it cold. A status read
-keeps any warm result; a branch-and-bound tree grown from a warm root
-may then differ from the cold one, but not its status. A vertex read
-keeps a warm result only if it is infeasible or its optimum is unique,
-by the rule the children use, so that it is the cold solve's vertex;
-any other goes cold.
+or effective bound of an existing column sends it cold. A warm root is
+kept whatever it returns; one cut by the pivot limit returns `LIMIT`, as
+a cold solve cut by it does.
 
-A MIP read for its status keeps every warm child too: a node's status is
-unique even where its vertex is not, and branch-and-bound over any
-optimal vertices ends with the same status. Under the empty objective,
+A MIP read for its status skips the canonical point: a node's status is
+unique even where its vertex is not, so its tree may differ from the
+cold one, though not its status. Under the empty objective,
 as in a goal check, it is a feasibility search: the solve sets a
 steering cost of 1 on every column with lower bound 0 and a finite upper
 bound (in a flow model, the action counts, switches and fact columns)
@@ -65,8 +65,8 @@ simplex of every child, and returns at the first node whose integer
 columns are integral. It returns a cold solve's `(OPTIMAL, 0, ())` or
 `INFEASIBLE`, or `LIMIT` when a limit cuts it before an integral node;
 the model's objective, undo log and live simplex are as they were.
-`Counters` accumulates solves, pivots, branch-and-bound nodes, warm and
-cold objective-only solves, and warm roots kept and fallen back cold.
+`Counters` accumulates solves, pivots, branch-and-bound nodes and warm
+children, warm and cold objective-only solves, and warm roots.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -83,7 +83,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import SolverError
-from .model import Number, divide, exact
+from .model import Number, exact
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -126,15 +126,12 @@ class Counters:
     solve_time: float = 0.0
     pivots: int = 0      # simplex pivots, bound flips included, over all relaxations
     bb_nodes: int = 0    # branch-and-bound nodes whose relaxation was solved
-    bb_warm: int = 0     # B&B children accepted from the dual simplex
-    bb_cold_fallback: int = 0  # B&B children solved cold after a warm attempt
+    bb_warm: int = 0     # B&B children solved by the dual simplex
     bb_truncated: int = 0      # B&B runs cut by a limit that returned an incumbent
     lp_warm: int = 0     # objective-only LP solves re-optimised from the live simplex
     lp_cold: int = 0     # objective-only LP solves solved cold: a model's first, or
                          # one after a change the live simplex cannot take
     root_warm: int = 0   # root relaxations solved from a copy of the live simplex
-                         # and kept
-    root_cold_fallback: int = 0  # warm root relaxations not kept, solved cold
 
 
 @dataclass
@@ -369,7 +366,7 @@ class MPModel:
         solve starts from a copy of the live simplex where it can
         (`_solve_root`). Status and objective are those of a cold solve in
         every case that no limit cuts short: an LP's optimum value is
-        unique.
+        unique, and a vertex the canonical point of its optimal face.
         """
         start = time.perf_counter()
         self.counters.solves += 1
@@ -392,12 +389,13 @@ class MPModel:
             bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
             if _crossed(bounds):
                 return MPSolution(INFEASIBLE, None, ())
-            return self._solve_root(bounds, reads, reads == STATUS)[0]
+            status, simplex = self._solve_root(bounds, reads)
+            return simplex.result(status, reads)
         finally:
             self.counters.solve_time += time.perf_counter() - start
 
     def _solve_cold(self, bounds: list[tuple[Number | None, Number | None]],
-                    reads: str = VERTEX) -> tuple[MPSolution, _Simplex]:
+                    reads: str) -> tuple[str, _Simplex]:
         simplex = _Simplex(self, bounds)
         try:
             return simplex.run(reads), simplex
@@ -405,21 +403,17 @@ class MPModel:
             self.counters.pivots += simplex.pivots
 
     def _solve_root(self, bounds: list[tuple[Number | None, Number | None]],
-                    reads: str, keep_any: bool) -> tuple[MPSolution, _Simplex]:
-        """A root relaxation whose bounds do not cross, warm from the live
-        simplex where the model is the live one plus appended rows.
+                    reads: str) -> tuple[str, _Simplex]:
+        """A root relaxation whose bounds do not cross, and its final simplex,
+        warm from the live simplex where the model is it plus appended rows.
 
         If the model has since only gained columns and rows, changed its
         objective, or changed a column's kind but not its effective bounds,
         a copy of the live simplex takes the new columns nonbasic at 0
         (`add_columns`) and the new rows with a slack or an artificial each
         (`add_rows`), and phase 1 over those artificials restores
-        feasibility from the live basis. The warm result is kept whatever
-        it is if `keep_any` (the caller reads only a status, which is that
-        of a cold solve whatever vertex is reached), and otherwise only if
-        it is infeasible or its optimum is unique, so that it equals the
-        cold solve's vertex; any other warm result is counted and solved
-        cold. Every other change since the live point means a cold solve.
+        feasibility from the live basis. The warm result is kept whatever it
+        is; every other change since the live point means a cold solve.
         """
         live = self._live
         added = self._live_changes() if live is not None else None
@@ -427,14 +421,11 @@ class MPModel:
             warm = live.copy()
             if warm.add_columns(added):
                 try:
-                    solution = warm.finish(warm.add_rows(len(live.tableau)), reads)
+                    status = warm.finish(warm.add_rows(len(live.tableau)), reads)
                 finally:
                     self.counters.pivots += warm.pivots
-                if keep_any or solution.status == INFEASIBLE or (
-                        solution.status == OPTIMAL and warm.unique_optimum()):
-                    self.counters.root_warm += 1
-                    return solution, warm
-                self.counters.root_cold_fallback += 1
+                self.counters.root_warm += 1
+                return status, warm
         return self._solve_cold(bounds, reads)
 
     def _solve_live(self) -> MPSolution:
@@ -457,7 +448,7 @@ class MPModel:
                 and live.add_columns(added)):
             self.counters.lp_warm += 1
             try:
-                solution = live.reoptimize()
+                status = live.reoptimize()
             finally:
                 self.counters.pivots += live.pivots
         else:
@@ -466,9 +457,9 @@ class MPModel:
             bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
             if _crossed(bounds):
                 return MPSolution(INFEASIBLE, None, ())
-            solution, live = self._solve_cold(bounds, OBJECTIVE)
-            if solution.status not in (OPTIMAL, UNBOUNDED):
-                return solution
+            status, live = self._solve_cold(bounds, OBJECTIVE)
+            if status not in (OPTIMAL, UNBOUNDED):
+                return MPSolution(status, None, ())
             self._live = live
         # objective entries are left out: every solve reprices the objective,
         # and a scratch-scoped objective is undone right after its solve
@@ -477,7 +468,7 @@ class MPModel:
             at -= 1
         self._live_at = at
         self._live_tail = self._undo[at - 1] if at else None
-        return solution
+        return live.result(status, OBJECTIVE)
 
     def _live_changes(self) -> dict[int, list[int]] | None:
         """The columns added since the live simplex was last brought up to
@@ -519,64 +510,53 @@ class MPModel:
 
     def _solve_node(self, bounds: list[tuple[Number | None, Number | None]],
                     parent: _Simplex | None, var: int, shared: bool,
-                    keep_any: bool = False) -> tuple[MPSolution, _Simplex | None]:
-        """The relaxation of a branch-and-bound node whose bounds do not cross.
-
-        The root (`var` < 0) is solved by `_solve_root`, which keeps any
-        warm result if `keep_any`. A child with a `parent` first runs the
-        dual simplex from the parent's final state with `var`'s bounds
-        replaced, in a copy when the parent is `shared`. An infeasible
-        result is final. An optimal one is final if `keep_any` (the run is
-        read for its status, which does not depend on which optimal vertex
-        is reached), and otherwise when every nonbasic column that can move
-        has a nonzero reduced cost: that optimum is unique, so a cold solve
-        returns the same one. Anything else is solved cold. The simplex
-        returned alongside holds the final state a child of this node
-        starts from.
+                    reads: str) -> tuple[str, _Simplex]:
+        """The relaxation of a branch-and-bound node whose bounds do not
+        cross: its status and the simplex whose final state its children
+        start from. The root (`var` < 0) is solved by `_solve_root`; a
+        child by the dual simplex from its `parent`'s final state with
+        `var`'s bounds replaced, in a copy when the parent is `shared`,
+        then, for a vertex read, moved to the canonical point. A free `var`,
+        which `tighten` cannot narrow, is solved cold.
         """
         if var < 0:
-            return self._solve_root(bounds, VERTEX, keep_any)
-        if parent is not None:
-            warm = parent.copy() if shared else parent
-            lb, ub = bounds[var]
-            if warm.tighten(var, lb, ub):
-                try:
-                    status = warm.dual()
-                finally:
-                    self.counters.pivots += warm.pivots
-                if status == INFEASIBLE:
-                    self.counters.bb_warm += 1
-                    return MPSolution(INFEASIBLE, None, ()), None
-                if status == OPTIMAL and (keep_any or warm.unique_optimum()):
-                    self.counters.bb_warm += 1
-                    return warm.solution(), warm
-                self.counters.bb_cold_fallback += 1
-        return self._solve_cold(bounds)
+            return self._solve_root(bounds, reads)
+        warm = parent.copy() if shared else parent
+        if not warm.tighten(var, *bounds[var]):
+            return self._solve_cold(bounds, reads)
+        try:
+            status = warm.dual()
+            if status == OPTIMAL and reads == VERTEX:
+                status = warm.canonicalize()
+        finally:
+            self.counters.pivots += warm.pivots
+        self.counters.bb_warm += 1
+        return status, warm
 
     def _branch_and_bound(self, bounds: list[tuple[Number | None, Number | None]],
                           reads: str = VERTEX, search: bool = False) -> MPSolution:
         """Depth-first branch-and-bound, floor branch first.
 
-        The root relaxation is solved warm from the live simplex where that
-        gives the cold solve's status, objective and values, cold otherwise.
-        Each child carries its parent's final `_Simplex`, unless a vertex
-        read finds the parent's reduced costs all zero, and is solved by
-        `_solve_node`: warm by the dual simplex where that provably gives
-        the cold solve's status, objective and values, cold otherwise. So,
-        unless the run is read for its status only, the tree, the
-        incumbents and the result are those of cold solves at every node.
-        A run read for its status only keeps every warm root and child, so
-        its tree may differ from the cold one, though not its status; with
-        `search`, a feasibility search under the steering cost `solve` set,
-        it returns `(OPTIMAL, 0, ())` at the first node whose integer
-        columns are integral. A run cut short by `node_limit` or a
-        relaxation's pivot limit returns its incumbent if it has one, which
-        is feasible but not proven optimal, and logs a warning; a search
-        has no incumbent, so it returns `LIMIT`.
+        The root relaxation is solved warm from the live simplex where the
+        model allows, and each child by the dual simplex from its parent's
+        final `_Simplex` (`_solve_node`). Every node's optimum is the
+        canonical point, so the tree and the result are those of cold
+        solves, unless the run is read for its status only: that takes any
+        optimal vertex, so its tree may differ, though not its status. A
+        node reads its objective and integer columns in int arithmetic;
+        only an incumbent builds the value tuple, and only if the run is not
+        read for its status. With `search`, a feasibility search under the
+        steering cost `solve` set, the run returns `(OPTIMAL, 0, ())` at
+        the first node whose integer columns are integral. A run cut
+        short by `node_limit` or a relaxation's pivot limit returns its
+        incumbent if it has one, which is feasible but not proven optimal,
+        and logs a warning; a search has no incumbent, so it returns
+        `LIMIT`.
         """
         integer_cols = [i for i, v in enumerate(self.variables)
                         if v.kind in (INTEGER, BINARY)]
-        keep_any = reads == STATUS
+        # a status read needs an optimum at each node, not the canonical one
+        node_reads = OBJECTIVE if reads == STATUS else VERTEX
         minimize = self.sense == MINIMIZE
         best: MPSolution | None = None
         nodes = 0
@@ -595,32 +575,27 @@ class MPModel:
             # a child changes only the branched variable's bounds
             if _crossed(bounds if var < 0 else (bounds[var],)):
                 continue
-            relaxed, simplex = self._solve_node(bounds, parent, var, shared, keep_any)
-            if relaxed.status == LIMIT:
+            status, simplex = self._solve_node(bounds, parent, var, shared, node_reads)
+            if status == LIMIT:
                 hit_limit = True
                 break
-            if relaxed.status == INFEASIBLE:
+            if status == INFEASIBLE:
                 continue
-            if relaxed.status == UNBOUNDED:
+            if status == UNBOUNDED:
                 # unbounded relaxation at the root means the MIP is unbounded
                 # (bounded feasible integer region would have bounded relaxation)
                 return MPSolution(UNBOUNDED, None, ())
-            if best is not None and not _better(relaxed.objective, best.objective, minimize):
+            if best is not None and not _better(simplex._objective_value(), best.objective,
+                                                minimize):
                 continue
-            # exact arithmetic: a value is integral iff its denominator is 1,
-            # so big-M-sized coefficients can never fake integrality
-            fractional = None
-            for col in integer_cols:
-                value = relaxed.values[col]
-                if value.denominator != 1:
-                    fractional = (col, value)
-                    break
+            # exact arithmetic: a value n / d is integral iff d divides n, so
+            # big-M-sized coefficients can never fake integrality
+            fractional = next(((col, Fraction(n, d)) for col, n, d
+                               in simplex._point(integer_cols) if n % d), None)
             if fractional is None:
                 if search:
                     return MPSolution(OPTIMAL, 0, ())
-                candidate = MPSolution(OPTIMAL, relaxed.objective, relaxed.values)
-                if best is None or _better(candidate.objective, best.objective, minimize):
-                    best = candidate
+                best = simplex.result(OPTIMAL, node_reads)
                 continue
             # the relaxed value lies within the node's bounds, so ceil(value)
             # is at least lb and floor(value) at most ub: each branch only
@@ -631,14 +606,8 @@ class MPModel:
             ceil_bounds[col] = (ceil(value), ub)
             floor_bounds = list(bounds)
             floor_bounds[col] = (lb, floor(value))
-            # reduced costs that are all zero stay zero through every dual
-            # pivot, so a vertex read would keep an optimal child warm only
-            # if no nonbasic column can move: such children go cold. A
-            # status read keeps every warm child, and a feasibility search
-            # prices its steering cost, which keeps its dual pivots short
-            parent = simplex if keep_any or any(simplex.reduced) else None
-            stack.append((ceil_bounds, parent, col, False))
-            stack.append((floor_bounds, parent, col, True))
+            stack.append((ceil_bounds, simplex, col, False))
+            stack.append((floor_bounds, simplex, col, True))
         if best is not None:
             if hit_limit:
                 self.counters.bb_truncated += 1
@@ -752,7 +721,7 @@ class _Simplex:
         self.reduced: list[int] = []
         self.rden = 1
 
-    def run(self, reads: str = VERTEX) -> MPSolution:
+    def run(self, reads: str = VERTEX) -> str:
         model = self.model
         nstruct = self.nstruct
         tableau: list[dict[int, int]] = []
@@ -853,27 +822,28 @@ class _Simplex:
                 ncols += 1
 
         self.basis = basis
+        self.row_of = {b: i for i, b in enumerate(basis)}  # basic column -> row
         self.ncols = ncols
         self.flipped = [False] * ncols
         return self.finish(artificial_cols, reads)
 
-    def finish(self, artificial_cols: list[int], reads: str) -> MPSolution:
+    def finish(self, artificial_cols: list[int], reads: str) -> str:
         """Phase 1 over the basic `artificial_cols`, from a basis feasible
         but for them, then phase 2 unless a status read of the empty
-        objective is settled."""
+        objective is settled; returns the status."""
         if artificial_cols:
             artificial = set(artificial_cols)
             status = self._optimize(dict.fromkeys(artificial_cols, 1))
             if status == LIMIT:
-                return MPSolution(LIMIT, None, ())
+                return LIMIT
             # artificials have no upper bound in phase 1, so none is flipped
             # and the phase-1 objective is the sum of the basic ones' rhs
             if any(value and b in artificial for value, b in zip(self.rhs, self.basis)):
-                return MPSolution(INFEASIBLE, None, ())
+                return INFEASIBLE
         if reads == STATUS and not self.model.objective:
             # a feasible basis settles a feasibility check: the empty
             # objective is 0 everywhere
-            return MPSolution(OPTIMAL, 0, ())
+            return OPTIMAL
         if artificial_cols:
             self._drive_out(artificial_cols)
             # phase 2 never lets an artificial re-enter: a nonbasic one leaves
@@ -887,50 +857,57 @@ class _Simplex:
                 self.upper[col] = 0
         return self._phase_two(reads)
 
-    def _phase_two(self, reads: str) -> MPSolution:
+    def _phase_two(self, reads: str) -> str:
         sign = 1 if self.model.sense == MINIMIZE else -1
         cost = {col: sign * weight * col_sign
                 for var, weight in self.model.objective.items()
                 for col, col_sign in self.col_of[var]}
         status = self._optimize(cost)
-        if status == LIMIT:
-            return MPSolution(LIMIT, None, ())
-        if status == UNBOUNDED:
-            return MPSolution(UNBOUNDED, None, ())
-        if reads == VERTEX:
-            return self.solution()
-        return MPSolution(OPTIMAL, self._objective_value(), ())
+        if status == OPTIMAL and reads == VERTEX:
+            return self.canonicalize()
+        return status
 
-    def solution(self) -> MPSolution:
-        """The point of the current basis, which must be optimal."""
-        values = self._extract_values()
-        objective = exact(sum(w * values[v] for v, w in self.model.objective.items()))
-        return MPSolution(OPTIMAL, objective, tuple(values))
+    def result(self, status: str, reads: str) -> MPSolution:
+        """The solution of a solve that ended with `status`, as `reads` asks."""
+        if status != OPTIMAL:
+            return MPSolution(status, None, ())
+        values = () if reads != VERTEX else tuple(
+            n // d if n % d == 0 else Fraction(n, d)
+            for _, n, d in self._point(range(len(self.model.variables))))
+        return MPSolution(OPTIMAL, self._objective_value(), values)
 
-    def _objective_value(self) -> Number:
-        """The objective at the current basis, from the objective's columns
-        only, in int arithmetic: each partial sum is a pair (n, d) for n / d."""
-        basis, rhs, den = self.basis, self.rhs, self.den
-        upper, flipped = self.upper, self.flipped
-        num, d = 0, 1
-        for var, weight in self.model.objective.items():
-            offset = self.offset[var]
+    def _point(self, variables):
+        """Each of the model variables `variables` with its value at the current
+        basis as (var, n, d) for n / d, d > 0, in int arithmetic."""
+        rhs, den, upper, flipped = self.rhs, self.den, self.upper, self.flipped
+        row_of, offsets, col_of = self.row_of, self.offset, self.col_of
+        for var in variables:
+            offset = offsets[var]
             vn, vd = offset.numerator, offset.denominator
-            for col, sign in self.col_of[var]:
-                if col in basis:
-                    i = basis.index(col)
+            for col, sign in col_of[var]:
+                i = row_of.get(col)
+                if i is not None:
                     xn, xd = rhs[i], den[i]
                     if flipped[col]:
-                        cap = upper[col] or 0
+                        cap = upper[col]
                         xn, xd = cap.numerator * xd - xn * cap.denominator, xd * cap.denominator
                 elif flipped[col]:
-                    cap = upper[col] or 0
+                    cap = upper[col]
                     xn, xd = cap.numerator, cap.denominator
                 else:
                     continue
                 if sign != 1:
                     xn = -xn
                 vn, vd = (vn + xn, vd) if vd == xd else (vn * xd + xn * vd, vd * xd)
+            yield var, vn, vd
+
+    def _objective_value(self) -> Number:
+        """The objective at the current basis, from the objective's columns
+        only, in int arithmetic: each partial sum is a pair (n, d) for n / d."""
+        objective = self.model.objective
+        num, d = 0, 1
+        for var, vn, vd in self._point(objective):
+            weight = objective[var]
             wn, wd = weight.numerator * vn, weight.denominator * vd
             num, d = (num + wn, d) if d == wd else (num * wd + wn * d, d * wd)
         return num // d if num % d == 0 else Fraction(num, d)
@@ -975,7 +952,7 @@ class _Simplex:
                     q = lcm(q, d)
             new_columns.append((ub, [(u, p * (q // d)) for u, (p, d) in terms.items()], q))
         tableau, rhs, den = self.tableau, self.rhs, self.den
-        row_of = {b: i for i, b in enumerate(self.basis)}
+        row_of = self.row_of
         # current tableau columns of nonbasic unit columns, as (row, entry)
         unit_entries: dict[int, list[tuple[int, int]]] = {}
         # per row, its new entries as (column, p, q): p / q over den[i]
@@ -1043,7 +1020,7 @@ class _Simplex:
         model = self.model
         tableau, rhs, den, basis = self.tableau, self.rhs, self.den, self.basis
         offset, upper, flipped = self.offset, self.upper, self.flipped
-        row_of = {b: i for i, b in enumerate(basis)}
+        row_of = self.row_of
         artificial_cols = []
 
         def new_column() -> int:
@@ -1106,6 +1083,7 @@ class _Simplex:
                 j = new_column()
                 row[j] = d
                 artificial_cols.append(j)
+            row_of[j] = len(basis)
             basis.append(j)
             tableau.append(row)
             rhs.append(value)
@@ -1114,7 +1092,7 @@ class _Simplex:
             self._reduce(len(tableau) - 1)
         return artificial_cols
 
-    def reoptimize(self) -> MPSolution:
+    def reoptimize(self) -> str:
         """Primal phase 2 under the model's current objective from this
         primal feasible basis; pivots count from 0, as in a cold solve."""
         self.pivots = 0
@@ -1143,6 +1121,7 @@ class _Simplex:
         clone.rhs = self.rhs.copy()
         clone.den = self.den.copy()
         clone.basis = self.basis.copy()
+        clone.row_of = self.row_of.copy()
         clone.reduced = self.reduced.copy()
         clone.rden = self.rden
         return clone
@@ -1273,13 +1252,54 @@ class _Simplex:
             self._pivot(leave_row, entering)
             reduced, rden = self._price_out(reduced, rden, leave_row, entering)
 
-    def unique_optimum(self) -> bool:
-        """Whether every nonbasic column that can move has a nonzero reduced
-        cost: then any other feasible point costs more, so the optimum is
-        unique. Fixed columns and pinned artificials have upper bound 0."""
-        basic = set(self.basis)
-        upper = self.upper
-        return all(r or j in basic or upper[j] == 0 for j, r in enumerate(self.reduced))
+    def canonicalize(self) -> str:
+        """Move an optimal basis to the canonical point of its optimal face:
+        the lexicographically smallest, taking the model variables in index
+        order, each by its distance from its finite bound (x - lb, or
+        ub - x where only ub is finite; a free variable by its positive
+        column, then its negative one), which depends on the LP only
+        (Isermann, 1982; Dantzig, Orden and Wolfe, 1955).
+
+        A nonbasic column is free while no objective so far prices it and
+        it is not fixed; the others are frozen. Each variable that can
+        still move on the face has its distance minimised by primal phase 2
+        in which only free columns enter, and that stage's nonzero reduced
+        costs freeze more. Entering columns have reduced cost 0 under every
+        earlier objective, so the primary reduced costs, which a child's
+        dual simplex reads, stay. A unique optimum takes no stage. Returns
+        OPTIMAL, or LIMIT if a stage hits the pivot limit.
+        """
+        upper, flipped, row_of = self.upper, self.flipped, self.row_of
+        # the basic columns and the free nonbasic ones; a frozen column
+        # never enters, so it never rejoins
+        free = {j for j, r in enumerate(self.reduced)
+                if not r and (j in row_of or upper[j] != 0)}
+        if len(free) == len(row_of):
+            return OPTIMAL
+        primary = self.reduced, self.rden
+        for col, sign in [pair for cols in self.col_of for pair in cols]:
+            if len(free) == len(row_of):
+                break
+            # the distance as a cost on t, x = offset + sign * t: a mirrored
+            # column with a finite upper bound (narrowed from below by
+            # `tighten`) has a finite lb, and x - lb falls as t rises
+            cost = -1 if sign == -1 and upper[col] is not None else 1
+            i = row_of.get(col)
+            if i is not None:
+                if not any(j in free and j != col for j in self.tableau[i]):
+                    continue  # no free column moves its value
+            elif col not in free:
+                continue
+            elif (-cost if flipped[col] else cost) > 0:
+                free.discard(col)  # nonbasic at its nearer end already
+                continue
+            status = self._optimize({col: cost}, free)
+            if status != OPTIMAL:
+                return status
+            reduced = self.reduced
+            free = {j for j in free if j in row_of or (not reduced[j] and upper[j] != 0)}
+        self.reduced, self.rden = primary
+        return OPTIMAL
 
     # -- core pivoting -------------------------------------------------------
 
@@ -1307,11 +1327,10 @@ class _Simplex:
                     reduced, rden = _lower_terms(reduced, rden)
         return reduced, rden
 
-    def _optimize(self, cost: dict[int, Number]) -> str:
+    def _optimize(self, cost: dict[int, Number], allowed: set[int] | None = None) -> str:
         reduced, rden = self._reduced_costs(cost)
         tableau, rhs, den = self.tableau, self.rhs, self.den
-        basis, upper = self.basis, self.upper
-        basic = set(basis)
+        basis, upper, basic = self.basis, self.upper, self.row_of
         degenerate_streak = 0
         bland_threshold = 4 * (len(tableau) + self.ncols)
         bland = False
@@ -1320,17 +1339,18 @@ class _Simplex:
                 return LIMIT
             # pricing: reduced costs share the denominator rden > 0, so their
             # numerators order them; basic columns have reduced cost 0, so
-            # the sign test rejects them and every zero
+            # the sign test rejects them and every zero; only columns in
+            # `allowed` enter, if given
             entering = -1
             if bland:
                 for j, r in enumerate(reduced):
-                    if r < 0 and j not in basic:
+                    if r < 0 and j not in basic and (allowed is None or j in allowed):
                         entering = j
                         break
             else:
                 best = 0
                 for j, r in enumerate(reduced):
-                    if r < best and j not in basic:
+                    if r < best and j not in basic and (allowed is None or j in allowed):
                         best = r
                         entering = j
             if entering == -1:
@@ -1383,8 +1403,6 @@ class _Simplex:
 
             leaving = basis[leave_row]
             self._pivot(leave_row, entering)
-            basic.discard(leaving)
-            basic.add(entering)
             reduced, rden = self._price_out(reduced, rden, leave_row, entering)
             if leave_to_upper:
                 # leaving variable exits at its upper bound; flip so the
@@ -1492,6 +1510,8 @@ class _Simplex:
                         del target[j]  # includes the entering column itself
             rhs[i] -= factor * pr_rhs
             self._reduce(i)
+        del self.row_of[self.basis[row]]
+        self.row_of[col] = row
         self.basis[row] = col
 
     def _drive_out(self, artificial_cols: list[int]) -> None:
@@ -1504,23 +1524,3 @@ class _Simplex:
                 self.pivots += 1
                 self._pivot(i, min(candidates))
             # an all-zero row is redundant; its artificial stays basic at 0
-
-    def _extract_values(self) -> list[Number]:
-        transformed: list[Number] = [0] * self.ncols
-        for j in range(self.ncols):
-            if self.flipped[j]:
-                transformed[j] = self.upper[j] or 0
-        for i, b in enumerate(self.basis):
-            value = divide(self.rhs[i], self.den[i]) if self.den[i] != 1 else self.rhs[i]
-            if self.flipped[b]:
-                value = (self.upper[b] or 0) - value
-            transformed[b] = value
-        values = []
-        for var in range(len(self.model.variables)):
-            total = self.offset[var]
-            for col, sign in self.col_of[var]:
-                value = transformed[col]
-                if value:
-                    total = total + value if sign == 1 else total - value
-            values.append(total if type(total) is int else exact(total))
-        return values

@@ -18,6 +18,7 @@ from fractions import Fraction
 from flowplan import mpsolver as mp
 from flowplan import rpg
 from flowplan.lpmodel import FlowModel, LandmarkView
+from flowplan.model import exact
 
 
 def solve_linear_system(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -69,43 +70,55 @@ def _feasible(point: list[Fraction], planes) -> bool:
     return True
 
 
-def lp_by_vertex_enumeration(model: mp.MPModel):
-    """(status, objective) for a model whose feasible region is bounded."""
+def _vertices(model: mp.MPModel):
+    """Every feasible vertex of the model's region, with its objective value,
+    once per defining subset of its bounding hyperplanes."""
     n = len(model.variables)
     planes = _halfplanes(model)
-    best = None
-    minimize = model.sense == mp.MINIMIZE
     objective = [model.objective.get(i, Fraction(0)) for i in range(n)]
     for subset in itertools.combinations(range(len(planes)), n):
-        rows = [planes[i][0] for i in subset]
-        rhs = [planes[i][2] for i in subset]
-        point = solve_linear_system(rows, rhs)
-        if point is None or not _feasible(point, planes):
-            continue
-        value = sum(w * x for w, x in zip(objective, point))
-        if best is None or (value < best if minimize else value > best):
-            best = value
-    if best is None:
+        point = solve_linear_system([planes[i][0] for i in subset],
+                                    [planes[i][2] for i in subset])
+        if point is not None and _feasible(point, planes):
+            yield tuple(point), sum(w * x for w, x in zip(objective, point))
+
+
+def lp_by_vertex_enumeration(model: mp.MPModel):
+    """(status, objective) for a model whose feasible region is bounded."""
+    values = [value for _, value in _vertices(model)]
+    if not values:
         return mp.INFEASIBLE, None
-    return mp.OPTIMAL, best
+    return mp.OPTIMAL, min(values) if model.sense == mp.MINIMIZE else max(values)
 
 
 def lp_optimal_vertices(model: mp.MPModel) -> set[tuple[Fraction, ...]]:
     """Every vertex at which `lp_by_vertex_enumeration`'s optimum is attained."""
-    status, best = lp_by_vertex_enumeration(model)
-    if status != mp.OPTIMAL:
+    vertices = list(_vertices(model))
+    if not vertices:
         return set()
-    n = len(model.variables)
-    planes = _halfplanes(model)
-    objective = [model.objective.get(i, Fraction(0)) for i in range(n)]
-    optimal = set()
-    for subset in itertools.combinations(range(len(planes)), n):
-        point = solve_linear_system([planes[i][0] for i in subset],
-                                    [planes[i][2] for i in subset])
-        if (point is not None and _feasible(point, planes)
-                and sum(w * x for w, x in zip(objective, point)) == best):
-            optimal.add(tuple(point))
-    return optimal
+    pick = min if model.sense == mp.MINIMIZE else max
+    best = pick(value for _, value in vertices)
+    return {point for point, value in vertices if value == best}
+
+
+def simplex_values(simplex) -> list:
+    """The values of the model variables at a `_Simplex`'s current basis,
+    read column by column in Fraction arithmetic: each basic column's
+    rhs / den, a flipped column's upper bound less that, then each
+    variable's offset plus or minus its columns. The reference for the
+    solver's int-arithmetic reads of the same point."""
+    transformed = [simplex.upper[j] if simplex.flipped[j] else 0
+                   for j in range(simplex.ncols)]
+    for i, b in enumerate(simplex.basis):
+        value = Fraction(simplex.rhs[i], simplex.den[i])
+        transformed[b] = simplex.upper[b] - value if simplex.flipped[b] else value
+    values = []
+    for var in range(len(simplex.model.variables)):
+        total = Fraction(simplex.offset[var])
+        for col, sign in simplex.col_of[var]:
+            total += sign * transformed[col]
+        values.append(exact(total))
+    return values
 
 
 def mip_by_lattice_enumeration(model: mp.MPModel):

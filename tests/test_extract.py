@@ -317,6 +317,49 @@ def test_mip_limit_during_extraction_adds_no_counts(monkeypatch, caplog):
     assert result.h == 0 and result.trace == () and result.helpful == frozenset()
 
 
+def test_tie_break_stage_at_the_pivot_limit_is_a_mip_limit(monkeypatch, caplog):
+    """Two achievers of the goal fact at one layer weight, a0 adding 1 to v
+    and a1 adding 2, with v >= 1 a goal too: every split of one achiever
+    count between them is optimal, and the extraction's first optimum,
+    reached in 2 pivots, is not the canonical one (v, then a0, least). At a
+    pivot limit of 3 the tie-break stage stops at the limit, so extraction
+    treats the subgoal as satisfied with the MIP-limit warning; at 4 it
+    reaches the canonical point, a0 once."""
+    from flowplan import mpsolver as mp
+
+    builder = TaskBuilder()
+    g = builder.fact("(g)")
+    v = builder.var("(v)", 0)
+    builder.action("a0", add=[g], effects=[(v, "increase", 1)])
+    builder.action("a1", add=[g], effects=[(v, "increase", 2)])
+    builder.goal(facts=[g], conditions=[builder.condition({v: 1}, GE, 1)])
+    task = builder.build()
+    real_canonicalize = mp._Simplex.canonicalize
+    stages = []
+
+    def canonicalize(self):
+        before = self.pivots
+        status = real_canonicalize(self)
+        stages.append((before, self.pivots, status))
+        return status
+
+    monkeypatch.setattr(mp._Simplex, "canonicalize", canonicalize)
+    results = []
+    for limit in (3, 4):
+        analysed, graph = graph_for(task, rpg.LPRPG)
+        graph.flow.model.pivot_limit = limit
+        stages.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="flowplan.extract"):
+            result = extract.extract_lprpg(graph, analysed, LandmarkView(), HeuristicConfig())
+        results.append((stages[:], [r.getMessage() for r in caplog.records],
+                        result.h, result.trace))
+    assert results == [
+        ([(2, 3, mp.LIMIT)],
+         ["MIP limit during extraction; treating subgoal as satisfied"], 0, ()),
+        ([(2, 3, mp.OPTIMAL)], [], 1, ((0, 1, 1, 1),))]
+
+
 def _random_strips_task(seed: int):
     rng = random.Random(seed)
     builder = TaskBuilder()

@@ -10,9 +10,12 @@ import pytest
 
 from flowplan import mpsolver as mp
 from flowplan.errors import SolverError
+from flowplan.model import exact
 
 from coldsolve import cold_vertex, model_state, status_and_objective, status_read
-from oracles import lp_by_vertex_enumeration, lp_optimal_vertices, mip_by_lattice_enumeration
+from oracles import (
+    lp_by_vertex_enumeration, lp_optimal_vertices, mip_by_lattice_enumeration, simplex_values,
+)
 
 
 def exchange_model():
@@ -360,7 +363,7 @@ def _run_simplex(model):
     so a test can inspect its final tableau."""
     bounds = [model.effective_bounds(i) for i in range(len(model.variables))]
     simplex = mp._Simplex(model, bounds)
-    return simplex.run(), simplex
+    return simplex.result(simplex.run(), mp.VERTEX), simplex
 
 
 def _assert_rows_hold_nonzeros_only(simplex):
@@ -536,20 +539,57 @@ def _solution_key(solution):
             solution.values, tuple(map(type, solution.values)))
 
 
+def _count_roots(monkeypatch):
+    """Wrap root solves: asserts that no cold solve follows a warm root, and
+    counts warm roots read for their vertex and those of them whose
+    canonical point took tie-break pivots, so that the optimum first
+    reached was not unique."""
+    real_solve_root, real_solve_cold = mp.MPModel._solve_root, mp.MPModel._solve_cold
+    real_canonicalize = mp._Simplex.canonicalize
+    seen = {"cold": 0, "tie_broken": 0, "warm_vertex": 0, "warm_tie_broken": 0}
+
+    def solve_cold(self, bounds, reads):
+        seen["cold"] += 1
+        return real_solve_cold(self, bounds, reads)
+
+    def canonicalize(self):
+        before = self.pivots
+        status = real_canonicalize(self)
+        seen["tie_broken"] += self.pivots > before
+        return status
+
+    def solve_root(self, bounds, reads):
+        warm, cold, tie_broken = self.counters.root_warm, seen["cold"], seen["tie_broken"]
+        status, simplex = real_solve_root(self, bounds, reads)
+        if self.counters.root_warm > warm:
+            assert seen["cold"] == cold  # kept: never solved again cold
+            if reads == mp.VERTEX:
+                seen["warm_vertex"] += 1
+                seen["warm_tie_broken"] += seen["tie_broken"] > tie_broken
+        return status, simplex
+
+    monkeypatch.setattr(mp.MPModel, "_solve_cold", solve_cold)
+    monkeypatch.setattr(mp.MPModel, "_solve_root", solve_root)
+    monkeypatch.setattr(mp._Simplex, "canonicalize", canonicalize)
+    return seen
+
+
 @pytest.mark.parametrize("data", DATA)
-def test_warm_roots_equal_cold_solves_on_grown_lps(data):
+def test_warm_roots_equal_cold_solves_on_grown_lps(monkeypatch, data):
     """After each objective-only query of a grown LP, scratch <=, >= and =
     rows, negative right-hand sides among them, over the structural
     columns (shifted, mirrored, free, and flipped in the live simplex) and
     sometimes a new column are added, and sometimes a column is made
     integer, and the model is solved for its status under the empty
     objective or for its vertex under a new one. The solve, warm from a copy
-    of the live simplex where the model allows, returns the cold solve's
-    status, and for a vertex read its objective and values, types
-    included."""
+    of the live simplex where the model allows, keeps every warm root and
+    returns the cold solve's status, and for a vertex read its objective
+    and values, types included, also where the warm optimum was not unique
+    until the tie-break moved it to the canonical point."""
     rational = data == "rational"
     rng = random.Random(2718)
     counters = mp.Counters()
+    roots = _count_roots(monkeypatch)
     flipped_terms = 0
     for model in _grown_lps(rng, rational, mirrored=True):
         model.counters = counters
@@ -587,7 +627,8 @@ def test_warm_roots_equal_cold_solves_on_grown_lps(data):
                 assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
         finally:
             model.pop_scratch()
-    assert counters.root_warm > 100 and counters.root_cold_fallback > 20, counters
+    assert counters.root_warm > 100 and roots["warm_vertex"] > 50, (counters, roots)
+    assert roots["warm_tie_broken"] > 20, roots
     assert flipped_terms > 40
 
 
@@ -646,21 +687,25 @@ def test_live_simplex_of_an_unbounded_query_seeds_a_warm_root():
     assert model.counters.root_warm == 2
 
 
-def test_warm_roots_at_the_pivot_limit():
-    """At a pivot limit of 0, a warm status read returns its limit, while a
-    warm vertex read falls back to the cold solve and is counted so."""
+def test_warm_roots_at_the_pivot_limit(monkeypatch):
+    """At a pivot limit of 0, a warm root returns LIMIT whatever it is read
+    for, as the cold solve at that limit does; the warm root is kept, so no
+    cold solve follows it. At the default limit the warm vertex read
+    returns the cold solve's vertex."""
+    roots = _count_roots(monkeypatch)
     model, x, y = _live_model()
     model.pivot_limit = 0
     model.push_scratch()
     model.add_constraint({x: 1}, "<=", 1)                 # violated: an artificial
     assert model.solve(reads=mp.STATUS).status == mp.LIMIT
-    assert (model.counters.root_warm, model.counters.root_cold_fallback) == (1, 0)
+    assert model.counters.root_warm == 1
     model.set_objective({x: -1, y: 1}, mp.MINIMIZE)
-    assert model.solve() == cold_vertex(model) == mp.MPSolution(mp.LIMIT, None, ())
-    assert (model.counters.root_warm, model.counters.root_cold_fallback) == (1, 1)
+    assert model.solve() == mp.MPSolution(mp.LIMIT, None, ())
+    assert model.counters.root_warm == 2 and roots["warm_vertex"] == 1
+    assert cold_vertex(model) == mp.MPSolution(mp.LIMIT, None, ())
     model.pivot_limit = mp.DEFAULT_PIVOT_LIMIT
     assert model.solve() == cold_vertex(model) == mp.MPSolution(mp.OPTIMAL, -3, (1, -2))
-    assert (model.counters.root_warm, model.counters.root_cold_fallback) == (2, 1)
+    assert model.counters.root_warm == 3 and roots["warm_vertex"] == 2
     model.pop_scratch()
 
 
@@ -777,7 +822,7 @@ def test_status_only_solve_stops_after_phase_one(monkeypatch):
     assert unbounded.solve(reads=mp.STATUS).status == mp.UNBOUNDED
 
 
-def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
+def _free_and_negative_model():
     model = mp.MPModel()
     x = model.add_variable(None, None, kind=mp.INTEGER)  # free: split in two columns
     y = model.add_variable(-3, 2, kind=mp.INTEGER)       # shifted by its lower bound
@@ -788,6 +833,11 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
     model.add_constraint({x: 2, y: 3, z: 1}, "<=", Fraction(1, 2))
     model.add_constraint({x: 1, y: -2, z: -3}, ">=", Fraction(-13, 2))
     model.set_objective({x: 3, y: 2, z: 1}, mp.MAXIMIZE)
+    return model
+
+
+def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
+    model = _free_and_negative_model()
     solution = model.solve()
     best = max(3 * a + 2 * b + c
                for a in range(-3, 5) for b in range(-4, 4) for c in range(-5, 3)
@@ -798,27 +848,29 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 
 
 # Pivots, B&B nodes and a digest of every solve's (status, objective, values)
-# over whole plan_task runs. Solves, nodes and digests were recorded from the
-# dense-tableau simplex that the sparse one replaced, and bound queries that
-# add no clamp row reproduce them; the pivot counts are those of unclamped
-# bound queries, with the pivots that drive artificials out of the basis
-# counted and no phase-2 bound flips of artificial columns, which leave the
-# tableau after phase 1. The pivot counts include those of the dual
-# simplex on warm branch-and-bound children, kept or not, and those of bound
-# queries re-optimised from the live simplex and of goal checks and
-# extraction roots warm from a copy of it, kept or not; a feasibility check
-# of an LP stops after phase 1. Bound queries and feasibility checks read no
-# vertex, so their records are those of a cold solve of the same model, whose
-# status and objective they must return. Any change to the pivot rules (entering
+# over whole plan_task runs. Solves, nodes and the status and objective of
+# every record were recorded from the dense-tableau simplex that the sparse
+# one replaced; every vertex is the canonical point of its optimal face
+# (`_Simplex.canonicalize`), which moved the values of non-unique optima
+# when the digests were last recorded. The pivot counts are those of
+# unclamped bound queries, with the pivots that drive artificials out of the
+# basis counted and no phase-2 bound flips of artificial columns, which
+# leave the tableau after phase 1. They include those of the dual simplex on
+# warm branch-and-bound children, of bound queries re-optimised from the
+# live simplex, of goal checks and extraction roots warm from a copy of it,
+# and of the tie-break stages of vertex reads; a feasibility check of an LP
+# stops after phase 1. Bound queries and feasibility checks read no vertex,
+# so their records are those of a cold solve of the same model, whose status
+# and objective they must return. Any change to the pivot rules (entering
 # choice, ratio tie-break, Bland switch, bound flips) moves at least one of
 # the pivot counts.
 PINNED_RUNS = (
     ("market-trader", 2, False, 50, 43, 10,
-     "6e3ec0e23702803fefd773a1c9873ad911e1d710c74f04aabb2c30b80bdf5458"),
+     "52503816facf8b641aeeff5455e1e1bb0a92eb15909fb1f204b32411f2ee35f6"),
     ("mini-settlers", 2, False, 49, 67, 10,
-     "905385888a0bbb8dd2890eb4988cf588be0b3d08d7d506581fa5d036500de7b1"),
-    ("pump-catalyst", 3, True, 29, 154, 13,
-     "580e4def308bc8e9b3a276cded993d0f4a8bc65e0bda054ae49ca2bb94146149"),
+     "873726dac0b300d72a6d2e1aaea0ff277fc173f52d7af685525cd024078a38a3"),
+    ("pump-catalyst", 3, True, 29, 83, 13,
+     "d57a169e87ae65f2bc778d8b661d6a0ff8f221f1149cc49933f208a5bf4679c9"),
 )
 
 
@@ -910,10 +962,10 @@ def test_branch_on_a_column_with_a_fractional_bound(monkeypatch):
     real_solve_node = mp.MPModel._solve_node
 
     # every relaxation, warm or cold, goes through _solve_node
-    def solve_node(self, bounds, parent, var, shared, *keep_any):
-        solution, simplex = real_solve_node(self, bounds, parent, var, shared, *keep_any)
-        relaxations.append((bounds[x], solution.status))
-        return solution, simplex
+    def solve_node(self, bounds, parent, var, shared, reads):
+        status, simplex = real_solve_node(self, bounds, parent, var, shared, reads)
+        relaxations.append((bounds[x], status))
+        return status, simplex
 
     monkeypatch.setattr(mp.MPModel, "_solve_node", solve_node)
     solution = model.solve()
@@ -1075,24 +1127,35 @@ def test_every_solve_agrees_with_highs(monkeypatch, family, size, all_props):
 
 
 def _check_warm_children(monkeypatch):
-    """Re-solve every child that `_solve_node` accepts from the dual simplex
-    cold on the same bounds. Returns the counts of warm children and of
-    those whose status, objective or values (type included) differ."""
+    """Re-solve every child that `_solve_node` solves by the dual simplex
+    cold on the same bounds. Returns the counts of warm children, of those
+    whose status, objective or values (type included) differ, and of those
+    whose canonical point took tie-break pivots, so that their first
+    optimum was not unique."""
     real_solve_node = mp.MPModel._solve_node
-    seen = {"warm": 0, "mismatched": 0}
+    real_canonicalize = mp._Simplex.canonicalize
+    seen = {"warm": 0, "mismatched": 0, "tie_broken": 0}
+    moved = []
 
-    def key(solution):
-        return (solution.status, solution.objective, type(solution.objective),
-                solution.values, tuple(map(type, solution.values)))
+    def canonicalize(self):
+        before = self.pivots
+        status = real_canonicalize(self)
+        moved.append(self.pivots > before)
+        return status
 
-    def solve_node(self, bounds, parent, var, shared, *keep_any):
+    def solve_node(self, bounds, parent, var, shared, reads):
         before = self.counters.bb_warm
-        solution, simplex = real_solve_node(self, bounds, parent, var, shared, *keep_any)
+        moved.clear()
+        status, simplex = real_solve_node(self, bounds, parent, var, shared, reads)
         if self.counters.bb_warm > before:
             seen["warm"] += 1
-            seen["mismatched"] += key(self._solve_cold(bounds)[0]) != key(solution)
-        return solution, simplex
+            seen["tie_broken"] += any(moved)
+            cold_status, cold = self._solve_cold(bounds, reads)
+            seen["mismatched"] += (_solution_key(cold.result(cold_status, reads))
+                                   != _solution_key(simplex.result(status, reads)))
+        return status, simplex
 
+    monkeypatch.setattr(mp._Simplex, "canonicalize", canonicalize)
     monkeypatch.setattr(mp.MPModel, "_solve_node", solve_node)
     return seen
 
@@ -1234,3 +1297,188 @@ def test_status_read_that_finds_an_integral_node_is_not_truncated(caplog):
         assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 0, ())
     assert model.counters.bb_nodes == 2 and model.counters.bb_truncated == 0
     assert caplog.records == []
+
+
+# -- the canonical optimum ------------------------------------------------------
+
+
+def _canonical_key(model, point):
+    """The order a vertex read's point minimises: each variable's distance
+    from its finite bound, in index order (the lower bound where it is
+    finite)."""
+    key = []
+    for index, value in enumerate(point):
+        lb, ub = model.effective_bounds(index)
+        key.append(value - lb if lb is not None else ub - value)
+    return tuple(key)
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_vertex_reads_are_the_lexicographic_minimum_of_the_optimal_vertices(data):
+    """Over the random LPs, a vertex read returns the optimal vertex, found
+    by enumerating every vertex, that is least in the canonical order,
+    also where several vertices are optimal."""
+    rng = random.Random(12345)
+    ties = 0
+    for trial in range(300):
+        model = _random_lp(rng, data == "rational")
+        got = model.solve()
+        vertices = lp_optimal_vertices(model)
+        if got.status != mp.OPTIMAL:
+            assert vertices == set(), f"trial {trial}"
+            continue
+        ties += len(vertices) > 1
+        want = min(vertices, key=lambda point: _canonical_key(model, point))
+        assert got.values == want, f"trial {trial}"
+    assert ties > 12, ties
+
+
+def _two_optimal_vertices():
+    """x, y in [0, 4] with x + y <= 2, maximise x + y: (2, 0) and (0, 2) are
+    both optimal. Phase 2 reaches (2, 0) in one pivot, x entering first."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 4)
+    y = model.add_variable(0, 4)
+    model.add_constraint({x: 1, y: 1}, "<=", 2)
+    model.set_objective({x: 1, y: 1}, mp.MAXIMIZE)
+    return model
+
+
+def test_lp_with_two_optimal_vertices_returns_the_canonical_one():
+    """The canonical point has x at its least, so (0, 2): the tie-break
+    stage pivots y in for x. An objective-only read stops at (2, 0)."""
+    model = _two_optimal_vertices()
+    assert lp_optimal_vertices(model) == {(2, 0), (0, 2)}
+    assert model.solve() == mp.MPSolution(mp.OPTIMAL, 2, (0, 2))
+    assert model.counters.pivots == 1 + 1
+    assert model.solve(reads=mp.OBJECTIVE) == mp.MPSolution(mp.OPTIMAL, 2, ())
+    assert model._live.result(mp.OPTIMAL, mp.VERTEX).values == (2, 0)
+
+
+def test_tie_break_stage_at_the_pivot_limit():
+    """A pivot limit of 2 lets phase 2 prove (2, 0) optimal after its one
+    pivot, and a status read returns that optimum; the tie-break stage of a
+    vertex read then stops at the limit, so the read returns LIMIT, as any
+    relaxation cut by the limit does. A limit of 3 lets it finish."""
+    model = _two_optimal_vertices()
+    model.pivot_limit = 2
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 2, ())
+    assert model.solve() == mp.MPSolution(mp.LIMIT, None, ())
+    model.pivot_limit = 3
+    assert model.solve() == mp.MPSolution(mp.OPTIMAL, 2, (0, 2))
+
+
+def _mirrored_narrowed_from_below():
+    """y continuous in [0, 100], z integer with upper bound 10 only, so
+    mirrored about it, w integer in [0, 10]; minimise y subject to
+    y - 2z >= -7, z >= 13/4 and y + 2w >= 5/2.
+
+    The root's canonical point is (0, 7/2, 5/4): z at its largest, being
+    nearest its only bound. Its floor branch z <= 3 is infeasible; the ceil
+    branch z >= 4 narrows the mirrored column from below, and its optimum
+    (1, 4, 3/4) branches on w. In its floor branch w <= 0, y is 5/2 and z
+    may lie anywhere in [4, 19/4]: the canonical point takes z = 4, nearest
+    the node's lower bound, though the warm column, still mirrored, reads
+    10 - z."""
+    model = mp.MPModel()
+    y = model.add_variable(0, 100)
+    z = model.add_variable(None, 10, kind=mp.INTEGER)
+    w = model.add_variable(0, 10, kind=mp.INTEGER)
+    model.add_constraint({y: 1, z: -2}, ">=", -7)
+    model.add_constraint({z: 1}, ">=", Fraction(13, 4))
+    model.add_constraint({y: 1, w: 2}, ">=", Fraction(5, 2))
+    model.set_objective({y: 1}, mp.MINIMIZE)
+    return model
+
+
+def _record_nodes(monkeypatch, models, cold=False):
+    """The bounds, status and solution (types included) of every
+    branch-and-bound node of a vertex read of each model, warm as solved or,
+    with `cold`, every node solved cold, and each read's result."""
+    real_solve_node = mp.MPModel._solve_node
+    nodes = []
+
+    def solve_node(self, bounds, parent, var, shared, reads):
+        if cold:
+            status, simplex = self._solve_cold(bounds, reads)
+        else:
+            status, simplex = real_solve_node(self, bounds, parent, var, shared, reads)
+        nodes.append((tuple(bounds), _solution_key(simplex.result(status, reads))))
+        return status, simplex
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mp.MPModel, "_solve_node", solve_node)
+        results = [_solution_key(model.solve()) for model in models]
+    return nodes, results
+
+
+def test_warm_child_of_a_mirrored_column_narrowed_from_below(monkeypatch):
+    """Every node of the tree, warm from its parent by the dual simplex,
+    equals the cold solve of its bounds: each variable's tie-break
+    direction comes from the node's bounds, not from its column's form."""
+    seen = _check_warm_children(monkeypatch)
+    nodes, results = _record_nodes(monkeypatch, [_mirrored_narrowed_from_below()])
+    assert [values for _, (_, _, _, values, _) in nodes] == [
+        (0, Fraction(7, 2), Fraction(5, 4)), (), (1, 4, Fraction(3, 4)),
+        (Fraction(5, 2), 4, 0), (1, 4, 1)]
+    assert seen == {"warm": 4, "mismatched": 0, "tie_broken": 1}
+    assert results == [_solution_key(mp.MPSolution(mp.OPTIMAL, 1, (1, 4, 1)))]
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_all_warm_trees_equal_all_cold_trees(monkeypatch, data):
+    """Branch-and-bound over the random MIPs and over free, shifted and
+    mirrored columns visits the same nodes with the same relaxation
+    results, node for node, whether every child is warm from its parent
+    or every node is solved cold."""
+    def models():
+        yield from _random_mips(data)
+        yield _free_and_negative_model()
+        yield _mirrored_narrowed_from_below()
+
+    warm = _record_nodes(monkeypatch, models())
+    cold = _record_nodes(monkeypatch, models(), cold=True)
+    assert len(warm[0]) > 200
+    assert warm == cold
+
+
+def _check_node_reads(monkeypatch):
+    """At every optimal branch-and-bound node, the int-arithmetic reads of
+    the objective, of every column and of the full value tuple equal the
+    point read column by column in Fraction arithmetic, types included;
+    returns the count of nodes checked."""
+    real_solve_node = mp.MPModel._solve_node
+    checked = [0]
+
+    def solve_node(self, bounds, parent, var, shared, reads):
+        status, simplex = real_solve_node(self, bounds, parent, var, shared, reads)
+        if status == mp.OPTIMAL:
+            values = simplex_values(simplex)
+            assert _solution_key(simplex.result(status, mp.VERTEX))[3:] == (
+                tuple(values), tuple(map(type, values)))
+            point = [Fraction(n, d) for _, n, d in simplex._point(range(len(values)))]
+            assert point == values
+            objective = exact(sum(w * values[v] for v, w in self.objective.items()))
+            got = simplex._objective_value()
+            assert (got, type(got)) == (objective, type(objective))
+            checked[0] += 1
+        return status, simplex
+
+    monkeypatch.setattr(mp.MPModel, "_solve_node", solve_node)
+    return checked
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_node_reads_equal_the_full_value_tuple_on_random_mips(monkeypatch, data):
+    checked = _check_node_reads(monkeypatch)
+    for model in _random_mips(data):
+        model.solve()
+        status_read(model)
+    assert checked[0] > 150, checked
+
+
+def test_node_reads_equal_the_full_value_tuple_over_an_all_propositions_run(monkeypatch):
+    checked = _check_node_reads(monkeypatch)
+    family, size, all_props = next(run[:3] for run in PINNED_RUNS if run[2])
+    assert _plan_pinned_run(family, size, all_props).status == "solved"
+    assert checked[0] > 5, checked
