@@ -19,11 +19,11 @@ artificials leave the tableau, so phase 2 never prices one (Chvátal,
 variables are solved by depth-first branch-and-bound over the simplex
 relaxation: every node carries the full list of column bounds, and a
 branch on the lowest-index fractional variable replaces one side of its
-bounds, floor branch first, prune on bound. The root is solved cold
-unless it can start from the live simplex (below); a child starts from
-a copy of its parent's final tableau with the one bound changed and is
-re-optimised by the dual simplex (Koberstein, *The Dual Simplex Method*,
-2005).
+bounds, floor branch first, prune on bound. The root starts from the
+live simplex where it can (below) and from the empty simplex otherwise;
+a child starts from a copy of its parent's final tableau with the one
+bound changed and is re-optimised by the dual simplex (Koberstein, *The
+Dual Simplex Method*, 2005).
 
 Every optimum read for its vertex, LP or branch-and-bound node, is moved
 to the lexicographically smallest point of its optimal face
@@ -44,15 +44,17 @@ under the empty objective stops after phase 1. An LP's optimum value and
 status are unique, so these return what a cold solve returns; only the
 pivot count differs.
 
-Every other root relaxation, an LP's or a branch-and-bound root's, whose
-model is the live one plus appended columns and rows (a goal check, an
-extraction at the final layer) starts from a copy of the live simplex:
-the new rows are written over its current basis, each with a basic
-slack or an artificial, and phase 1 over those artificials restores
-feasibility (the row-addition warm start, ibid.). A changed coefficient
-or effective bound of an existing column sends it cold. A warm root is
-kept whatever it returns; one cut by the pivot limit returns `LIMIT`, as
-a cold solve cut by it does.
+Every simplex writes its rows the same way, over a current basis, each
+with a basic slack, a crashed structural column or an artificial, and
+phase 1 over those artificials restores feasibility (the row-addition
+warm start, ibid.). A cold solve writes every row onto the empty
+simplex. Every other root relaxation, an LP's or a branch-and-bound
+root's, whose model is the live one plus appended columns and rows (a
+goal check, an extraction at the final layer) starts from a copy of the
+live simplex and writes only the new rows. A changed coefficient or
+effective bound of an existing column sends it cold. A warm root is kept
+whatever it returns; one cut by the pivot limit returns `LIMIT`, as a
+cold solve cut by it does.
 
 A MIP read for its status skips the canonical point: a node's status is
 unique even where its vertex is not, so its tree may differ from the
@@ -104,8 +106,6 @@ STATUS = "status"        # status; objective and values may be left out
 
 DEFAULT_PIVOT_LIMIT = 100_000
 DEFAULT_NODE_LIMIT = 100_000
-
-_REVERSED = {"<=": ">=", ">=": "<=", "=": "="}
 
 log = logging.getLogger(__name__)
 
@@ -396,9 +396,10 @@ class MPModel:
 
     def _solve_cold(self, bounds: list[tuple[Number | None, Number | None]],
                     reads: str) -> tuple[str, _Simplex]:
+        """A warm start from the empty simplex: every row written onto it."""
         simplex = _Simplex(self, bounds)
         try:
-            return simplex.run(reads), simplex
+            return simplex.finish(simplex.add_rows(0), reads), simplex
         finally:
             self.counters.pivots += simplex.pivots
 
@@ -410,10 +411,11 @@ class MPModel:
         If the model has since only gained columns and rows, changed its
         objective, or changed a column's kind but not its effective bounds,
         a copy of the live simplex takes the new columns nonbasic at 0
-        (`add_columns`) and the new rows with a slack or an artificial each
-        (`add_rows`), and phase 1 over those artificials restores
-        feasibility from the live basis. The warm result is kept whatever it
-        is; every other change since the live point means a cold solve.
+        (`add_columns`) and the new rows (`add_rows`), and phase 1 over
+        their artificials restores feasibility from the live basis. The
+        warm result is kept whatever it is; every other change since the
+        live point means a cold solve, which writes every row onto the
+        empty simplex instead.
         """
         live = self._live
         added = self._live_changes() if live is not None else None
@@ -544,8 +546,8 @@ class MPModel:
         solves, unless the run is read for its status only: that takes any
         optimal vertex, so its tree may differ, though not its status. A
         node reads its objective and integer columns in int arithmetic;
-        only an incumbent builds the value tuple, and only if the run is not
-        read for its status. With `search`, a feasibility search under the
+        only an incumbent builds the value tuple, and only if the run is
+        read for its vertex. With `search`, a feasibility search under the
         steering cost `solve` set, the run returns `(OPTIMAL, 0, ())` at
         the first node whose integer columns are integral. A run cut
         short by `node_limit` or a relaxation's pivot limit returns its
@@ -595,7 +597,7 @@ class MPModel:
             if fractional is None:
                 if search:
                     return MPSolution(OPTIMAL, 0, ())
-                best = simplex.result(OPTIMAL, node_reads)
+                best = simplex.result(OPTIMAL, reads)
                 continue
             # the relaxed value lies within the node's bounds, so ceil(value)
             # is at least lb and floor(value) at most ub: each branch only
@@ -673,17 +675,21 @@ class _Simplex:
     cross-multiplication. So the pivots, statuses and solutions are those
     of the Fraction tableau, and no pivot makes a Fraction.
 
-    Rows the crash leaves without a basic column get an artificial one.
-    Phase 1 is infeasible exactly when an artificial is still basic at a
-    nonzero value. `_drive_out` then pivots basic artificials out where the
-    row allows; the entries of every nonbasic artificial are deleted, so
-    phase 2 prices none of them, and an artificial left basic in a
-    redundant row keeps an upper bound of 0. The tableau therefore holds no
-    copy of B^-1 after phase 1.
+    `add_rows` writes every row: a row whose slack is nonnegative at the
+    current point takes it as basic, the crash gives a row still without a
+    basic column a structural column that has its only entry there, where
+    its value fits the column's bounds, and each row left gets an
+    artificial. Phase 1 is infeasible exactly when an artificial is still
+    basic at a nonzero value. `_drive_out` then pivots basic artificials
+    out where the row allows; the entries of every nonbasic artificial are
+    deleted, so phase 2 prices none of them, and an artificial left basic
+    in a redundant row keeps an upper bound of 0. The tableau therefore
+    holds no copy of B^-1 after phase 1.
 
-    `run` solves cold and keeps its final state, the reduced costs
-    included. A branch-and-bound child takes that state (`copy`), narrows
-    one variable's bounds (`tighten`), which keeps the basis dual
+    A cold solve writes every row onto the empty simplex (`add_rows`),
+    and `finish` runs both phases and keeps the final state, the reduced
+    costs included. A branch-and-bound child takes that state (`copy`),
+    narrows one variable's bounds (`tighten`), which keeps the basis dual
     feasible, and `dual` re-optimises it. A root relaxation takes a copy
     of the model's live simplex, appends the model's new columns
     (`add_columns`) and rows (`add_rows`), and `finish` runs phase 1 over
@@ -698,7 +704,6 @@ class _Simplex:
         self.col_of: list[list[tuple[int, int]]] = []  # model var -> [(col, sign)]
         self.offset: list[Number] = []                 # model var -> additive offset
         self.upper: list[Number | None] = []           # transformed upper bounds
-        self.flipped: list[bool] = []
         ncols = 0
         for lb, ub in bounds:
             if lb is not None:
@@ -716,116 +721,22 @@ class _Simplex:
                 self.offset.append(0)
                 self.upper.extend([None, None])
                 ncols += 2
-        self.nstruct = ncols
-        # the reduced costs of the last objective `_optimize` proved optimal
-        self.reduced: list[int] = []
-        self.rden = 1
-
-    def run(self, reads: str = VERTEX) -> str:
-        model = self.model
-        nstruct = self.nstruct
-        tableau: list[dict[int, int]] = []
-        rhs: list[int] = []
-        den: list[int] = []
-        basis: list[int] = []
-        # rows with rhs normalised to >= 0; a <= row gets a basic slack, a
-        # >= row a surplus (coefficient -1), both numbered in row order
-        # per row r, a unit column u, whose column in the first tableau is
-        # c e_r, and s / c as (numerator, positive denominator), where s is
+        self.nstruct = self.ncols = ncols
+        self.flipped = [False] * ncols
+        # no rows yet: `add_rows` writes them
+        self.tableau: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
+        self.basis: list[int] = []
+        self.row_of: dict[int, int] = {}  # basic column -> row
+        # per row r, a unit column u, whose column is c e_r as the row is
+        # written, and s / c as (numerator, positive denominator), where s is
         # -1 if the row was negated, else 1 (`add_columns`); None if the row
         # has no unit column
         self.unit: list[tuple[int, int, int] | None] = []
-        signs: list[int] = []
-        ncols = nstruct
-        for constraint in model.constraints:
-            row: dict[int, Number] = {}
-            shift = 0
-            for var, weight in constraint.coeffs.items():
-                offset = self.offset[var]
-                if offset:
-                    shift += weight * offset
-                for col, sign in self.col_of[var]:
-                    row[col] = weight if sign == 1 else -weight
-            value = constraint.rhs - shift
-            op = constraint.op
-            sign = 1
-            if value < 0:
-                row = {col: -x for col, x in row.items()}
-                value = -value
-                op = _REVERSED[op]
-                sign = -1
-            signs.append(sign)
-            # numerators over the least common denominator, which leaves no
-            # factor common to the denominator and every numerator
-            d = value.denominator
-            for x in row.values():
-                if type(x) is not int:
-                    d = lcm(d, x.denominator)
-            if d != 1:
-                row = {col: x.numerator * (d // x.denominator) for col, x in row.items()}
-            value = value.numerator * (d // value.denominator)
-            if op == "<=":
-                row[ncols] = d
-                basis.append(ncols)
-                self.unit.append((ncols, sign, 1))
-                ncols += 1
-            else:
-                if op == ">=":
-                    row[ncols] = -d
-                    self.unit.append((ncols, -sign, 1))
-                    ncols += 1
-                else:
-                    self.unit.append(None)
-                basis.append(-1)
-            tableau.append(row)
-            rhs.append(value)
-            den.append(d)
-        self.upper.extend([None] * (ncols - nstruct))
-        self.tableau = tableau
-        self.rhs = rhs
-        self.den = den
-
-        # crash: singleton structural columns for rows still without a basis
-        occurrences: dict[int, list[int]] = {}
-        for i, row in enumerate(tableau):
-            for j in row:
-                if j < nstruct:
-                    occurrences.setdefault(j, []).append(i)
-        for j in sorted(occurrences):
-            hit = occurrences[j]
-            if len(hit) != 1:
-                continue
-            i = hit[0]
-            if self.unit[i] is None:
-                entry = tableau[i][j]
-                self.unit[i] = ((j, signs[i] * den[i], entry) if entry > 0
-                                else (j, -signs[i] * den[i], -entry))
-            if basis[i] != -1:
-                continue
-            # the column's basic value would be rhs[i] / coeff
-            coeff = tableau[i][j]
-            num, value_den = (rhs[i], coeff) if coeff > 0 else (-rhs[i], -coeff)
-            limit = self.upper[j]
-            if num < 0 or (limit is not None and
-                           num * limit.denominator > limit.numerator * value_den):
-                continue
-            self._make_unit(i, j)
-            basis[i] = j
-
-        artificial_cols: list[int] = []
-        for i, row in enumerate(tableau):
-            if basis[i] == -1:
-                row[ncols] = den[i]
-                basis[i] = ncols
-                artificial_cols.append(ncols)
-                self.upper.append(None)
-                ncols += 1
-
-        self.basis = basis
-        self.row_of = {b: i for i, b in enumerate(basis)}  # basic column -> row
-        self.ncols = ncols
-        self.flipped = [False] * ncols
-        return self.finish(artificial_cols, reads)
+        # the reduced costs of the last objective `_optimize` proved optimal
+        self.reduced: list[int] = []
+        self.rden = 1
 
     def finish(self, artificial_cols: list[int], reads: str) -> str:
         """Phase 1 over the basic `artificial_cols`, from a basis feasible
@@ -998,59 +909,68 @@ class _Simplex:
         return True
 
     def add_rows(self, first: int) -> list[int]:
-        """Append the model's rows from index `first` on to this feasible
-        basis; returns the artificial columns of those that need one, for
-        `finish`.
+        """Append the model's rows from index `first` on to this basis,
+        feasible or empty; returns the artificial columns of those that
+        need one, for `finish`. A cold solve writes every row onto the
+        empty simplex.
 
         A row is written over the current columns: each term's offset moves
-        to the rhs and a mirrored or split column takes its sign, as in
-        `run`, and a flipped column reads upper - x', so its entry is
-        negated and the entry times its upper bound moves to the rhs too.
-        Each basic column is then eliminated with its tableau row, in int
-        arithmetic, which leaves the row over nonbasic columns, with its
-        rhs less its value at the current point as its rhs. A <= or >= row
-        whose slack is nonnegative there gets that slack as its basic
-        column; any other row (an equality, or an inequality the point
-        violates) is negated if its rhs is negative and gets a basic
-        artificial. So the basis is feasible but for the
-        artificials, and phase 1 over them alone restores feasibility
-        (Chvátal, *Linear Programming*, 1983, ch. 10). An appended row has
-        no unit column for `add_columns`.
+        to the rhs, a mirrored or split column takes its sign, and a flipped
+        column reads upper - x', so its entry is negated and the entry times
+        its upper bound moves to the rhs too. Each basic column is then
+        eliminated with its tableau row, in int arithmetic, which leaves the
+        row over nonbasic columns, with its rhs less its value at the
+        current point as its rhs. A <= or >= row whose slack is nonnegative
+        there gets that slack as its basic column, and the slacks are
+        numbered in row order. Any other row (an equality, or an inequality
+        the point violates) is negated if its rhs is negative. The crash
+        then makes basic in such a row a structural column with its only
+        entry among the new rows there and none in the old ones, where its
+        value fits its bounds; each row still left gets a basic artificial,
+        numbered after the slacks. So the basis is feasible but for the
+        artificials, and phase 1 over them alone restores feasibility (the
+        row-addition warm start; Chvátal, *Linear Programming*, 1983,
+        ch. 10). A row's slack is its unit column for `add_columns`; an
+        equality row's is its first crash candidate, taken or not.
         """
         model = self.model
         tableau, rhs, den, basis = self.tableau, self.rhs, self.den, self.basis
         offset, upper, flipped = self.offset, self.upper, self.flipped
-        row_of = self.row_of
-        artificial_cols = []
-
-        def new_column() -> int:
-            self.ncols += 1
-            upper.append(None)
-            flipped.append(False)
-            return self.ncols - 1
-
+        row_of, unit, col_of = self.row_of, self.unit, self.col_of
+        old = len(tableau)
+        ncols = self.ncols
+        # new rows without a basic column, each with -1 if it was negated,
+        # else 1
+        pending: dict[int, int] = {}
+        touched = set()  # the columns of the new rows
         for constraint in model.constraints[first:]:
-            terms: dict[int, Number] = {}
+            row: dict[int, Number] = {}
             value = constraint.rhs
             for var, weight in constraint.coeffs.items():
                 if offset[var]:
                     value -= weight * offset[var]
-                for col, sign in self.col_of[var]:
+                for col, sign in col_of[var]:
                     a = weight if sign == 1 else -weight
                     if flipped[col]:
                         value -= a * upper[col]
                         a = -a
-                    terms[col] = a
-            # numerators over the least common denominator d
+                    row[col] = a
+            # numerators over the least common denominator d, which leaves no
+            # factor common to d and every numerator
             d = value.denominator
-            for x in terms.values():
+            for x in row.values():
                 if type(x) is not int:
                     d = lcm(d, x.denominator)
-            row = {col: x.numerator * (d // x.denominator) for col, x in terms.items()}
+            if d != 1:
+                row = {col: x.numerator * (d // x.denominator) for col, x in row.items()}
             value = value.numerator * (d // value.denominator)
+            eliminated = ()
+            if old:
+                touched.update(row)
+                eliminated = [col for col in row if col in row_of]
             # row / d - (c / d) (tableau[i] / den[i]) is over d * den[i]; the
             # other basic columns are 0 in tableau[i], so one pass clears all
-            for col in [col for col in row if col in row_of]:
+            for col in eliminated:
                 c = row.pop(col)
                 i = row_of[col]
                 di = den[i]
@@ -1066,30 +986,78 @@ class _Simplex:
                         else:
                             del row[j]
                 value -= c * rhs[i]
-            # the sign of the slack's entry, in row + s = value (<=) or
-            # row - s = value (>=); the slack is slack * value / d at the
-            # current point
+            # the sign of the slack s in row + s = value (<=) or
+            # row - s = value (>=); s is slack * value / d at the current
+            # point, and its entry is sign * slack once the row is negated
             op = constraint.op
             slack = 0 if op == "=" else 1 if op == "<=" else -1
             basic_slack = slack != 0 and slack * value >= 0
+            sign = 1
             if (slack == -1) if basic_slack else (value < 0):
                 row = {j: -x for j, x in row.items()}
                 value = -value
-                slack = -slack
+                sign = -1
+            i = len(tableau)
+            unit.append((ncols, slack, 1) if slack else None)
             if slack:
-                j = new_column()
-                row[j] = slack * d
-            if not basic_slack:
-                j = new_column()
-                row[j] = d
-                artificial_cols.append(j)
-            row_of[j] = len(basis)
-            basis.append(j)
+                row[ncols] = sign * slack * d
+                ncols += 1
+            if basic_slack:
+                row_of[ncols - 1] = i
+                basis.append(ncols - 1)
+            else:
+                basis.append(-1)
+                pending[i] = sign
             tableau.append(row)
             rhs.append(value)
             den.append(d)
-            self.unit.append(None)
-            self._reduce(len(tableau) - 1)
+            if eliminated:
+                self._reduce(i)
+        # a structural unit column of an old row stops being one once a new
+        # row has an entry in it
+        for r in range(old):
+            if unit[r] is not None and unit[r][0] in touched:
+                unit[r] = None
+
+        artificial_cols = []
+        if pending:
+            # the crash: structural columns with one entry among the new rows
+            # and none in the old ones, in ascending order
+            nstruct = self.nstruct
+            only_row: dict[int, int] = {}  # column -> its new row, -1 if several
+            for i in range(old, len(tableau)):
+                for j in tableau[i]:
+                    if j < nstruct:
+                        only_row[j] = -1 if j in only_row else i
+            for j in sorted(only_row):
+                i = only_row[j]
+                if i not in pending or (old and any(j in tableau[k] for k in range(old))):
+                    continue
+                entry = tableau[i][j]
+                if unit[i] is None:
+                    # `add_columns` reads a unit column unflipped
+                    a = -entry if flipped[j] else entry
+                    s = pending[i] * den[i]
+                    unit[i] = (j, s, a) if a > 0 else (j, -s, -a)
+                # the column's basic value would be rhs[i] / entry
+                num, value_den = (rhs[i], entry) if entry > 0 else (-rhs[i], -entry)
+                limit = upper[j]
+                if num < 0 or (limit is not None and
+                               num * limit.denominator > limit.numerator * value_den):
+                    continue
+                self._make_unit(i, j)
+                basis[i] = j
+                row_of[j] = i
+                del pending[i]
+            for i in pending:
+                tableau[i][ncols] = den[i]
+                basis[i] = ncols
+                row_of[ncols] = i
+                artificial_cols.append(ncols)
+                ncols += 1
+        upper.extend([None] * (ncols - self.ncols))
+        flipped.extend([False] * (ncols - self.ncols))
+        self.ncols = ncols
         return artificial_cols
 
     def reoptimize(self) -> str:
@@ -1102,7 +1070,7 @@ class _Simplex:
     # -- warm start from a parent's final state -------------------------------
 
     def copy(self) -> _Simplex:
-        """An independent copy of the state after `run`, `dual` or
+        """An independent copy of the state after `finish`, `dual` or
         `reoptimize`, whatever status it ended with; its pivots count from
         0 against the model's limit."""
         clone = _Simplex.__new__(_Simplex)

@@ -363,7 +363,7 @@ def _run_simplex(model):
     so a test can inspect its final tableau."""
     bounds = [model.effective_bounds(i) for i in range(len(model.variables))]
     simplex = mp._Simplex(model, bounds)
-    return simplex.result(simplex.run(), mp.VERTEX), simplex
+    return simplex.result(simplex.finish(simplex.add_rows(0), mp.VERTEX), mp.VERTEX), simplex
 
 
 def _assert_rows_hold_nonzeros_only(simplex):
@@ -448,6 +448,41 @@ def test_pivots_that_drive_artificials_out_are_counted(monkeypatch):
     assert driven == [(True, 0, 2, x, 3)]
     assert model.solve().values == (0, 1)
     assert model.counters.pivots == simplex.pivots
+
+
+def _record_artificials(monkeypatch):
+    """Wrap `finish`: the artificial columns of every root it solves."""
+    real_finish = mp._Simplex.finish
+    seen = []
+
+    def finish(self, artificial_cols, reads):
+        seen.append(list(artificial_cols))
+        return real_finish(self, artificial_cols, reads)
+
+    monkeypatch.setattr(mp._Simplex, "finish", finish)
+    return seen
+
+
+def test_cold_solve_takes_the_slack_of_a_greater_equal_row_tight_at_zero(monkeypatch):
+    """`x - y >= 0` holds with equality at x = y = 0, where the empty simplex
+    starts, and neither column is a singleton, so no crash covers it: the
+    row takes its slack as basic, and the solve needs no artificial and no
+    phase-1 pivot."""
+    artificials = _record_artificials(monkeypatch)
+    model = mp.MPModel()
+    x = model.add_variable(0, None)
+    y = model.add_variable(0, None)
+    model.add_constraint({x: 1, y: -1}, ">=", 0)
+    model.add_constraint({x: 1, y: 1}, "<=", 4)
+    model.set_objective({y: 1}, mp.MAXIMIZE)
+    simplex = mp._Simplex(model, [model.effective_bounds(i) for i in range(2)])
+    assert simplex.add_rows(0) == []
+    assert simplex.basis == [2, 3]  # both slacks, numbered in row order
+    assert simplex.unit == [(2, -1, 1), (3, 1, 1)]
+    assert model.solve() == mp.MPSolution(mp.OPTIMAL, 2, (2, 2))
+    assert artificials == [[]]
+    assert model.counters.pivots == 2  # y enters, then x: phase 2 only
+    assert lp_by_vertex_enumeration(model) == (mp.OPTIMAL, 2)
 
 
 # -- objective-only solves from the live simplex ------------------------------------
@@ -709,6 +744,113 @@ def test_warm_roots_at_the_pivot_limit(monkeypatch):
     model.pop_scratch()
 
 
+def test_warm_root_crashes_a_column_in_no_live_row(monkeypatch):
+    """A scratch equality row over x, which has entries in the live rows,
+    and z, which has none: z, whose value 1 fits its bounds there, becomes
+    the row's basic column, so the warm root adds no artificial and
+    returns the cold solve's vertex."""
+    artificials = _record_artificials(monkeypatch)
+    model = mp.MPModel()
+    x = model.add_variable(0, 3)
+    y = model.add_variable(0, 5)
+    z = model.add_variable(0, 4)
+    model.add_constraint({x: 1, y: 1}, "<=", 6)
+    assert _query(model, {x: 1, y: 1}, mp.MAXIMIZE)[0].objective == 6
+    live = model._live
+    assert live.flipped[x] and live.basis == [y]
+    model.push_scratch()
+    model.add_constraint({z: 2, x: 1}, "=", 5)  # 2z - x' = 2 over x = 3 - x'
+    model.set_objective({x: 1, z: 1}, mp.MAXIMIZE)
+    artificials.clear()
+    roots = []
+    real_solve_root = mp.MPModel._solve_root
+
+    def solve_root(self, bounds, reads):
+        status, simplex = real_solve_root(self, bounds, reads)
+        roots.append(simplex)
+        return status, simplex
+
+    monkeypatch.setattr(mp.MPModel, "_solve_root", solve_root)
+    got = model.solve()
+    assert model.counters.root_warm == 1 and artificials == [[]]
+    assert roots[0].unit[1] == (z, 1, 2)  # s / c for c = 2, the row not negated
+    assert got == cold_vertex(model) == mp.MPSolution(mp.OPTIMAL, 4, (3, 0, 1))
+    model.pop_scratch()
+
+
+def test_new_column_reads_a_flipped_column_crashed_in_an_appended_row():
+    """z is in no live row and sits flipped at its upper bound 4, so the
+    appended row 2z + x = 5 reads -2z' - x' = -6 over the flipped x and z,
+    is negated, and crashes z' at 3. The row's unit column is z, read
+    through its flip: a column added after the row joins the tableau with
+    the entries of a cold build."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 3)
+    y = model.add_variable(0, 5)
+    z = model.add_variable(0, 4)
+    model.add_constraint({x: 1, y: 1}, "<=", 6)
+    assert _query(model, {x: 1, y: 1, z: 1}, mp.MAXIMIZE)[0].objective == 10
+    live = model._live
+    assert live.flipped[x] and live.flipped[z]
+    model.push_scratch()
+    model.add_constraint({z: 2, x: 1}, "=", 5)
+    warm = live.copy()
+    assert warm.add_rows(1) == [] and warm.basis[1] == z
+    w = model.add_variable(0, 10)
+    model.set_coefficient(0, w, 1)
+    model.set_coefficient(1, w, -1)
+    assert warm.add_columns({w: [0, 1]})
+    for objective, sense in (({w: 1}, mp.MAXIMIZE), ({w: 1, z: -1}, mp.MAXIMIZE),
+                             ({w: 2, y: 1}, mp.MINIMIZE)):
+        model.set_objective(objective, sense)
+        got = warm.result(warm.reoptimize(), mp.OBJECTIVE)
+        assert status_and_objective(got) == status_and_objective(cold_vertex(model))
+    model.pop_scratch()
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_appended_rows_give_new_columns_their_unit_columns(data):
+    """Rows written onto a copy of the live simplex record unit columns: a
+    column added after them, with entries in live and appended rows alike,
+    joins that tableau through `add_columns`, and primal phase 2 from there
+    returns the cold solve's status and objective."""
+    rational = data == "rational"
+    rng = random.Random(1618)
+    through_appended = 0
+    for model in _grown_lps(rng, rational, mirrored=True):
+        _query(model, {rng.randrange(len(model.variables)): 1}, mp.MINIMIZE)
+        live = model._live
+        if live is None:
+            continue
+        nrows = len(live.tableau)
+        model.push_scratch()
+        try:
+            for _ in range(rng.randint(1, 3)):
+                cols = rng.sample(range(len(model.variables)),
+                                  rng.randint(1, min(3, len(model.variables))))
+                model.add_constraint({c: _draw(rng, -4, 4, rational) or 1 for c in cols},
+                                     rng.choice(["<=", ">=", "="]), _draw(rng, -8, 6, rational))
+            warm = live.copy()
+            if warm.finish(warm.add_rows(nrows), mp.OBJECTIVE) != mp.OPTIMAL:
+                continue
+            new = model.add_variable(0, rng.choice([None, _draw(rng, 1, 6, rational)]))
+            rows = rng.sample(range(len(model.constraints)),
+                              rng.randint(1, len(model.constraints)))
+            for row in rows:
+                model.set_coefficient(row, new, _draw(rng, -4, 4, rational) or 1)
+            if not warm.add_columns({new: rows}):
+                continue
+            through_appended += any(row >= nrows for row in rows)
+            model.set_objective({new: _draw(rng, -3, 3, rational) or 1,
+                                 rng.randrange(new): _draw(rng, -3, 3, rational)},
+                                rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
+            got = warm.result(warm.reoptimize(), mp.OBJECTIVE)
+            assert status_and_objective(got) == status_and_objective(cold_vertex(model))
+        finally:
+            model.pop_scratch()
+    assert through_appended > 30, through_appended  # 39 and 38
+
+
 def test_new_column_reads_flipped_and_structural_unit_columns():
     """A column added after the unit columns of its rows moved: the slack of
     row 0 left the basis at its upper bound (flipped) and the equality row
@@ -792,7 +934,7 @@ def test_objective_only_solve_of_a_mip_is_its_branch_and_bound_result():
     x = model.add_variable(0, 5, kind=mp.INTEGER)
     model.add_constraint({x: 2}, "<=", 7)
     got, cold = _query(model, {x: 1}, mp.MAXIMIZE)
-    assert (got.status, got.objective, got.values) == (cold.status, 3, (3,))
+    assert (got.status, got.objective, got.values) == (cold.status, 3, ())
     assert model.counters.lp_warm == model.counters.lp_cold == 0
 
 
@@ -859,7 +1001,9 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # warm branch-and-bound children, of bound queries re-optimised from the
 # live simplex, of goal checks and extraction roots warm from a copy of it,
 # and of the tie-break stages of vertex reads; a feasibility check of an LP
-# stops after phase 1. Bound queries and feasibility checks read no vertex,
+# stops after phase 1. A cold solve writes its rows onto the empty simplex
+# as a warm root writes its appended ones, so a >= row that holds with
+# equality at the start point takes its slack as basic, not an artificial. Bound queries and feasibility checks read no vertex,
 # so their records are those of a cold solve of the same model, whose status
 # and objective they must return. Any change to the pivot rules (entering
 # choice, ratio tie-break, Bland switch, bound flips) moves at least one of
@@ -869,7 +1013,7 @@ PINNED_RUNS = (
      "52503816facf8b641aeeff5455e1e1bb0a92eb15909fb1f204b32411f2ee35f6"),
     ("mini-settlers", 2, False, 49, 67, 10,
      "873726dac0b300d72a6d2e1aaea0ff277fc173f52d7af685525cd024078a38a3"),
-    ("pump-catalyst", 3, True, 29, 83, 13,
+    ("pump-catalyst", 3, True, 29, 67, 13,
      "d57a169e87ae65f2bc778d8b661d6a0ff8f221f1149cc49933f208a5bf4679c9"),
 )
 
@@ -1100,14 +1244,17 @@ def test_every_solve_agrees_with_highs(monkeypatch, family, size, all_props):
     """Differential check: every `MPModel.solve` of a whole plan_task run,
     bound queries, goal checks and extraction MIPs alike, gets the same
     status from HiGHS and an optimum within 1e-6 relative (absolute below
-    magnitude 1)."""
+    magnitude 1). Warm and cold solves write their rows with the same code,
+    so every vertex read is also checked on its own: its values satisfy
+    every bound, integrality and row of the model exactly, and give back
+    the reported objective, type included."""
     pytest.importorskip("scipy")
     mismatches = []
-    solves = 0
+    solves = vertices = 0
     real_solve = mp.MPModel.solve
 
     def checked_solve(self, reads=mp.VERTEX):
-        nonlocal solves
+        nonlocal solves, vertices
         solution = real_solve(self, reads=reads)
         solves += 1
         status, objective = _solve_with_highs(self)
@@ -1117,13 +1264,22 @@ def test_every_solve_agrees_with_highs(monkeypatch, family, size, all_props):
             exact = float(solution.objective)
             if abs(exact - objective) > 1e-6 * max(1.0, abs(exact)):
                 mismatches.append((solves, solution.objective, objective))
+        if reads == mp.VERTEX and solution.status == mp.OPTIMAL:
+            vertices += 1
+            values = solution.values
+            problems = self.check_assignment(list(values))
+            if problems:
+                mismatches.append((solves, problems))
+            total = mp._number(sum(w * values[col] for col, w in self.objective.items()))
+            if (total, type(total)) != (solution.objective, type(solution.objective)):
+                mismatches.append((solves, solution.objective, total))
         return solution
 
     monkeypatch.setattr(mp.MPModel, "solve", checked_solve)
     outcome = _plan_pinned_run(family, size, all_props)
     assert mismatches == []
     assert outcome.status == "solved"
-    assert solves == outcome.stats.lp_solves > 0
+    assert solves == outcome.stats.lp_solves > 0 and vertices > 0
 
 
 def _check_warm_children(monkeypatch):
