@@ -175,6 +175,8 @@ def _dump_debug(args, outcome: planner.PlanOutcome, config: HeuristicConfig) -> 
 def cmd_run(args) -> int:
     try:
         config = build_config(args)
+        if args.wastar_weight < 0:
+            raise ValueError(f"--wastar-weight must be at least 0, got {args.wastar_weight}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

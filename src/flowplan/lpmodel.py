@@ -7,13 +7,14 @@ catalytic bounds and switches, propositional goals, landmarks, the
 full-proposition encoding, and the numeric goal conjunct. The model
 grows monotonically as RPG layers add actions; temporary rows (goal
 checks, subgoal constraints) are scratch-scoped, and bound queries add
-no rows at all. A bound query reads only the optimum, so it is solved
-with `reads=OBJECTIVE`: the model's live simplex takes the columns that
-`extend` appended since the last query and is re-optimised from its
-basis. A feasibility check reads only the status (`reads=STATUS`); it,
-and an extraction solve at the final layer, start from a copy of the
-live simplex with the scratch rows appended, which leaves the live
-simplex as the bound queries left it.
+no rows at all. Every solve starts from the model's live simplex, which
+takes the columns that `extend` appended since the last bound query and
+any rows appended since. A bound query reads only the optimum, so it is
+solved with `reads=OBJECTIVE`, on the live simplex itself, and carries
+it on to the next query. A feasibility check reads only the status
+(`reads=STATUS`); it, and an extraction solve at the final layer, work on
+a copy of the live simplex with the scratch rows appended, which leaves
+the live simplex as the bound queries left it.
 """
 
 from __future__ import annotations

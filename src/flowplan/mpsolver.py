@@ -33,28 +33,25 @@ tree read for its vertex is the cold tree, node for node.
 
 `MPModel.solve(reads=...)` takes what the caller reads of the result:
 the vertex (`VERTEX`, the default), the objective (`OBJECTIVE`) or the
-status (`STATUS`). An LP read for its objective only is re-optimised
-from the model's live simplex, the final state of its last such solve:
-if the model has since only gained columns, they join the tableau
-nonbasic at 0 through the unit columns of their rows, the basis stays
-primal feasible, and primal phase 2 prices the new objective (the
+status (`STATUS`). Every root relaxation, an LP's or a branch-and-bound
+root's, starts from the model's live simplex, the final state of the
+last LP read for its objective only, if the model has since only gained
+columns and rows. The new columns join the tableau nonbasic at 0 through
+the unit columns of their rows, so the basis stays primal feasible (the
 column-addition warm start; Chvátal, *Linear Programming*, 1983, ch. 10).
-Any other change sends the solve cold. An LP read for its status only
-under the empty objective stops after phase 1. An LP's optimum value and
-status are unique, so these return what a cold solve returns; only the
-pivot count differs.
-
-Every simplex writes its rows the same way, over a current basis, each
-with a basic slack, a crashed structural column or an artificial, and
-phase 1 over those artificials restores feasibility (the row-addition
-warm start, ibid.). A cold solve writes every row onto the empty
-simplex. Every other root relaxation, an LP's or a branch-and-bound
-root's, whose model is the live one plus appended columns and rows (a
-goal check, an extraction at the final layer) starts from a copy of the
-live simplex and writes only the new rows. A changed coefficient or
-effective bound of an existing column sends it cold. A warm root is kept
-whatever it returns; one cut by the pivot limit returns `LIMIT`, as a
-cold solve cut by it does.
+The new rows are written over that basis, each with a basic slack, a
+crashed structural column or an artificial, and phase 1 over those
+artificials restores feasibility (the row-addition warm start, ibid.). A
+cold solve writes every row onto the empty simplex the same way; a
+changed coefficient or effective bound of an existing column sends a
+root cold. An LP read for its objective only works on the live simplex
+itself and leaves its final state live; any other root (a goal check, an
+extraction at the final layer) works on a copy and leaves the live
+simplex as it was. A warm root is kept whatever it returns; one cut by
+the pivot limit returns `LIMIT`, as a cold solve cut by it does. An LP
+read for its status only under the empty objective stops after phase 1.
+An LP's optimum value and status are unique, so these return what a cold
+solve returns; only the pivot count differs.
 
 A MIP read for its status skips the canonical point: a node's status is
 unique even where its vertex is not, so its tree may differ from the
@@ -68,7 +65,8 @@ columns are integral. It returns a cold solve's `(OPTIMAL, 0, ())` or
 `INFEASIBLE`, or `LIMIT` when a limit cuts it before an integral node;
 the model's objective, undo log and live simplex are as they were.
 `Counters` accumulates solves, pivots, branch-and-bound nodes and warm
-children, warm and cold objective-only solves, and warm roots.
+children, and warm and cold roots: every solve is one root, warm or
+cold, except a MIP whose bounds cross, which solves none.
 
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
@@ -128,10 +126,9 @@ class Counters:
     bb_nodes: int = 0    # branch-and-bound nodes whose relaxation was solved
     bb_warm: int = 0     # B&B children solved by the dual simplex
     bb_truncated: int = 0      # B&B runs cut by a limit that returned an incumbent
-    lp_warm: int = 0     # objective-only LP solves re-optimised from the live simplex
-    lp_cold: int = 0     # objective-only LP solves solved cold: a model's first, or
-                         # one after a change the live simplex cannot take
-    root_warm: int = 0   # root relaxations solved from a copy of the live simplex
+    root_warm: int = 0   # root relaxations solved from the live simplex or a copy of it
+    root_cold: int = 0   # root relaxations solved cold or found crossed: a model's
+                         # first, or one after a change the live simplex cannot take
 
 
 @dataclass
@@ -170,10 +167,10 @@ class MPModel:
         self.node_limit = node_limit
         self._undo: list[tuple] = []
         self._marks: list[int] = []
-        # the simplex objective-only solves re-optimise, and the length and
-        # last entry of the undo log when it was last brought up to date: an
-        # undo below that point removes that entry, and no later entry is
-        # the same object
+        # the final state of the last LP read for its objective only, from
+        # which every root starts where it can, and the length and last
+        # entry of the undo log at that point: an undo below that point
+        # removes that entry, and no later entry is the same object
         self._live: _Simplex | None = None
         self._live_at = 0
         self._live_tail: tuple | None = None
@@ -359,14 +356,14 @@ class MPModel:
         and returns its vertex, unless it is read for its status only
         (`STATUS`) under the empty objective: that is a feasibility search
         under a steering cost set and undone here, which returns
-        `(OPTIMAL, 0, ())` at its first integral node. An LP read for its
-        objective only (`OBJECTIVE`) is re-optimised from the live simplex
-        (`_solve_live`); one read for its status only under the empty
-        objective stops after phase 1. The root relaxation of any other
-        solve starts from a copy of the live simplex where it can
-        (`_solve_root`). Status and objective are those of a cold solve in
-        every case that no limit cuts short: an LP's optimum value is
-        unique, and a vertex the canonical point of its optimal face.
+        `(OPTIMAL, 0, ())` at its first integral node. The root relaxation
+        of every solve starts from the live simplex where it can
+        (`_solve_root`): an LP read for its objective only (`OBJECTIVE`)
+        carries the live simplex on, and one read for its status only under
+        the empty objective stops after phase 1. Status and objective are
+        those of a cold solve in every case that no limit cuts short: an
+        LP's optimum value is unique, and a vertex the canonical point of
+        its optimal face.
         """
         start = time.perf_counter()
         self.counters.solves += 1
@@ -384,12 +381,9 @@ class MPModel:
                     return self._branch_and_bound(bounds, reads, search=True)
                 finally:
                     self.pop_scratch()
-            if reads == OBJECTIVE:
-                return self._solve_live()
-            bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
-            if _crossed(bounds):
-                return MPSolution(INFEASIBLE, None, ())
-            status, simplex = self._solve_root(bounds, reads)
+            status, simplex = self._solve_root(reads, keep=reads == OBJECTIVE)
+            if simplex is None:
+                return MPSolution(status, None, ())
             return simplex.result(status, reads)
         finally:
             self.counters.solve_time += time.perf_counter() - start
@@ -403,74 +397,54 @@ class MPModel:
         finally:
             self.counters.pivots += simplex.pivots
 
-    def _solve_root(self, bounds: list[tuple[Number | None, Number | None]],
-                    reads: str) -> tuple[str, _Simplex]:
-        """A root relaxation whose bounds do not cross, and its final simplex,
-        warm from the live simplex where the model is it plus appended rows.
+    def _solve_root(self, reads: str, keep: bool = False) -> tuple[str, _Simplex | None]:
+        """A root relaxation, an LP's or a branch-and-bound root's, and its
+        final simplex, None where its bounds cross (`INFEASIBLE`).
 
-        If the model has since only gained columns and rows, changed its
-        objective, or changed a column's kind but not its effective bounds,
-        a copy of the live simplex takes the new columns nonbasic at 0
-        (`add_columns`) and the new rows (`add_rows`), and phase 1 over
-        their artificials restores feasibility from the live basis. The
-        warm result is kept whatever it is; every other change since the
-        live point means a cold solve, which writes every row onto the
-        empty simplex instead.
+        If, since the live simplex was last brought up to date, the model
+        has only gained columns and rows, changed its objective, or changed
+        a column's kind but not its effective bounds, the live simplex takes
+        the new columns nonbasic at 0 (`add_columns`) and the new rows
+        (`add_rows`), and phase 1 over their artificials restores
+        feasibility from the live basis. The warm result is kept whatever
+        it is; every other change means a cold solve, which writes every
+        row onto the empty simplex instead. A root works on a copy of the
+        live simplex, unless it is to `keep` its final state: then it works
+        on the live simplex itself, and its final state becomes the live
+        simplex if it is optimal or unbounded, so that its basis is primal
+        feasible.
         """
         live = self._live
         added = self._live_changes() if live is not None else None
+        if keep:
+            self._live = None
+        simplex = None
         if added is not None:
-            warm = live.copy()
+            warm = live if keep else live.copy()
             if warm.add_columns(added):
                 try:
-                    status = warm.finish(warm.add_rows(len(live.tableau)), reads)
+                    status = warm.finish(warm.add_rows(len(warm.tableau)), reads)
                 finally:
                     self.counters.pivots += warm.pivots
                 self.counters.root_warm += 1
-                return status, warm
-        return self._solve_cold(bounds, reads)
-
-    def _solve_live(self) -> MPSolution:
-        """An LP read for its objective only, re-optimised from the live simplex.
-
-        The live simplex is the final state of an earlier objective-only
-        solve of this model, so its basis is primal feasible for the model
-        as it was then. If the model has since only gained columns and
-        changed its objective, the new columns join the tableau nonbasic at
-        their lower bound of 0 (`_Simplex.add_columns`), which keeps the
-        basis primal feasible, and primal phase 2 re-optimises it under the
-        new objective (Chvátal, *Linear Programming*, 1983, ch. 10). Any
-        other change, or a new column the tableau cannot take, means a cold
-        solve, whose final state becomes the live simplex when phase 1
-        found a feasible basis.
-        """
-        live = self._live
-        added = self._live_changes() if live is not None else None
-        if (added is not None and len(self.constraints) == len(live.tableau)
-                and live.add_columns(added)):
-            self.counters.lp_warm += 1
-            try:
-                status = live.reoptimize()
-            finally:
-                self.counters.pivots += live.pivots
-        else:
-            self.counters.lp_cold += 1
-            self._live = None
+                simplex = warm
+        if simplex is None:
+            self.counters.root_cold += 1
             bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
             if _crossed(bounds):
-                return MPSolution(INFEASIBLE, None, ())
-            status, live = self._solve_cold(bounds, OBJECTIVE)
-            if status not in (OPTIMAL, UNBOUNDED):
-                return MPSolution(status, None, ())
-            self._live = live
-        # objective entries are left out: every solve reprices the objective,
-        # and a scratch-scoped objective is undone right after its solve
-        at = len(self._undo)
-        while at and self._undo[at - 1][0] == "objective":
-            at -= 1
-        self._live_at = at
-        self._live_tail = self._undo[at - 1] if at else None
-        return live.result(status, OBJECTIVE)
+                return INFEASIBLE, None
+            status, simplex = self._solve_cold(bounds, reads)
+        if keep and status in (OPTIMAL, UNBOUNDED):
+            self._live = simplex
+            # objective entries are left out: every solve reprices the
+            # objective, and a scratch-scoped objective is undone right after
+            # its solve
+            at = len(self._undo)
+            while at and self._undo[at - 1][0] == "objective":
+                at -= 1
+            self._live_at = at
+            self._live_tail = self._undo[at - 1] if at else None
+        return status, simplex
 
     def _live_changes(self) -> dict[int, list[int]] | None:
         """The columns added since the live simplex was last brought up to
@@ -522,7 +496,7 @@ class MPModel:
         which `tighten` cannot narrow, is solved cold.
         """
         if var < 0:
-            return self._solve_root(bounds, reads)
+            return self._solve_root(reads)
         warm = parent.copy() if shared else parent
         if not warm.tighten(var, *bounds[var]):
             return self._solve_cold(bounds, reads)
@@ -690,15 +664,14 @@ class _Simplex:
     and `finish` runs both phases and keeps the final state, the reduced
     costs included. A branch-and-bound child takes that state (`copy`),
     narrows one variable's bounds (`tighten`), which keeps the basis dual
-    feasible, and `dual` re-optimises it. A root relaxation takes a copy
-    of the model's live simplex, appends the model's new columns
+    feasible, and `dual` re-optimises it. A warm root relaxation takes the
+    model's live simplex or a copy of it, appends the model's new columns
     (`add_columns`) and rows (`add_rows`), and `finish` runs phase 1 over
     the new rows' artificials only.
     """
 
     def __init__(self, model: MPModel, bounds: list[tuple[Number | None, Number | None]]):
         self.model = model
-        self.pivot_limit = model.pivot_limit
         self.pivots = 0
         # columns: per model variable one or two transformed columns
         self.col_of: list[list[tuple[int, int]]] = []  # model var -> [(col, sign)]
@@ -741,7 +714,10 @@ class _Simplex:
     def finish(self, artificial_cols: list[int], reads: str) -> str:
         """Phase 1 over the basic `artificial_cols`, from a basis feasible
         but for them, then phase 2 unless a status read of the empty
-        objective is settled; returns the status."""
+        objective is settled; returns the status. Pivots count from 0, also
+        on a simplex that an earlier solve left, so every solve counts its
+        own."""
+        self.pivots = 0
         if artificial_cols:
             artificial = set(artificial_cols)
             status = self._optimize(dict.fromkeys(artificial_cols, 1))
@@ -766,9 +742,6 @@ class _Simplex:
                     del row[col]
             for col in artificial_cols:
                 self.upper[col] = 0
-        return self._phase_two(reads)
-
-    def _phase_two(self, reads: str) -> str:
         sign = 1 if self.model.sense == MINIMIZE else -1
         cost = {col: sign * weight * col_sign
                 for var, weight in self.model.objective.items()
@@ -934,6 +907,8 @@ class _Simplex:
         equality row's is its first crash candidate, taken or not.
         """
         model = self.model
+        if first == len(model.constraints):
+            return []
         tableau, rhs, den, basis = self.tableau, self.rhs, self.den, self.basis
         offset, upper, flipped = self.offset, self.upper, self.flipped
         row_of, unit, col_of = self.row_of, self.unit, self.col_of
@@ -1060,22 +1035,13 @@ class _Simplex:
         self.ncols = ncols
         return artificial_cols
 
-    def reoptimize(self) -> str:
-        """Primal phase 2 under the model's current objective from this
-        primal feasible basis; pivots count from 0, as in a cold solve."""
-        self.pivots = 0
-        self.pivot_limit = self.model.pivot_limit
-        return self._phase_two(OBJECTIVE)
-
     # -- warm start from a parent's final state -------------------------------
 
     def copy(self) -> _Simplex:
-        """An independent copy of the state after `finish`, `dual` or
-        `reoptimize`, whatever status it ended with; its pivots count from
-        0 against the model's limit."""
+        """An independent copy of the state after `finish` or `dual`,
+        whatever status it ended with; its pivots count from 0."""
         clone = _Simplex.__new__(_Simplex)
         clone.model = self.model
-        clone.pivot_limit = self.model.pivot_limit
         clone.pivots = 0
         # add_columns appends to col_of and unit, never changes an entry
         clone.col_of = self.col_of.copy()
@@ -1161,7 +1127,7 @@ class _Simplex:
         bland_threshold = 4 * (len(tableau) + self.ncols)
         bland = False
         while True:
-            if self.pivots >= self.pivot_limit:
+            if self.pivots >= self.model.pivot_limit:
                 return LIMIT
             # infeasibility of each basic value as num / vden, vden > 0
             leave_row = -1
@@ -1303,7 +1269,7 @@ class _Simplex:
         bland_threshold = 4 * (len(tableau) + self.ncols)
         bland = False
         while True:
-            if self.pivots >= self.pivot_limit:
+            if self.pivots >= self.model.pivot_limit:
                 return LIMIT
             # pricing: reduced costs share the denominator rden > 0, so their
             # numerators order them; basic columns have reduced cost 0, so

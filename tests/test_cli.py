@@ -80,7 +80,8 @@ def test_run_writes_plan_and_stats(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--no-lp-prop-goals"], ["--weight", "k:0"],
-                                   ["--max-layers", "0"], ["--max-layers", "-3"]])
+                                   ["--max-layers", "0"], ["--max-layers", "-3"],
+                                   ["--wastar-weight", "-1"]])
 def test_invalid_heuristic_config_is_a_usage_error(tmp_path, flags):
     """A flag combination the heuristic rejects exits 2 with one error line
     and no traceback, before the input is read."""

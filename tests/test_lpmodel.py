@@ -549,7 +549,7 @@ def test_bound_queries_grow_one_live_simplex():
     counters = _layered_bounds(task, [[mine], [sell], [buy]],
                                [[(ore, "max")], [(cash, "max"), (ore, "min")],
                                 [(cash, "min"), (ore, "max")]])
-    assert (counters.lp_cold, counters.lp_warm) == (1, 4)
+    assert (counters.root_cold, counters.root_warm) == (1, 4)
 
 
 def test_catalytic_switch_refresh_sends_the_bound_query_cold():
@@ -569,7 +569,7 @@ def test_catalytic_switch_refresh_sends_the_bound_query_cold():
     assert analyse(task).classification.catalytic_groups
     counters = _layered_bounds(task, [[make], [use]],
                                [[(v, "max")], [(out, "max"), (v, "max")]])
-    assert (counters.lp_cold, counters.lp_warm) == (2, 1)
+    assert (counters.root_cold, counters.root_warm) == (2, 1)
 
 
 def test_warm_goal_checks_leave_the_bound_queries_as_they_were():
@@ -603,14 +603,17 @@ def test_warm_goal_checks_leave_the_bound_queries_as_they_were():
                 checks.append((flow.feasible(),
                                cold_vertex(flow.model).status == mp.OPTIMAL))
                 flow.model.pop_scratch()
-            pivots = flow.counters.pivots
+            counters = flow.counters
+            before = (counters.pivots, counters.root_warm, counters.root_cold)
             queries.append((flow.query_bound(var, direction, None),
-                            flow.counters.pivots - pivots))
-        runs.append((queries, flow.counters.lp_warm, flow.counters.lp_cold))
+                            counters.pivots - before[0], counters.root_warm - before[1],
+                            counters.root_cold - before[2]))
+        runs.append(queries)
     assert runs[0] == runs[1]
     assert checks == [(False, False), (True, True), (True, True)]
-    # the first check comes before any query, so it is cold
-    assert flow.counters.root_warm == 2
+    # the first check comes before any query, so it is cold, as the first
+    # query is
+    assert (flow.counters.root_warm, flow.counters.root_cold) == (4, 2)
 
 
 def test_warm_goal_check_at_the_pivot_limit_assumes_feasible(caplog):
@@ -692,11 +695,11 @@ def test_warm_bound_queries_equal_cold_solves_over_plan_runs(monkeypatch, family
     seen = {"objective": 0, "warm": 0, "mismatched": []}
 
     def checked_solve(self, reads=mp.VERTEX):
-        warm = self.counters.lp_warm
+        warm = self.counters.root_warm
         solution = real_solve(self, reads=reads)
         if reads == mp.OBJECTIVE:
             seen["objective"] += 1
-            seen["warm"] += self.counters.lp_warm - warm
+            seen["warm"] += self.counters.root_warm - warm
             key = [status_and_objective(s) for s in (solution, cold_vertex(self))]
             if key[0] != key[1]:
                 seen["mismatched"].append(key)

@@ -556,16 +556,18 @@ def test_objective_only_solves_equal_cold_solves_on_grown_lps(data):
     the status and objective, types included, of a cold solve, warm from
     the live simplex or cold where the model changed otherwise."""
     rng = random.Random(4242)
-    counters = mp.Counters()
+    warm = cold_roots = 0
     for model in _grown_lps(rng, data == "rational"):
-        model.counters = counters
         cols = rng.sample(range(len(model.variables)),
                           min(len(model.variables), rng.randint(1, 2)))
         objective = {c: _draw(rng, -3, 3, data == "rational") or 1 for c in cols}
+        before = (model.counters.root_warm, model.counters.root_cold)
         got, cold = _query(model, objective, rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
+        warm += model.counters.root_warm - before[0]
+        cold_roots += model.counters.root_cold - before[1]
         assert status_and_objective(got) == status_and_objective(cold)
         assert got.values == ()
-    assert counters.lp_warm > 100 and counters.lp_cold > 50, counters
+    assert warm > 100 and cold_roots > 50, (warm, cold_roots)
 
 
 def _solution_key(solution):
@@ -576,12 +578,13 @@ def _solution_key(solution):
 
 def _count_roots(monkeypatch):
     """Wrap root solves: asserts that no cold solve follows a warm root, and
-    counts warm roots read for their vertex and those of them whose
-    canonical point took tie-break pivots, so that the optimum first
-    reached was not unique."""
+    counts the warm roots that work on a copy of the live simplex, those of
+    them read for their vertex, and those of these whose canonical point
+    took tie-break pivots, so that the optimum first reached was not
+    unique."""
     real_solve_root, real_solve_cold = mp.MPModel._solve_root, mp.MPModel._solve_cold
     real_canonicalize = mp._Simplex.canonicalize
-    seen = {"cold": 0, "tie_broken": 0, "warm_vertex": 0, "warm_tie_broken": 0}
+    seen = {"cold": 0, "tie_broken": 0, "warm": 0, "warm_vertex": 0, "warm_tie_broken": 0}
 
     def solve_cold(self, bounds, reads):
         seen["cold"] += 1
@@ -593,11 +596,12 @@ def _count_roots(monkeypatch):
         seen["tie_broken"] += self.pivots > before
         return status
 
-    def solve_root(self, bounds, reads):
+    def solve_root(self, reads, keep=False):
         warm, cold, tie_broken = self.counters.root_warm, seen["cold"], seen["tie_broken"]
-        status, simplex = real_solve_root(self, bounds, reads)
-        if self.counters.root_warm > warm:
+        status, simplex = real_solve_root(self, reads, keep)
+        if self.counters.root_warm > warm and not keep:
             assert seen["cold"] == cold  # kept: never solved again cold
+            seen["warm"] += 1
             if reads == mp.VERTEX:
                 seen["warm_vertex"] += 1
                 seen["warm_tie_broken"] += seen["tie_broken"] > tie_broken
@@ -662,7 +666,7 @@ def test_warm_roots_equal_cold_solves_on_grown_lps(monkeypatch, data):
                 assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
         finally:
             model.pop_scratch()
-    assert counters.root_warm > 100 and roots["warm_vertex"] > 50, (counters, roots)
+    assert roots["warm"] > 100 and roots["warm_vertex"] > 50, roots
     assert roots["warm_tie_broken"] > 20, roots
     assert flipped_terms > 40
 
@@ -695,11 +699,45 @@ def test_warm_root_leaves_the_live_simplex_as_it_was():
             assert model.solve(reads=mp.STATUS).status == mp.OPTIMAL
             model.pop_scratch()
             assert model.counters.root_warm == 1
-        pivots = model.counters.pivots
+        counters = model.counters
+        before = (counters.pivots, counters.root_warm, counters.root_cold)
         got, cold = _query(model, {z: 1, x: 2}, mp.MAXIMIZE)
         assert status_and_objective(got) == status_and_objective(cold)
-        runs.append((got, model.counters.pivots - pivots, model.counters.lp_warm))
+        runs.append((got, counters.pivots - before[0], counters.root_warm - before[1],
+                     counters.root_cold - before[2]))
     assert runs[0] == runs[1]
+
+
+def test_objective_read_after_an_appended_row_is_warm():
+    """A row appended for good after a query, violated at the live point, is
+    written onto the live simplex itself with an artificial: the next
+    objective read is warm, returns the cold solve's status and objective,
+    and leaves the row in the live simplex, so the query after it is warm
+    too."""
+    model, x, y = _live_model()
+    live = model._live
+    model.add_constraint({x: 1, y: -1}, ">=", 2)  # x = y = 3 at the live point
+    for objective, sense, want in (({x: 1, y: 1}, mp.MAXIMIZE, 4), ({y: 1}, mp.MINIMIZE, -2)):
+        got, cold = _query(model, objective, sense)
+        assert status_and_objective(got) == status_and_objective(cold) == (mp.OPTIMAL, want,
+                                                                            int)
+        assert model._live is live and len(live.tableau) == 2
+    assert (model.counters.root_warm, model.counters.root_cold) == (2, 1)
+
+
+def test_warm_objective_read_at_the_pivot_limit_drops_the_live_simplex():
+    """A warm objective read cut by the pivot limit returns LIMIT and leaves
+    no live simplex, so the next query is cold, and correct."""
+    model, x, y = _live_model()
+    model.pivot_limit = 0
+    assert _query(model, {y: 1}, mp.MINIMIZE)[0] == mp.MPSolution(mp.LIMIT, None, ())
+    assert model._live is None
+    assert (model.counters.root_warm, model.counters.root_cold) == (1, 1)
+    model.pivot_limit = mp.DEFAULT_PIVOT_LIMIT
+    got, cold = _query(model, {y: 1}, mp.MINIMIZE)
+    assert status_and_objective(got) == status_and_objective(cold) == (mp.OPTIMAL, -2, int)
+    assert (model.counters.root_warm, model.counters.root_cold) == (1, 2)
+    assert model._live is not None
 
 
 def test_live_simplex_of_an_unbounded_query_seeds_a_warm_root():
@@ -765,8 +803,8 @@ def test_warm_root_crashes_a_column_in_no_live_row(monkeypatch):
     roots = []
     real_solve_root = mp.MPModel._solve_root
 
-    def solve_root(self, bounds, reads):
-        status, simplex = real_solve_root(self, bounds, reads)
+    def solve_root(self, reads, keep=False):
+        status, simplex = real_solve_root(self, reads, keep)
         roots.append(simplex)
         return status, simplex
 
@@ -803,7 +841,7 @@ def test_new_column_reads_a_flipped_column_crashed_in_an_appended_row():
     for objective, sense in (({w: 1}, mp.MAXIMIZE), ({w: 1, z: -1}, mp.MAXIMIZE),
                              ({w: 2, y: 1}, mp.MINIMIZE)):
         model.set_objective(objective, sense)
-        got = warm.result(warm.reoptimize(), mp.OBJECTIVE)
+        got = warm.result(warm.finish([], mp.OBJECTIVE), mp.OBJECTIVE)
         assert status_and_objective(got) == status_and_objective(cold_vertex(model))
     model.pop_scratch()
 
@@ -844,7 +882,7 @@ def test_appended_rows_give_new_columns_their_unit_columns(data):
             model.set_objective({new: _draw(rng, -3, 3, rational) or 1,
                                  rng.randrange(new): _draw(rng, -3, 3, rational)},
                                 rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
-            got = warm.result(warm.reoptimize(), mp.OBJECTIVE)
+            got = warm.result(warm.finish([], mp.OBJECTIVE), mp.OBJECTIVE)
             assert status_and_objective(got) == status_and_objective(cold_vertex(model))
         finally:
             model.pop_scratch()
@@ -869,7 +907,7 @@ def test_new_column_reads_flipped_and_structural_unit_columns():
                              ({y: 1}, mp.MAXIMIZE)):
         got, cold = _query(model, objective, sense)
         assert status_and_objective(got) == status_and_objective(cold)
-    assert model.counters.lp_warm == 3 and model.counters.lp_cold == 1
+    assert model.counters.root_warm == 3 and model.counters.root_cold == 1
 
 
 def test_columns_added_together_share_their_row_denominator():
@@ -887,7 +925,7 @@ def test_columns_added_together_share_their_row_denominator():
         got, cold = _query(model, objective, mp.MAXIMIZE)
         assert (got.status, got.objective) == (cold.status, cold.objective) == (mp.OPTIMAL,
                                                                                 want)
-    assert model.counters.lp_warm == 3
+    assert model.counters.root_warm == 3
 
 
 def test_changed_coefficient_or_undo_below_the_live_point_goes_cold():
@@ -909,7 +947,7 @@ def test_changed_coefficient_or_undo_below_the_live_point_goes_cold():
     z = model.add_variable(1, 5)                                   # lower bound not 0
     model.set_coefficient(0, z, 1)
     assert _query(model, {z: 1}, mp.MAXIMIZE)[0].objective == 4   # cold
-    assert (model.counters.lp_warm, model.counters.lp_cold) == (2, 5)
+    assert (model.counters.root_warm, model.counters.root_cold) == (2, 5)
 
 
 def test_undo_and_redo_to_the_same_length_goes_cold():
@@ -926,7 +964,7 @@ def test_undo_and_redo_to_the_same_length_goes_cold():
     z = model.add_variable(0, 1)
     got, cold = _query(model, {z: 1}, mp.MAXIMIZE)
     assert got.objective == cold.objective == 1
-    assert (model.counters.lp_warm, model.counters.lp_cold) == (0, 2)
+    assert (model.counters.root_warm, model.counters.root_cold) == (0, 2)
 
 
 def test_objective_only_solve_of_a_mip_is_its_branch_and_bound_result():
@@ -935,7 +973,7 @@ def test_objective_only_solve_of_a_mip_is_its_branch_and_bound_result():
     model.add_constraint({x: 2}, "<=", 7)
     got, cold = _query(model, {x: 1}, mp.MAXIMIZE)
     assert (got.status, got.objective, got.values) == (cold.status, 3, ())
-    assert model.counters.lp_warm == model.counters.lp_cold == 0
+    assert (model.counters.root_warm, model.counters.root_cold) == (0, 1)  # the B&B root
 
 
 def test_status_only_solve_stops_after_phase_one(monkeypatch):
@@ -1030,10 +1068,13 @@ def test_solver_behaviour_over_plan_task_is_pinned(monkeypatch, family, size, al
     real_solve = mp.MPModel.solve
 
     def recording_solve(self, reads=mp.VERTEX):
-        before = (self.counters.pivots, self.counters.bb_nodes)
+        counters = self.counters
+        before = (counters.pivots, counters.bb_nodes, counters.root_warm + counters.root_cold)
         solution = real_solve(self, reads=reads)
-        totals["pivots"] += self.counters.pivots - before[0]
-        totals["bb_nodes"] += self.counters.bb_nodes - before[1]
+        totals["pivots"] += counters.pivots - before[0]
+        totals["bb_nodes"] += counters.bb_nodes - before[1]
+        # every solve is one root relaxation, warm or cold
+        assert counters.root_warm + counters.root_cold == before[2] + 1
         if reads != mp.VERTEX:
             # a bound query or feasibility check: record the vertex of a cold
             # solve, whose status and objective the solve must return
