@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .model import (
     GE, GT, LE, LT, EQ,
@@ -589,6 +590,19 @@ Subgoal = tuple[int, NumericCondition]
 # magnitude when it is a constant else None, the magnitude expression).
 CompiledEffect = tuple[int, str, Number | None, LinearExpr]
 
+# A tracked variable's post-value column in every flow model of the task:
+# (variable, column name, flow-row name, static lower bound, static upper
+# bound), a bound None where it is infinite.
+FlowPost = tuple[int, str, str, Number | None, Number | None]
+
+# An action's count column in every flow model of the task: (count bound,
+# column name, {flow row: -delta} over the tracked variables it changes,
+# where a variable's flow row is its index in `flow_posts`, the tracked
+# variables with delta > 0, those with delta <= 0, the indices of its
+# one-shot sets, the indices of its catalytic groups).
+FlowColumn = tuple[Number, str, dict[int, Number], tuple[int, ...], tuple[int, ...],
+                   tuple[int, ...], tuple[int, ...]]
+
 
 def _derived():
     return field(init=False, repr=False, compare=False)
@@ -612,7 +626,9 @@ class AnalysedTask:
       effects with constant magnitudes read out, and per variable the
       variables whose effects read it in their magnitude.
     - For flow models: the tracked variables and the actions that affect
-      an untracked one.
+      an untracked one, and, compiled on first use, the post-value columns
+      in tracked-variable order (`flow_posts`) and every action's count
+      column (`flow_columns`).
     - For extraction: fact adders, the actions affecting each variable,
       positive signatures, the best single-action production per
       variable, and the split and normalised numeric subgoals of each
@@ -706,6 +722,36 @@ class AnalysedTask:
 
         derive("action_subgoals", tuple(subgoals(a.numeric_preconditions) for a in actions))
         derive("goal_subgoals", subgoals(task.goal_conditions))
+
+    @cached_property
+    def flow_posts(self) -> tuple[FlowPost, ...]:
+        cls, names = self.classification, self.task.var_names
+        return tuple((var, f"post {names[var]}", f"flow {names[var]}", cls.lb[var], cls.ub[var])
+                     for var in sorted(self.tracked))
+
+    @cached_property
+    def flow_columns(self) -> tuple[FlowColumn, ...]:
+        cls = self.classification
+        position = {post[0]: index for index, post in enumerate(self.flow_posts)}
+        one_shots: dict[int, list[int]] = {}
+        for index, oss in enumerate(self.one_shot_sets):
+            for action_id in set(oss.actions):
+                one_shots.setdefault(action_id, []).append(index)
+        groups: dict[int, list[int]] = {}
+        for index, group in enumerate(cls.catalytic_groups):
+            for action_id in group.actions:
+                groups.setdefault(action_id, []).append(index)
+        columns = []
+        for action in self.task.actions:
+            deltas = {var: delta for var, delta in cls.delta.get(action.id, {}).items()
+                      if var in position}
+            columns.append((
+                cls.count_bound[action.id], f"count {action.name}",
+                {position[var]: -delta for var, delta in deltas.items()},
+                tuple(var for var, delta in deltas.items() if delta > 0),
+                tuple(var for var, delta in deltas.items() if delta <= 0),
+                tuple(one_shots.get(action.id, ())), tuple(groups.get(action.id, ()))))
+        return tuple(columns)
 
 
 def analyse(task: GroundTask, cap: Number = DEFAULT_COUNT_CAP,

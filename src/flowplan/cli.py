@@ -172,11 +172,23 @@ def _dump_debug(args, outcome: planner.PlanOutcome, config: HeuristicConfig) -> 
                 print(f"  helpful: {task.actions[action_id].name}")
 
 
+def check_budgets(args) -> None:
+    """Reject a negative `--max-expansions` and a `--time-limit` that is
+    negative or not a number; raises ValueError."""
+    if args.max_expansions < 0:
+        raise ValueError(f"--max-expansions must be at least 0, got {args.max_expansions}")
+    if not args.time_limit >= 0:
+        raise ValueError(f"--time-limit must be at least 0, got {args.time_limit}")
+
+
 def cmd_run(args) -> int:
     try:
         config = build_config(args)
+        check_budgets(args)
         if args.wastar_weight < 0:
             raise ValueError(f"--wastar-weight must be at least 0, got {args.wastar_weight}")
+        if args.action_cap < 0:
+            raise ValueError(f"--action-cap must be at least 0, got {args.action_cap}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -319,6 +331,11 @@ def bench_one(job: tuple) -> list:
 
 
 def cmd_bench(args) -> int:
+    try:
+        check_budgets(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         pairs = []
         with args.manifest.open() as handle:

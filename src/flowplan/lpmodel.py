@@ -7,14 +7,17 @@ catalytic bounds and switches, propositional goals, landmarks, the
 full-proposition encoding, and the numeric goal conjunct. The model
 grows monotonically as RPG layers add actions; temporary rows (goal
 checks, subgoal constraints) are scratch-scoped, and bound queries add
-no rows at all. Every solve starts from the model's live simplex, which
-takes the columns that `extend` appended since the last bound query and
-any rows appended since. A bound query reads only the optimum, so it is
-solved with `reads=OBJECTIVE`, on the live simplex itself, and carries
-it on to the next query. A feasibility check reads only the status
-(`reads=STATUS`); it, and an extraction solve at the final layer, work on
-a copy of the live simplex with the scratch rows appended, which leaves
-the live simplex as the bound queries left it.
+no rows at all. An action's column is compiled once per task
+(`AnalysedTask.flow_columns`); `extend` only adds its cells in the rows
+that depend on the state and hands it to `MPModel.add_column` whole.
+Every solve starts from the model's live simplex, which takes the columns
+that `extend` appended since the last bound query, each read from its
+one undo entry, and any rows appended since. A bound query reads only
+the optimum, so it is solved with `reads=OBJECTIVE`, on the live simplex
+itself, and carries it on to the next query. A feasibility check reads
+only the status (`reads=STATUS`); it, and an extraction solve at the
+final layer, work on a copy of the live simplex with the scratch rows
+appended, which leaves the live simplex as the bound queries left it.
 """
 
 from __future__ import annotations
@@ -111,35 +114,36 @@ class FlowModel:
         self.flow_row: dict[int, int] = {}
         self.up_row: dict[int, int] = {}
         self.down_row: dict[int, int] = {}
-        self.one_shot_rows: list[tuple[frozenset[int], int]] = []  # (members, row)
+        # one-shot set index -> its row, for the sets whose fact holds
+        self.one_shot_rows: dict[int, int] = {}
         self.switch_cols: list[int] = []
         # catalytic switches: (group members, switch col, bigM row, bound row)
         self.switches: list[tuple[frozenset[int], int, int, int]] = []
-        self.has_increaser: dict[int, bool] = {v: False for v in self.tracked}
-        self.has_decreaser: dict[int, bool] = {v: False for v in self.tracked}
+        # catalytic group index -> the bigM row of its switch
+        self.big_m_rows: dict[int, int] = {}
+        # the tracked variables that an action in the layer increases, and
+        # those that one changes by delta <= 0
+        self.increased: set[int] = set()
+        self.decreased: set[int] = set()
         self._build_skeleton()
 
     # -- construction --------------------------------------------------------
 
     def _build_skeleton(self) -> None:
         start = time.perf_counter()
-        task, cls = self.task, self.cls
-        for var in sorted(self.tracked):
-            name = task.var_names[var]
+        model, values, facts = self.model, self.state.values, self.state.facts
+        for var, post_name, flow_name, lb, ub in self.analysed.flow_posts:
             # clamp by the evaluated state so zero counts stay feasible even
             # when the state sits outside the producer/consumer bounds
-            value = self.state.values[var]
-            lb = None if cls.lb[var] is None else min(cls.lb[var], value)
-            ub = None if cls.ub[var] is None else max(cls.ub[var], value)
-            col = self.model.add_variable(lb, ub, name=f"post {name}")
+            value = values[var]
+            col = model.add_variable(None if lb is None else min(lb, value),
+                                     None if ub is None else max(ub, value), name=post_name)
             self.post_col[var] = col
-            self.flow_row[var] = self.model.add_constraint(
-                {col: 1}, "=", value, name=f"flow {name}")
-        for oss in self.analysed.one_shot_sets:
-            if oss.fact in self.state.facts:
-                row = self.model.add_constraint(
-                    {}, "<=", 1, name=f"oneshot {task.fact_names[oss.fact]}")
-                self.one_shot_rows.append((frozenset(oss.actions), row))
+            self.flow_row[var] = model.add_constraint({col: 1}, "=", value, name=flow_name)
+        for index, oss in enumerate(self.analysed.one_shot_sets):
+            if oss.fact in facts:
+                self.one_shot_rows[index] = model.add_constraint(
+                    {}, "<=", 1, name=f"oneshot {self.task.fact_names[oss.fact]}")
         self.counters.build_time += time.perf_counter() - start
 
     def add_catalytic(self) -> None:
@@ -165,8 +169,11 @@ class FlowModel:
                                              name=f"switch{index}")
             self.switch_cols.append(switch)
             # N*s >= sum of group counts; N grows with the layer (sum of U_a)
-            big_m_row = self.model.add_constraint(
-                {switch: 0}, ">=", 0, name=f"bigM{index}")
+            present = [a for a in group.actions if a in self.action_col]
+            coeffs = {self.action_col[a]: -1 for a in present}
+            coeffs[switch] = sum(cls.count_bound[a] for a in present)
+            big_m_row = self.model.add_constraint(coeffs, ">=", 0, name=f"bigM{index}")
+            self.big_m_rows[index] = big_m_row
             var = group.variable
             if group.op == GE:
                 anchor = self.cls.lb[var]
@@ -187,49 +194,56 @@ class FlowModel:
                      switch: (anchor - group.threshold)}, "<=", anchor,
                     name=f"catal{index}")
             self.switches.append((frozenset(group.actions), switch, big_m_row, bound_row))
-        self._refresh_switch_rows()
         self.counters.build_time += time.perf_counter() - start
 
     def extend(self, new_action_ids) -> None:
-        """Append columns for newly reachable actions and wire them into rows."""
+        """Append a count column for each newly reachable action, in id order.
+
+        An action's column is compiled once per task
+        (`AnalysedTask.flow_columns`), its flow part keyed by row, as the
+        skeleton writes the flow rows first, in `flow_posts` order. Here it
+        gets its cells in the rows that depend on the state: -delta in the up
+        (delta > 0) or down row of a catalytic variable, 1 in a one-shot row,
+        -1 in a bigM row. `MPModel.add_column` writes it whole; then each
+        switch gets its new big-M coefficient.
+        """
         start = time.perf_counter()
-        cls = self.cls
+        columns, model, action_col = self.analysed.flow_columns, self.model, self.action_col
+        up_row, down_row = self.up_row, self.down_row
+        one_shot_rows, big_m_rows = self.one_shot_rows, self.big_m_rows
         added = False
         for action_id in sorted(new_action_ids):
-            if action_id in self.action_col:
+            if action_id in action_col:
                 continue
             added = True
-            action = self.task.actions[action_id]
-            col = self.model.add_variable(0, cls.count_bound[action_id],
-                                          name=f"count {action.name}")
-            self.action_col[action_id] = col
-            for var, delta in cls.delta.get(action_id, {}).items():
-                if var not in self.tracked:
-                    continue
-                self.model.set_coefficient(self.flow_row[var], col, -delta)
-                if delta > 0:
-                    self.has_increaser[var] = True
-                    if var in self.up_row:
-                        self.model.set_coefficient(self.up_row[var], col, -delta)
-                else:
-                    self.has_decreaser[var] = True
-                    if var in self.down_row:
-                        self.model.set_coefficient(self.down_row[var], col, -delta)
-            for members, row in self.one_shot_rows:
-                if action_id in members:
-                    self.model.set_coefficient(row, col, 1)
+            bound, name, coeffs, ups, downs, one_shots, groups = columns[action_id]
+            self.increased.update(ups)
+            self.decreased.update(downs)
+            if up_row or (one_shots and one_shot_rows):
+                coeffs = dict(coeffs)
+                for var in ups:
+                    if var in up_row:
+                        coeffs[up_row[var]] = coeffs[self.flow_row[var]]
+                for var in downs:
+                    if var in down_row:
+                        coeffs[down_row[var]] = coeffs[self.flow_row[var]]
+                for index in one_shots:
+                    if index in one_shot_rows:
+                        coeffs[one_shot_rows[index]] = 1
+                for index in groups:
+                    if index in big_m_rows:
+                        coeffs[big_m_rows[index]] = -1
+            action_col[action_id] = model.add_column(0, bound, coeffs, name)
         if added:
             self._refresh_switch_rows()
         self.counters.build_time += time.perf_counter() - start
 
     def _refresh_switch_rows(self) -> None:
+        """Set each switch's big-M coefficient to the sum of the count bounds
+        of its group's actions in the layer."""
         for members, switch, big_m_row, _ in self.switches:
-            present = [a for a in members if a in self.action_col]
-            big_m = sum(self.cls.count_bound[a] for a in present)
+            big_m = sum(self.cls.count_bound[a] for a in members if a in self.action_col)
             self.model.set_coefficient(big_m_row, switch, big_m)
-            for action_id in present:
-                self.model.set_coefficient(big_m_row, self.action_col[action_id],
-                                           -1)
 
     # -- temporary structure -------------------------------------------------
 
@@ -372,9 +386,9 @@ class FlowModel:
         optimum falls short of `previous`, no point meets that row, and an
         infeasible clamped LP keeps `previous`.
         """
-        if direction == "max" and not self.has_increaser.get(var):
+        if direction == "max" and var not in self.increased:
             return previous if previous is not None else self.state.values[var]
-        if direction == "min" and not self.has_decreaser.get(var):
+        if direction == "min" and var not in self.decreased:
             return previous if previous is not None else self.state.values[var]
         sense = mp.MAXIMIZE if direction == "max" else mp.MINIMIZE
         self.model.push_scratch()

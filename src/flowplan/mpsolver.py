@@ -71,7 +71,11 @@ cold, except a MIP whose bounds cross, which solves none.
 The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
 temporary constraints and temporary integrality. The undo log also tells
-the live simplex what changed since its last solve.
+the live simplex what changed since its last solve: a column written
+whole by `add_column` is one entry, which holds its coefficients, and only
+a later `set_coefficient` cell is read from the model. The model counts
+its integer and binary columns as they come and go, so a solve tells an
+LP from a MIP without scanning the kinds.
 """
 
 from __future__ import annotations
@@ -117,7 +121,11 @@ def _number(value) -> Number:
 
 @dataclass
 class Counters:
-    """Shared accounting for model building and solving."""
+    """Shared accounting for model building and solving: the seconds spent
+    building flow models (`extend` included) and solving them, and the
+    solves, pivots, branch-and-bound nodes and root relaxations behind them.
+    Every solve is one root, warm or cold, except a MIP whose bounds cross,
+    which solves none."""
 
     solves: int = 0
     build_time: float = 0.0
@@ -167,6 +175,8 @@ class MPModel:
         self.node_limit = node_limit
         self._undo: list[tuple] = []
         self._marks: list[int] = []
+        # the number of integer and binary variables, which `solve` reads
+        self.integral = 0
         # the final state of the last LP read for its objective only, from
         # which every root starts where it can, and the length and last
         # entry of the undo log at that point: an undo below that point
@@ -179,15 +189,35 @@ class MPModel:
 
     def add_variable(self, lb=0, ub=None, kind: str = CONTINUOUS,
                      name: str = "") -> int:
+        return self.add_column(lb, ub, {}, name, kind)
+
+    def add_column(self, lb, ub, coeffs: dict[int, Number], name: str = "",
+                   kind: str = CONTINUOUS) -> int:
+        """A new variable with its coefficients in existing rows, `{row: coeff}`,
+        written whole: it leaves one undo entry, which holds the nonzero
+        coefficients and from which the live simplex reads the column."""
         lb = None if lb is None else _number(lb)
         ub = None if ub is None else _number(ub)
         if lb is not None and ub is not None and lb > ub:
             raise SolverError(f"variable bounds crossed: [{lb}, {ub}]")
+        constraints = self.constraints
+        nrows = len(constraints)
         index = len(self.variables)
+        clean = {}
+        for row, weight in coeffs.items():
+            if not 0 <= row < nrows:
+                raise SolverError(f"unknown constraint row {row}")
+            weight = _number(weight)
+            if weight:
+                clean[row] = weight
         self.variables.append(_Variable(lb, ub, kind, name or f"x{index}"))
+        if kind in (INTEGER, BINARY):
+            self.integral += 1
+        for row, weight in clean.items():
+            constraints[row].coeffs[index] = weight
         # the index makes each entry a distinct object, which the live
         # simplex tells apart by identity
-        self._undo.append(("pop_variable", index))
+        self._undo.append(("pop_column", index, clean))
         return index
 
     def add_constraint(self, coeffs: dict[int, Number], op: str, rhs,
@@ -218,6 +248,10 @@ class MPModel:
             raise SolverError(f"unknown variable kind {kind}")
         var = self._var(index)
         self._undo.append(("kind", index, var.kind))
+        self._set_kind(var, kind)
+
+    def _set_kind(self, var: _Variable, kind: str) -> None:
+        self.integral += (kind in (INTEGER, BINARY)) - (var.kind in (INTEGER, BINARY))
         var.kind = kind
 
     def set_variable_bounds(self, index: int, lb, ub) -> None:
@@ -258,14 +292,18 @@ class MPModel:
         while len(self._undo) > mark:
             entry = self._undo.pop()
             tag = entry[0]
-            if tag == "pop_variable":
-                self.variables.pop()
+            if tag == "pop_column":
+                index = entry[1]
+                for row in entry[2]:
+                    del self.constraints[row].coeffs[index]
+                if self.variables.pop().kind in (INTEGER, BINARY):
+                    self.integral -= 1
             elif tag == "pop_constraint":
                 self.constraints.pop()
             elif tag == "objective":
                 self.objective, self.sense = entry[1], entry[2]
             elif tag == "kind":
-                self.variables[entry[1]].kind = entry[2]
+                self._set_kind(self.variables[entry[1]], entry[2])
             elif tag == "bounds":
                 self.variables[entry[1]].lb, self.variables[entry[1]].ub = entry[2], entry[3]
             elif tag == "coefficient":
@@ -368,7 +406,7 @@ class MPModel:
         start = time.perf_counter()
         self.counters.solves += 1
         try:
-            if any(v.kind in (INTEGER, BINARY) for v in self.variables):
+            if self.integral:
                 bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
                 if reads != STATUS or self.objective:
                     return self._branch_and_bound(bounds, reads)
@@ -446,32 +484,40 @@ class MPModel:
             self._live_tail = self._undo[at - 1] if at else None
         return status, simplex
 
-    def _live_changes(self) -> dict[int, list[int]] | None:
+    def _live_changes(self) -> dict[int, dict[int, Number]] | None:
         """The columns added since the live simplex was last brought up to
-        date, each with the rows of the live simplex it was given
-        coefficients in, or None if anything else the live simplex depends
-        on changed since: an existing column's coefficient in one of those
-        rows or its effective bounds, or an undo that reached below that
-        point. Rows appended since are not checked: a caller reads them
-        whole."""
+        date, each with its coefficients `{row: coeff}`, or None if anything
+        else the live simplex depends on changed since: an existing column's
+        coefficient in one of its rows or its effective bounds, or an undo
+        that reached below that point. A new column's coefficients are those
+        its `add_column` entry holds, with every later `set_coefficient` cell
+        of it read from the model; rows appended since are left in, as
+        `add_columns` skips them: a caller reads them whole."""
         at, undo = self._live_at, self._undo
         if len(undo) < at or (at and undo[at - 1] is not self._live_tail):
             return None
         live = self._live
         nrows = len(live.tableau)
         first = len(live.col_of)
-        added: dict[int, list[int]] = {col: [] for col in range(first, len(self.variables))}
+        added: dict[int, dict[int, Number]] = {}
         seen = set()
         for index in range(at, len(undo)):
             entry = undo[index]
             tag = entry[0]
+            if tag == "pop_column":
+                added[entry[1]] = entry[2]
             # the first undo entry of a cell holds its value at that point
-            if tag == "coefficient":
+            elif tag == "coefficient":
                 row, col, old = entry[1], entry[2], entry[3]
                 if row >= nrows:
                     continue
                 if col >= first:
-                    added[col].append(row)
+                    column = added[col] = dict(added[col])
+                    value = self.constraints[row].coeffs.get(col)
+                    if value is None:
+                        column.pop(row, None)
+                    else:
+                        column[row] = value
                 elif (row, col) not in seen:
                     seen.add((row, col))
                     if self.constraints[row].coeffs.get(col) != old:
@@ -798,57 +844,67 @@ class _Simplex:
 
     # -- warm start from an earlier solve of the same model -------------------
 
-    def add_columns(self, columns: dict[int, list[int]]) -> bool:
+    def add_columns(self, columns: dict[int, dict[int, Number]]) -> bool:
         """Append the columns of model variables added since this simplex
         was built or last re-optimised, nonbasic at 0. `columns` maps each
-        such variable to the rows it may have a coefficient in.
+        such variable, in index order, to its coefficients `{row: coeff}`
+        (`MPModel._live_changes`); a row this simplex does not hold yet is
+        skipped, as `add_rows` writes it whole.
 
         In the first tableau, row r was negated if s = -1 and has a unit
         column u whose column there is c e_r, so the current tableau column
         of u is c B^-1 e_r, negated if u is flipped. A new column with
         entries a_r then reads B^-1 (s a_r)_r = sum over r of
         a_r (s / c) B^-1 e_r. The basic values do not move, so the basis
-        stays primal feasible. Returns False, changing nothing, if a
-        variable's effective lower bound is not 0 or one of its rows has no
-        unit column.
+        stays primal feasible. An entry that is a whole numerator over its
+        row's denominator is written as it is; a row that gets any other is
+        scaled once, by the least common denominator of its new entries.
+        Returns False, changing nothing, if a variable's effective lower
+        bound is not 0 or one of its rows has no unit column.
         """
-        model, unit, flipped = self.model, self.unit, self.flipped
-        constraints = model.constraints
-        new_columns = []
-        for var, rows in columns.items():
+        if not columns:
+            return True
+        model, unit, flipped, row_of = self.model, self.unit, self.flipped, self.row_of
+        tableau, rhs, den = self.tableau, self.rhs, self.den
+        nrows = len(unit)
+        # current tableau columns of nonbasic unit columns, as (row, entry)
+        unit_entries: dict[int, list[tuple[int, int]]] = {}
+        # the new entries as (row i, column, p): p over den[i]
+        integral: list[tuple[int, int, int]] = []
+        # per row i, its other new entries as (column, p, q): p / q over den[i]
+        fractional: dict[int, list[tuple[int, int, int]]] = {}
+        uppers = []
+        j = self.ncols
+        for var, coeffs in columns.items():
             lb, ub = model.effective_bounds(var)
             if lb != 0:
                 return False
-            # the multiplier of each unit column, (p, d) for p / d; a row
-            # listed twice has one unit column, so it counts once
-            terms: dict[int, tuple[int, int]] = {}
-            q = 1  # their common denominator
-            for r in rows:
-                weight = constraints[r].coeffs.get(var)
-                if weight is None:
-                    continue
-                if unit[r] is None:
-                    return False
-                u, fn, fd = unit[r]
-                p, d = fn * weight.numerator, fd * weight.denominator
-                terms[u] = (-p if flipped[u] else p, d)
-                if d != 1:
-                    q = lcm(q, d)
-            new_columns.append((ub, [(u, p * (q // d)) for u, (p, d) in terms.items()], q))
-        tableau, rhs, den = self.tableau, self.rhs, self.den
-        row_of = self.row_of
-        # current tableau columns of nonbasic unit columns, as (row, entry)
-        unit_entries: dict[int, list[tuple[int, int]]] = {}
-        # per row, its new entries as (column, p, q): p / q over den[i]
-        new_entries: dict[int, list[tuple[int, int, int]]] = {}
-        j = self.ncols
-        for ub, terms, q in new_columns:
-            self.col_of.append([(j, 1)])
-            self.offset.append(0)
-            self.upper.append(ub)
-            flipped.append(False)
+            uppers.append(ub)
+            # per row i, the column's entry as a numerator over den[i] * q
             sums: dict[int, int] = {}
-            for u, m in terms:
+            q = 1
+            for r, weight in coeffs.items():
+                if r >= nrows:
+                    continue
+                entry = unit[r]
+                if entry is None:
+                    return False
+                # the multiplier of the unit column u, m / d
+                u, m, d = entry
+                if type(weight) is int:
+                    m *= weight
+                else:
+                    m *= weight.numerator
+                    d *= weight.denominator
+                if flipped[u]:
+                    m = -m
+                if d != 1 and q % d:
+                    scale = lcm(q, d) // q
+                    if sums:
+                        sums = {i: total * scale for i, total in sums.items()}
+                    q *= scale
+                if d != q:
+                    m *= q // d
                 i = row_of.get(u)
                 if i is not None:  # basic: 1 in its row
                     sums[i] = sums.get(i, 0) + m * den[i]
@@ -862,21 +918,28 @@ class _Simplex:
             for i, total in sums.items():
                 if total:
                     g = gcd(total, q)
-                    new_entries.setdefault(i, []).append((j, total // g, q // g))
+                    if g == q:
+                        integral.append((i, j, total // q))
+                    else:
+                        fractional.setdefault(i, []).append((j, total // g, q // g))
             j += 1
+        added = j - self.ncols
+        self.col_of.extend([[(col, 1)] for col in range(self.ncols, j)])
+        self.offset.extend([0] * added)
+        self.upper.extend(uppers)
+        flipped.extend([False] * added)
         self.ncols = j
-        for i, entries in new_entries.items():
+        for i, j, p in integral:
+            tableau[i][j] = p
+        for i, entries in fractional.items():
             # over den[i] * scale, the row stays in lowest terms: each prime
             # power of scale is some q's, whose p it does not divide
             scale = 1
             for _, _, q in entries:
-                if q != 1:
-                    scale = lcm(scale, q)
-            row = tableau[i]
-            if scale != 1:
-                row = tableau[i] = {k: x * scale for k, x in row.items()}
-                rhs[i] *= scale
-                den[i] *= scale
+                scale = lcm(scale, q)
+            tableau[i] = row = {k: x * scale for k, x in tableau[i].items()}
+            rhs[i] *= scale
+            den[i] *= scale
             for j, p, q in entries:
                 row[j] = p * (scale // q)
         return True

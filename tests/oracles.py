@@ -8,6 +8,11 @@ shares any code with the simplex or branch-and-bound paths they check.
 counters or changed-variable re-tests: every layer rescans every action,
 condition and in-layer effect. It shares the graph record, the interval
 helpers and the flow model with `rpg.expand`, not the bookkeeping.
+`CellFlowModel` is the flow model with the column builder that compiled
+columns replaced: it writes each action's column cell by cell from the
+classification. `replay_flow_layers` runs a flow model over given layers
+and records every row, column and query result, so the two builders can
+be compared.
 """
 
 from __future__ import annotations
@@ -320,3 +325,88 @@ def _scanning_lp_layer_bounds(graph, analysed, layer_actions, new_actions, satis
             lo = flow.query_bound(var, "min", lo)
         intervals[var] = (lo, hi)
     return intervals
+
+
+# ---------------------------------------------------------------------------
+# Reference flow-model column builder
+
+
+class CellFlowModel(FlowModel):
+    """`FlowModel` with the cell-by-cell column builder: `extend` adds each
+    action's count column empty and writes its coefficients one
+    `set_coefficient` cell at a time, read from the classification and the
+    one-shot sets, and `_refresh_switch_rows` rewrites the -1 of every
+    group member in the layer along with each switch's big-M coefficient."""
+
+    def extend(self, new_action_ids) -> None:
+        cls = self.cls
+        added = False
+        for action_id in sorted(new_action_ids):
+            if action_id in self.action_col:
+                continue
+            added = True
+            action = self.task.actions[action_id]
+            col = self.model.add_variable(0, cls.count_bound[action_id],
+                                          name=f"count {action.name}")
+            self.action_col[action_id] = col
+            for var, delta in cls.delta.get(action_id, {}).items():
+                if var not in self.tracked:
+                    continue
+                self.model.set_coefficient(self.flow_row[var], col, -delta)
+                if delta > 0:
+                    self.increased.add(var)
+                    if var in self.up_row:
+                        self.model.set_coefficient(self.up_row[var], col, -delta)
+                else:
+                    self.decreased.add(var)
+                    if var in self.down_row:
+                        self.model.set_coefficient(self.down_row[var], col, -delta)
+            for index, row in self.one_shot_rows.items():
+                if action_id in self.analysed.one_shot_sets[index].actions:
+                    self.model.set_coefficient(row, col, 1)
+        if added:
+            self._refresh_switch_rows()
+
+    def _refresh_switch_rows(self) -> None:
+        for members, switch, big_m_row, _ in self.switches:
+            present = [a for a in members if a in self.action_col]
+            big_m = sum(self.cls.count_bound[a] for a in present)
+            self.model.set_coefficient(big_m_row, switch, big_m)
+            for action_id in present:
+                self.model.set_coefficient(big_m_row, self.action_col[action_id], -1)
+
+
+def replay_flow_layers(flow_class, analysed, state, config, layers, weights,
+                       first_layer) -> list:
+    """A flow model of `flow_class` extended by each action set of `layers`
+    in turn, with a record per layer: every column's bounds, kind and name,
+    every row as a dict with its operator, rhs and name, a max and a min
+    bound query per tracked variable, a goal check, and an extraction-like
+    vertex solve under `config`'s integrality and the action `weights`.
+    Every solve reads through the live simplex, which the queries bring up,
+    so warm roots are compared along with the model."""
+    flow = flow_class(analysed, state)
+    flow.add_catalytic()
+    records = []
+    for actions in layers:
+        flow.extend(actions)
+        model = flow.model
+        record = [[(v.lb, v.ub, v.kind, v.name) for v in model.variables],
+                  [(dict(c.coeffs), c.op, c.rhs, c.name) for c in model.constraints]]
+        for var in sorted(flow.tracked):
+            for direction in ("max", "min"):
+                bound = flow.query_bound(var, direction, None)
+                record.append((var, direction, bound, type(bound)))
+        model.push_scratch()
+        try:
+            flow.add_goal_constraints(config, LandmarkView(), actions)
+            record.append(flow.feasible())
+            flow.apply_integrality(config, first_layer, frozenset(), frozenset())
+            flow.set_action_objective(weights)
+            solution = model.solve()
+            record.append((solution.status, solution.objective, type(solution.objective),
+                           solution.values, tuple(map(type, solution.values))))
+        finally:
+            model.pop_scratch()
+        records.append(record)
+    return records

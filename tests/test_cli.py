@@ -81,10 +81,13 @@ def test_run_writes_plan_and_stats(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--no-lp-prop-goals"], ["--weight", "k:0"],
                                    ["--max-layers", "0"], ["--max-layers", "-3"],
-                                   ["--wastar-weight", "-1"]])
+                                   ["--wastar-weight", "-1"], ["--max-expansions", "-1"],
+                                   ["--time-limit", "-1"], ["--time-limit", "nan"],
+                                   ["--action-cap", "-1"]])
 def test_invalid_heuristic_config_is_a_usage_error(tmp_path, flags):
-    """A flag combination the heuristic rejects exits 2 with one error line
-    and no traceback, before the input is read."""
+    """A flag combination the heuristic rejects, or a budget or action cap
+    no run can use, exits 2 with one error line and no traceback, before
+    the input is read."""
     domain, problem = write_fixture(tmp_path, PUMP)
     result = subprocess.run(
         [sys.executable, "-m", "flowplan.cli", "run", str(domain), str(problem), *flags],
@@ -96,14 +99,20 @@ def test_invalid_heuristic_config_is_a_usage_error(tmp_path, flags):
     assert cli.main(["run", str(missing), str(missing), *flags]) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("spec", [{"lp_prop_goals": False}, {"ints": "most"},
-                                  {"heuristic": "lama"}, {"weight": "k:0"},
-                                  {"lp_landmark": False}, {"lp_landmarks": "no"},
-                                  ["lp_landmarks"]])
-def test_bench_rejected_config_is_a_usage_error(tmp_path, spec):
-    """A config the heuristic rejects, or one naming an unknown policy, mode
-    or key, exits 2 with one error line before any problem is read: the
-    manifest's files do not even exist, and no matrix is written."""
+@pytest.mark.parametrize("spec,flags,error", [
+    *[pytest.param(spec, [], "config 'bad': ", id=f"spec{index}")
+      for index, spec in enumerate(({"lp_prop_goals": False}, {"ints": "most"},
+                                    {"heuristic": "lama"}, {"weight": "k:0"},
+                                    {"lp_landmark": False}, {"lp_landmarks": "no"},
+                                    ["lp_landmarks"]))],
+    *[pytest.param({}, [flag, value], f"{flag} must be at least 0", id=f"{flag[2:]}={value}")
+      for flag, value in (("--max-expansions", "-1"), ("--time-limit", "-1"),
+                          ("--time-limit", "nan"))]])
+def test_bench_rejected_config_is_a_usage_error(tmp_path, spec, flags, error):
+    """A config the heuristic rejects, one naming an unknown policy, mode
+    or key, or a budget no run can use, exits 2 with one error line before
+    any problem is read: the manifest's files do not even exist, and no
+    matrix is written."""
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("problem_id,domain,problem\n"
                         f"ghost,{tmp_path}/missing-d.pddl,{tmp_path}/missing-p.pddl\n")
@@ -112,10 +121,10 @@ def test_bench_rejected_config_is_a_usage_error(tmp_path, spec):
     out_csv = tmp_path / "matrix.csv"
     result = subprocess.run(
         [sys.executable, "-m", "flowplan.cli", "bench", "--manifest", str(manifest),
-         "--configs", str(configs), "--out", str(out_csv)],
+         "--configs", str(configs), "--out", str(out_csv), *flags],
         capture_output=True, text=True)
     assert result.returncode == cli.EXIT_USAGE
-    assert result.stderr.startswith("error: config 'bad': ")
+    assert result.stderr.startswith("error: " + error)
     assert result.stderr.count("\n") == 1
     assert not out_csv.exists()
 

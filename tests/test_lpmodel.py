@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowplan import model, mpsolver as mp
+from flowplan import fixtures, generators, model, rpg, mpsolver as mp
 from flowplan.analysis import analyse
 from flowplan.lpmodel import (
     FlowModel, HeuristicConfig, LandmarkView,
@@ -18,6 +18,7 @@ from flowplan.model import GE, LE
 from bruteforce import all_plans
 from coldsolve import cold_vertex, status_and_objective
 from microtasks import random_pc_task
+from oracles import CellFlowModel, replay_flow_layers
 from flowcheck import forced_columns
 from taskbuild import TaskBuilder
 
@@ -83,7 +84,7 @@ def test_one_shot_row_absent_when_fact_false():
     builder.goal(conditions=[builder.condition({v: 1}, GE, 1)])
     task = builder.build()
     _, flow = build_flow_for(task)
-    assert flow.one_shot_rows == []
+    assert flow.one_shot_rows == {}
 
 
 def pump_task():
@@ -154,6 +155,31 @@ def test_catalytic_switch_forces_production():
         if uses >= 1:
             feasible.append(makes)
     assert min(feasible) == 3
+
+
+@pytest.mark.parametrize("all_props", [False, True])
+@pytest.mark.parametrize("source", ["pump", "pump-unsolvable", "pump-catalyst-3",
+                                    "pump-catalyst-3-t4"])
+def test_compiled_columns_build_the_cell_by_cell_model_on_catalytic_tasks(source, all_props):
+    """On the catalytic pump tasks, whose switches get a bigM row each, the
+    flow model built from compiled columns equals the cell-by-cell one over
+    every layer of the root's expansion, rows compared as dicts, and so do
+    its bound queries, goal checks and extraction-like solves."""
+    if source.startswith("pump-catalyst"):
+        threshold = 4 if source.endswith("-t4") else None
+        texts = generators.generate("pump-catalyst", 3, 1, threshold=threshold)
+    else:
+        texts = fixtures.fixture(source)
+    analysed = analyse(model.parse_and_ground(*texts))
+    assert analysed.classification.catalytic_groups
+    config = HeuristicConfig(include_all_propositions=all_props)
+    state = analysed.task.initial
+    graph = rpg.expand(analysed, state, config, rpg.LPRPG)
+    replay = (analysed, state, config, graph.action_layers,
+              layer_weights(config, graph.first_action_layer, None), graph.actions_at(1))
+    records = replay_flow_layers(FlowModel, *replay)
+    assert len(records) > 1
+    assert records == replay_flow_layers(CellFlowModel, *replay)
 
 
 def test_no_catalytic_variables_leaves_model_unchanged():
@@ -330,9 +356,9 @@ def test_query_bound_monotone_clamp():
 def _clamped_bound(flow, var, direction, previous):
     """The bound query as a clamped LP: `post >= previous` (`<=` for min) as
     a scratch row, so the optimum can never fall short of `previous`."""
-    if direction == "max" and not flow.has_increaser.get(var):
+    if direction == "max" and var not in flow.increased:
         return previous if previous is not None else flow.state.values[var]
-    if direction == "min" and not flow.has_decreaser.get(var):
+    if direction == "min" and var not in flow.decreased:
         return previous if previous is not None else flow.state.values[var]
     col = flow.post_col[var]
     flow.model.push_scratch()

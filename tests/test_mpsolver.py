@@ -505,7 +505,9 @@ def _grown_lps(rng: random.Random, rational: bool, mirrored: bool = False):
     singleton column, as a flow row over its post column, among them), then
     columns with lower bound 0 wired into those rows. Between layers an
     existing coefficient sometimes changes, and a scratch row is sometimes
-    added and solved. Yields the model at every objective-only query. With
+    added and solved. Every other new column is written whole by
+    `add_column`, the others cell by cell, from the same draws. Yields the
+    model at every objective-only query. With
     `mirrored`, a fifth of the structural columns have an upper bound only,
     and every column's bounds are moved by an integer."""
     for _ in range(60):
@@ -532,10 +534,16 @@ def _grown_lps(rng: random.Random, rational: bool, mirrored: bool = False):
                                  _draw(rng, -4, 20, rational))
         for _ in range(rng.randint(2, 5)):
             for _ in range(rng.randint(0, 3)):
-                col = model.add_variable(0, rng.choice([None, _draw(rng, 1, 8, rational)]))
-                for row in rng.sample(range(len(model.constraints)),
-                                      rng.randint(1, len(model.constraints))):
-                    model.set_coefficient(row, col, _draw(rng, -5, 5, rational))
+                ub = rng.choice([None, _draw(rng, 1, 8, rational)])
+                coeffs = {row: _draw(rng, -5, 5, rational)
+                          for row in rng.sample(range(len(model.constraints)),
+                                                rng.randint(1, len(model.constraints)))}
+                if len(model.variables) % 2:
+                    model.add_column(0, ub, coeffs)
+                    continue
+                col = model.add_variable(0, ub)
+                for row, weight in coeffs.items():
+                    model.set_coefficient(row, col, weight)
             if rng.random() < 0.15:
                 row = rng.randrange(len(model.constraints))
                 model.set_coefficient(row, rng.randrange(len(model.variables)),
@@ -837,7 +845,7 @@ def test_new_column_reads_a_flipped_column_crashed_in_an_appended_row():
     w = model.add_variable(0, 10)
     model.set_coefficient(0, w, 1)
     model.set_coefficient(1, w, -1)
-    assert warm.add_columns({w: [0, 1]})
+    assert warm.add_columns({w: {0: 1, 1: -1}})
     for objective, sense in (({w: 1}, mp.MAXIMIZE), ({w: 1, z: -1}, mp.MAXIMIZE),
                              ({w: 2, y: 1}, mp.MINIMIZE)):
         model.set_objective(objective, sense)
@@ -876,7 +884,8 @@ def test_appended_rows_give_new_columns_their_unit_columns(data):
                               rng.randint(1, len(model.constraints)))
             for row in rows:
                 model.set_coefficient(row, new, _draw(rng, -4, 4, rational) or 1)
-            if not warm.add_columns({new: rows}):
+            if not warm.add_columns({new: {row: model.constraints[row].coeffs[new]
+                                           for row in rows}}):
                 continue
             through_appended += any(row >= nrows for row in rows)
             model.set_objective({new: _draw(rng, -3, 3, rational) or 1,
@@ -926,6 +935,94 @@ def test_columns_added_together_share_their_row_denominator():
         assert (got.status, got.objective) == (cold.status, cold.objective) == (mp.OPTIMAL,
                                                                                 want)
     assert model.counters.root_warm == 3
+
+
+def test_pop_scratch_after_add_column_restores_every_row():
+    """`add_column` writes the column's nonzero cells, a zero left out, with
+    one undo entry; popping it restores every row, its dict order included,
+    and the variables, also where later cells and rows came on top."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 5)
+    y = model.add_variable(None, 3)
+    model.add_constraint({x: 1, y: 2}, "<=", 4)
+    model.add_constraint({y: 1}, "=", 1)
+    model.add_constraint({x: -1}, ">=", -3)
+    before = [(dict(c.coeffs), list(c.coeffs), c.op, c.rhs) for c in model.constraints]
+    variables = [(v.lb, v.ub, v.kind, v.name) for v in model.variables]
+    model.push_scratch()
+    z = model.add_column(0, 7, {0: Fraction(1, 2), 1: 0, 2: -3}, name="z")
+    assert model._undo[-1] == ("pop_column", z, {0: Fraction(1, 2), 2: -3})
+    assert [c.coeffs.get(z) for c in model.constraints] == [Fraction(1, 2), None, -3]
+    model.set_coefficient(1, z, 4)
+    model.set_coefficient(0, z, 0)
+    model.add_constraint({z: 1, x: 1}, "<=", 9)
+    model.pop_scratch()
+    assert [(dict(c.coeffs), list(c.coeffs), c.op, c.rhs)
+            for c in model.constraints] == before
+    assert [(v.lb, v.ub, v.kind, v.name) for v in model.variables] == variables
+    undo = list(model._undo)
+    with pytest.raises(SolverError):
+        model.add_column(0, 1, {3: 1})
+    assert len(model.variables) == 2 and model._undo == undo
+
+
+def test_added_column_with_a_later_cell_joins_a_warm_root():
+    """A column written whole by `add_column`, then given a cell in a live
+    row it has no coefficient in and a new value in one it has, joins the
+    live simplex with the model's current coefficients: each warm root
+    returns what a cold vertex solve returns."""
+    model = mp.MPModel()
+    x = model.add_variable(0, 6)
+    post = model.add_variable(-10, 10)
+    y = model.add_variable(0, 3)
+    model.add_constraint({x: 1, y: 1}, "<=", 4)
+    model.add_constraint({post: 1, x: -1}, "=", 1)
+    model.add_constraint({x: 1, y: -1}, ">=", -2)
+    assert _query(model, {post: 1}, mp.MAXIMIZE)[0].objective == 5
+    col = model.add_column(0, 5, {1: -2, 2: 1})
+    model.set_coefficient(0, col, 1)
+    model.set_coefficient(1, col, Fraction(-3, 2))
+    for objective, sense in (({post: 1}, mp.MAXIMIZE), ({col: 1}, mp.MAXIMIZE),
+                             ({col: 1, post: -1}, mp.MINIMIZE)):
+        warm = model.counters.root_warm
+        model.push_scratch()
+        model.set_objective(objective, sense)
+        assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
+        model.pop_scratch()
+        assert model.counters.root_warm == warm + 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integral_count_follows_kinds_through_scratch(seed):
+    """After any sequence of added columns of every kind, kind changes and
+    nested scratch scopes, `MPModel.integral` counts the integer and binary
+    variables, as a scan of their kinds does."""
+    rng = random.Random(seed)
+    model = mp.MPModel()
+    kinds = (mp.CONTINUOUS, mp.INTEGER, mp.BINARY)
+    depth = 0
+    for _ in range(300):
+        step = rng.random()
+        if step < 0.3 or not model.variables:
+            if rng.random() < 0.5:
+                model.add_variable(0, rng.choice([None, 1, 4]), kind=rng.choice(kinds))
+            else:
+                model.add_column(0, 3, {}, kind=rng.choice(kinds))
+        elif step < 0.6:
+            model.set_variable_kind(rng.randrange(len(model.variables)), rng.choice(kinds))
+        elif step < 0.8 or depth == 0:
+            model.push_scratch()
+            depth += 1
+        else:
+            model.pop_scratch()
+            depth -= 1
+        assert model.integral == sum(v.kind in (mp.INTEGER, mp.BINARY)
+                                     for v in model.variables)
+    while depth:
+        model.pop_scratch()
+        depth -= 1
+        assert model.integral == sum(v.kind in (mp.INTEGER, mp.BINARY)
+                                     for v in model.variables)
 
 
 def test_changed_coefficient_or_undo_below_the_live_point_goes_cold():
@@ -1041,11 +1138,12 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # and of the tie-break stages of vertex reads; a feasibility check of an LP
 # stops after phase 1. A cold solve writes its rows onto the empty simplex
 # as a warm root writes its appended ones, so a >= row that holds with
-# equality at the start point takes its slack as basic, not an artificial. Bound queries and feasibility checks read no vertex,
-# so their records are those of a cold solve of the same model, whose status
-# and objective they must return. Any change to the pivot rules (entering
-# choice, ratio tie-break, Bland switch, bound flips) moves at least one of
-# the pivot counts.
+# equality at the start point takes its slack as basic, not an artificial.
+# Bound queries and feasibility checks read no vertex, so their records are
+# those of a cold solve of the same model, whose status and objective they
+# must return. Any change to the pivot rules (entering choice, ratio
+# tie-break, Bland switch, bound flips) moves at least one of the pivot
+# counts.
 PINNED_RUNS = (
     ("market-trader", 2, False, 50, 43, 10,
      "52503816facf8b641aeeff5455e1e1bb0a92eb15909fb1f204b32411f2ee35f6"),
@@ -1094,6 +1192,23 @@ def test_solver_behaviour_over_plan_task_is_pinned(monkeypatch, family, size, al
     assert len(records) == outcome.stats.lp_solves == solves
     assert totals == {"pivots": pivots, "bb_nodes": nodes}
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest
+
+
+def test_exactness_recorder_records_the_same_runs_twice():
+    """The exactness recorder in `tests/exactness.py` returns the same
+    records for two runs of market-trader-2 and mini-settlers-2, and in
+    each run every LP solve is one root relaxation, warm or cold."""
+    import exactness
+
+    instances = [exactness.workloads.Instance(family, 2, 1, "lprpg")
+                 for family in ("market-trader", "mini-settlers")]
+    records = [exactness.record_instance(instance) for instance in instances]
+    assert records == [exactness.record_instance(instance) for instance in instances]
+    for record in records:
+        counters = record["counters"]
+        assert record["status"] == "solved" and record["valid"]
+        assert counters["root_warm"] + counters["root_cold"] == counters["solves"] \
+            == record["lp_solves"] > 0
 
 
 def _plan_pinned_run(family, size, all_props):

@@ -5,7 +5,9 @@ inputs are all `Fraction` or normalised by `model.exact` (an int where
 the value is integral), and the normalised run never yields a float.
 `model.divide` agrees with Fraction division in value and type.
 `rpg.expand` builds the same graph as the scanning reference in
-`oracles.expand_by_scanning`. Every bound query of an LP-mode expansion,
+`oracles.expand_by_scanning`. Flow models built from compiled columns
+equal those of the cell-by-cell builder in `oracles.CellFlowModel`, layer
+by layer, and so do their query results. Every bound query of an LP-mode expansion,
 warm from the live simplex or cold, returns what a cold solve returns, and
 so does every goal check and extraction solve, roots warm from a copy of
 the live simplex among them; a goal check under the all-propositions
@@ -27,7 +29,7 @@ from flowplan.model import GE, GT, LE, LT, EQ, LinearExpr, exact
 from bruteforce import optimal_plan
 from coldsolve import cold_vertex, model_state, status_and_objective
 from microtasks import magnitude_reader_task
-from oracles import expand_by_scanning
+from oracles import CellFlowModel, expand_by_scanning, replay_flow_layers
 from taskbuild import TaskBuilder
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -342,6 +344,29 @@ def _replay_layers(graph, analysed, state, config, data, extraction):
             flow.set_action_objective(weights)
             flow.model.solve()
         flow.model.pop_scratch()
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(small_task(), st.data())
+def test_compiled_columns_build_the_cell_by_cell_model(task, data):
+    """Over the layers of an LP-mode expansion, from the initial or an
+    arbitrary state, with or without the all-propositions encoding, the
+    flow model that `extend` builds from compiled columns has the columns
+    and rows, compared as dicts, of the cell-by-cell builder, and returns
+    the same bound queries, goal checks and extraction-like solves."""
+    analysed = analyse(task, with_landmarks=False)
+    state = analysed.task.initial
+    if data.draw(st.booleans()):
+        facts = data.draw(st.frozensets(st.integers(0, N_FACTS - 1)))
+        state = model.State(facts, tuple(exact(data.draw(small)) for _ in range(N_VARS)))
+    config = HeuristicConfig(max_layers=data.draw(st.integers(1, 15)),
+                             include_all_propositions=data.draw(st.booleans()))
+    graph = rpg.expand(analysed, state, config, rpg.LPRPG)
+    if graph.flow is None:
+        return
+    replay = (analysed, state, config, graph.action_layers,
+              layer_weights(config, graph.first_action_layer, None), graph.actions_at(1))
+    assert replay_flow_layers(FlowModel, *replay) == replay_flow_layers(CellFlowModel, *replay)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
