@@ -622,11 +622,13 @@ class AnalysedTask:
       precondition count (facts plus distinct condition ids), fact ->
       requiring actions, condition id -> requiring actions, variable ->
       ids of the conditions over it, the goal condition ids, the
-      relevant-up/down condition ids per variable, each action's numeric
+      relevant-up/down condition ids per variable and, per condition id,
+      the variables whose relevant-up/down ids hold it, each action's numeric
       effects with constant magnitudes read out, and per variable the
       variables whose effects read it in their magnitude.
-    - For flow models: the tracked variables and the actions that affect
-      an untracked one, and, compiled on first use, the post-value columns
+    - For flow models: the tracked variables, ascending too, and the
+      actions that affect an untracked one, and, compiled on first use, the
+      post-value columns
       in tracked-variable order (`flow_posts`) and every action's count
       column (`flow_columns`).
     - For extraction: fact adders, the actions affecting each variable,
@@ -647,9 +649,13 @@ class AnalysedTask:
     goal_condition_ids: tuple[int, ...] = _derived()
     relevant_up: dict[int, tuple[int, ...]] = _derived()
     relevant_down: dict[int, tuple[int, ...]] = _derived()
+    # condition id -> the variables whose relevant-up (-down) ids hold it
+    up_relevant_vars: tuple[tuple[int, ...], ...] = _derived()
+    down_relevant_vars: tuple[tuple[int, ...], ...] = _derived()
     action_effects: tuple[tuple[CompiledEffect, ...], ...] = _derived()
     magnitude_readers: dict[int, tuple[int, ...]] = _derived()
     tracked: frozenset[int] = _derived()
+    tracked_order: tuple[int, ...] = _derived()  # `tracked`, ascending
     # ids of the actions with a numeric effect on an untracked variable
     untracked_affectors: frozenset[int] = _derived()
     adders: dict[int, tuple[int, ...]] = _derived()
@@ -692,6 +698,12 @@ class AnalysedTask:
         up, down = relevant_conditions(conditions)
         derive("relevant_up", up)
         derive("relevant_down", down)
+        for name, relevant in (("up_relevant_vars", up), ("down_relevant_vars", down)):
+            holders: list[list[int]] = [[] for _ in conditions]
+            for var, cond_ids in relevant.items():
+                for cond_id in cond_ids:
+                    holders[cond_id].append(var)
+            derive(name, tuple(tuple(vars_) for vars_ in holders))
 
         readers: dict[int, set[int]] = {}
         for action in actions:
@@ -708,6 +720,7 @@ class AnalysedTask:
 
         tracked = tracked_variables(conditions)
         derive("tracked", tracked)
+        derive("tracked_order", tuple(sorted(tracked)))
         affectors = variable_affectors(task)
         derive("affectors", affectors)
         derive("untracked_affectors", frozenset(
@@ -727,7 +740,7 @@ class AnalysedTask:
     def flow_posts(self) -> tuple[FlowPost, ...]:
         cls, names = self.classification, self.task.var_names
         return tuple((var, f"post {names[var]}", f"flow {names[var]}", cls.lb[var], cls.ub[var])
-                     for var in sorted(self.tracked))
+                     for var in self.tracked_order)
 
     @cached_property
     def flow_columns(self) -> tuple[FlowColumn, ...]:

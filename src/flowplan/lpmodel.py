@@ -1,23 +1,33 @@
 """Flow models: LP/MIP encodings of resource flow over an action layer.
 
-A FlowModel wraps an MPModel with one count column per action in the
-layer and one post-value column per tracked numeric variable, tied by a
-flow-conservation row per variable. Optional rows encode one-shot sets,
-catalytic bounds and switches, propositional goals, landmarks, the
-full-proposition encoding, and the numeric goal conjunct. The model
-grows monotonically as RPG layers add actions; temporary rows (goal
-checks, subgoal constraints) are scratch-scoped, and bound queries add
-no rows at all. An action's column is compiled once per task
-(`AnalysedTask.flow_columns`); `extend` only adds its cells in the rows
-that depend on the state and hands it to `MPModel.add_column` whole.
-Every solve starts from the model's live simplex, which takes the columns
-that `extend` appended since the last bound query, each read from its
-one undo entry, and any rows appended since. A bound query reads only
-the optimum, so it is solved with `reads=OBJECTIVE`, on the live simplex
-itself, and carries it on to the next query. A feasibility check reads
-only the status (`reads=STATUS`); it, and an extraction solve at the
-final layer, work on a copy of the live simplex with the scratch rows
-appended, which leaves the live simplex as the bound queries left it.
+A FlowModel wraps an MPModel with one count column per ground action and
+one post-value column per tracked numeric variable, tied by a
+flow-conservation row per variable, plus rows for one-shot sets and
+catalytic bounds and switches. It is built once per search run, from the
+columns `AnalysedTask` compiles once per task (`flow_posts`,
+`flow_columns`), with every count column pinned to [0, 0]. Each evaluated
+state is a scratch scope on it: `begin(state)` sets the right-hand sides,
+post bounds, one-shot rows and catalytic anchors that depend on the state,
+`extend` raises the upper bound of each action that joins the layer, and
+`end()` pops the scope. Goal checks add scratch rows for propositional
+goals, landmarks, the full-proposition encoding and the numeric goal
+conjunct; bound queries add no rows at all. The solver reads the columns
+in the order the skeleton and the joining actions give them
+(`MPModel.variable_order`), so that every canonical point and
+branch-and-bound tree is that of a model holding only the layer's
+actions, in the order they joined.
+
+Every solve starts from the model's live simplex where it can. Within a
+state, the live simplex takes the raised bounds of the actions that
+joined since the last bound query, and any rows appended since; the first
+bound query of a state is solved cold, as its right-hand sides changed,
+so an evaluation is a pure function of its state and landmarks. A bound
+query reads only the optimum, so it is solved with `reads=OBJECTIVE`, on
+the live simplex itself, and carries it on to the next query. A
+feasibility check reads only the status (`reads=STATUS`); it, and an
+extraction solve at the final layer, work on a copy of the live simplex
+with the scratch rows appended, which leaves the live simplex as the bound
+queries left it.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import time
 from dataclasses import dataclass
 
 from . import mpsolver as mp
-from .analysis import AnalysedTask, CATALYTIC
+from .analysis import AnalysedTask, CATALYTIC, CatalyticGroup
 from .errors import SolverError
 from .model import GE, GT, LE, LT, EQ, Number, NumericCondition, State
 
@@ -90,150 +100,199 @@ class LandmarkView:
 
 
 class FlowModel:
-    """Mutable flow encoding for a growing action layer.
+    """The flow encoding of one task, shared by every state of a search run.
 
-    Build with the constructor, extend with `extend`; every query that
-    needs extra rows (goal checks, subgoals) or an objective pushes a
-    scratch mark and pops it afterwards, so the persistent model only ever
-    contains the flow skeleton for the current layer.
+    The constructor builds the model once. `begin(state)` opens a scratch
+    scope and sets what depends on the state; `extend` lets the actions
+    that join the layer run; `end()` pops the scope, which leaves the model
+    as built. Inside the scope every query that needs extra rows (goal
+    checks, subgoals) or an objective pushes a scratch mark of its own and
+    pops it afterwards.
     """
 
-    def __init__(self, analysed: AnalysedTask, state: State,
-                 counters: mp.Counters | None = None):
+    def __init__(self, analysed: AnalysedTask, counters: mp.Counters | None = None):
+        start = time.perf_counter()
         self.analysed = analysed
         self.task = analysed.task
         self.cls = analysed.classification
-        self.state = state
         self.counters = counters if counters is not None else mp.Counters()
         self.model = mp.MPModel(self.counters)
         self.tracked = analysed.tracked
+        # the state of the open scope, and the actions in its layer, each
+        # with its column, in the order they joined
+        self.state: State | None = None
         self.action_col: dict[int, int] = {}
+        # the tracked variables that an action in the layer increases, and
+        # those that one changes by delta <= 0
+        self.increased: set[int] = set()
+        self.decreased: set[int] = set()
         self.post_col: dict[int, int] = {}
         self.up_col: dict[int, int] = {}
         self.down_col: dict[int, int] = {}
         self.flow_row: dict[int, int] = {}
         self.up_row: dict[int, int] = {}
         self.down_row: dict[int, int] = {}
-        # one-shot set index -> its row, for the sets whose fact holds
-        self.one_shot_rows: dict[int, int] = {}
+        # one row per one-shot set, by set index
+        self.one_shot_rows: list[int] = []
         self.switch_cols: list[int] = []
         # catalytic switches: (group members, switch col, bigM row, bound row)
         self.switches: list[tuple[frozenset[int], int, int, int]] = []
         # catalytic group index -> the bigM row of its switch
         self.big_m_rows: dict[int, int] = {}
-        # the tracked variables that an action in the layer increases, and
-        # those that one changes by delta <= 0
-        self.increased: set[int] = set()
-        self.decreased: set[int] = set()
+        # the bound rows whose anchor is the state's value: (group, switch
+        # col, bound row)
+        self.state_anchors: list[tuple[CatalyticGroup, int, int]] = []
         self._build_skeleton()
+        self._add_catalytic()
+        self.first_action = len(self.model.variables)
+        self._add_actions()
+        # the skeleton columns come first in the solver's variable order;
+        # an action's column follows when it joins the layer
+        self.model.order.extend(range(self.first_action))
+        self.counters.build_time += time.perf_counter() - start
 
     # -- construction --------------------------------------------------------
 
     def _build_skeleton(self) -> None:
-        start = time.perf_counter()
-        model, values, facts = self.model, self.state.values, self.state.facts
+        """A post-value column and a flow row per tracked variable, then a row
+        per one-shot set. The post bounds and the right-hand sides are those
+        of no state; `begin` sets them."""
+        model, cls = self.model, self.cls
         for var, post_name, flow_name, lb, ub in self.analysed.flow_posts:
-            # clamp by the evaluated state so zero counts stay feasible even
-            # when the state sits outside the producer/consumer bounds
-            value = values[var]
-            col = model.add_variable(None if lb is None else min(lb, value),
-                                     None if ub is None else max(ub, value), name=post_name)
+            col = model.add_variable(lb, ub, name=post_name)
             self.post_col[var] = col
-            self.flow_row[var] = model.add_constraint({col: 1}, "=", value, name=flow_name)
-        for index, oss in enumerate(self.analysed.one_shot_sets):
-            if oss.fact in facts:
-                self.one_shot_rows[index] = model.add_constraint(
-                    {}, "<=", 1, name=f"oneshot {self.task.fact_names[oss.fact]}")
-        self.counters.build_time += time.perf_counter() - start
+            self.flow_row[var] = model.add_constraint({col: 1}, "=", 0, name=flow_name)
+        for oss in self.analysed.one_shot_sets:
+            # sum of the members' counts <= the sum of their count bounds,
+            # which holds at every point; `begin` sets 1 where the fact holds
+            self.one_shot_rows.append(model.add_constraint(
+                {}, "<=", sum(cls.count_bound[a] for a in oss.actions),
+                name=f"oneshot {self.task.fact_names[oss.fact]}"))
 
-    def add_catalytic(self) -> None:
-        """Optimistic-ordering bound columns and switch rows for catalytic variables."""
-        start = time.perf_counter()
-        task, cls = self.task, self.cls
-        for var in sorted(self.tracked):
+    def _add_catalytic(self) -> None:
+        """Optimistic-ordering bound columns and switch rows for catalytic
+        variables. A group's big-M coefficient is the sum of the count
+        bounds of its actions in the layer: 0 until one joins."""
+        task, cls, model = self.task, self.cls, self.model
+        for var in self.analysed.tracked_order:
             if cls.status.get(var) != CATALYTIC:
                 continue
             name = task.var_names[var]
-            up = self.model.add_variable(None, None, name=f"up {name}")
-            down = self.model.add_variable(None, None, name=f"down {name}")
+            up = model.add_variable(None, None, name=f"up {name}")
+            down = model.add_variable(None, None, name=f"down {name}")
             self.up_col[var] = up
             self.down_col[var] = down
-            self.up_row[var] = self.model.add_constraint(
-                {up: 1}, "=", self.state.values[var], name=f"uprow {name}")
-            self.down_row[var] = self.model.add_constraint(
-                {down: 1}, "=", self.state.values[var], name=f"downrow {name}")
-        for index, group in enumerate(self.cls.catalytic_groups):
+            self.up_row[var] = model.add_constraint({up: 1}, "=", 0, name=f"uprow {name}")
+            self.down_row[var] = model.add_constraint({down: 1}, "=", 0,
+                                                      name=f"downrow {name}")
+        for index, group in enumerate(cls.catalytic_groups):
             if group.variable not in self.up_col:
                 continue
-            switch = self.model.add_variable(0, 1,
-                                             name=f"switch{index}")
+            switch = model.add_variable(0, 1, name=f"switch{index}")
             self.switch_cols.append(switch)
-            # N*s >= sum of group counts; N grows with the layer (sum of U_a)
-            present = [a for a in group.actions if a in self.action_col]
-            coeffs = {self.action_col[a]: -1 for a in present}
-            coeffs[switch] = sum(cls.count_bound[a] for a in present)
-            big_m_row = self.model.add_constraint(coeffs, ">=", 0, name=f"bigM{index}")
+            # N*s >= sum of group counts
+            big_m_row = model.add_constraint({}, ">=", 0, name=f"bigM{index}")
             self.big_m_rows[index] = big_m_row
             var = group.variable
-            if group.op == GE:
-                anchor = self.cls.lb[var]
-                if anchor is None:
-                    anchor = self.state.values[var]
-                # up >= anchor + (threshold - anchor) * s
-                bound_row = self.model.add_constraint(
-                    {self.up_col[var]: 1,
-                     switch: -(group.threshold - anchor)}, ">=", anchor,
-                    name=f"catal{index}")
-            else:
-                anchor = self.cls.ub[var]
-                if anchor is None:
-                    anchor = self.state.values[var]
-                # down <= anchor - (anchor - threshold) * s
-                bound_row = self.model.add_constraint(
-                    {self.down_col[var]: 1,
-                     switch: (anchor - group.threshold)}, "<=", anchor,
-                    name=f"catal{index}")
+            anchor = cls.lb[var] if group.op == GE else cls.ub[var]
+            if anchor is None:
+                # the state's value, which `begin` sets
+                self.state_anchors.append((group, switch, len(model.constraints)))
+            base = 0 if anchor is None else anchor
+            # up >= anchor + (threshold - anchor) * s, or
+            # down <= anchor - (anchor - threshold) * s
+            col, op = (self.up_col[var], ">=") if group.op == GE else (self.down_col[var], "<=")
+            bound_row = model.add_constraint({col: 1, switch: base - group.threshold}, op, base,
+                                             name=f"catal{index}")
             self.switches.append((frozenset(group.actions), switch, big_m_row, bound_row))
-        self.counters.build_time += time.perf_counter() - start
 
-    def extend(self, new_action_ids) -> None:
-        """Append a count column for each newly reachable action, in id order.
+    def _add_actions(self) -> None:
+        """Every action's count column, pinned to [0, 0], in id order.
 
         An action's column is compiled once per task
         (`AnalysedTask.flow_columns`), its flow part keyed by row, as the
         skeleton writes the flow rows first, in `flow_posts` order. Here it
-        gets its cells in the rows that depend on the state: -delta in the up
-        (delta > 0) or down row of a catalytic variable, 1 in a one-shot row,
-        -1 in a bigM row. `MPModel.add_column` writes it whole; then each
-        switch gets its new big-M coefficient.
+        gets its cells in the other rows: -delta in the up (delta > 0) or
+        down row of a catalytic variable, 1 in each of its one-shot rows, -1
+        in each of its bigM rows. `MPModel.add_column` writes it whole.
         """
-        start = time.perf_counter()
-        columns, model, action_col = self.analysed.flow_columns, self.model, self.action_col
+        model, flow_row = self.model, self.flow_row
         up_row, down_row = self.up_row, self.down_row
         one_shot_rows, big_m_rows = self.one_shot_rows, self.big_m_rows
+        for _, name, coeffs, ups, downs, one_shots, groups in self.analysed.flow_columns:
+            if up_row or one_shots:
+                coeffs = dict(coeffs)
+                for var in ups:
+                    if var in up_row:
+                        coeffs[up_row[var]] = coeffs[flow_row[var]]
+                for var in downs:
+                    if var in down_row:
+                        coeffs[down_row[var]] = coeffs[flow_row[var]]
+                for index in one_shots:
+                    coeffs[one_shot_rows[index]] = 1
+                for index in groups:
+                    if index in big_m_rows:
+                        coeffs[big_m_rows[index]] = -1
+            model.add_column(0, 0, coeffs, name)
+
+    # -- the scope of one state ----------------------------------------------
+
+    def begin(self, state: State) -> None:
+        """Open the scope of `state`, with no action in the layer: the flow
+        and up/down rows take its values as right-hand sides, the post
+        columns their static bounds widened to its values, so zero counts
+        stay feasible even where the state sits outside the producer and
+        consumer bounds, a one-shot row 1 where its fact holds, and a
+        catalytic bound row without a static anchor the state's value."""
+        start = time.perf_counter()
+        model, values = self.model, state.values
+        model.push_scratch()
+        self.state = state
+        self.action_col = {}
+        self.increased = set()
+        self.decreased = set()
+        for var, _, _, lb, ub in self.analysed.flow_posts:
+            value = values[var]
+            model.set_variable_bounds(self.post_col[var], None if lb is None else min(lb, value),
+                                      None if ub is None else max(ub, value))
+            model.set_rhs(self.flow_row[var], value)
+        for var, row in self.up_row.items():
+            model.set_rhs(row, values[var])
+            model.set_rhs(self.down_row[var], values[var])
+        for oss, row in zip(self.analysed.one_shot_sets, self.one_shot_rows):
+            if oss.fact in state.facts:
+                model.set_rhs(row, 1)
+        for group, switch, bound_row in self.state_anchors:
+            anchor = values[group.variable]
+            model.set_coefficient(bound_row, switch, anchor - group.threshold)
+            model.set_rhs(bound_row, anchor)
+        self.counters.build_time += time.perf_counter() - start
+
+    def end(self) -> None:
+        """Close the scope `begin` opened; the model is as built again."""
+        self.model.pop_scratch()
+        self.state = None
+        self.action_col = {}
+
+    def extend(self, new_action_ids) -> None:
+        """Let each newly reachable action run, in id order: raise its count
+        column's upper bound from 0 to its count bound, and read it next in
+        the solver's variable order. Then each switch gets its new big-M
+        coefficient."""
+        start = time.perf_counter()
+        columns, model, action_col = self.analysed.flow_columns, self.model, self.action_col
+        first = self.first_action
         added = False
         for action_id in sorted(new_action_ids):
             if action_id in action_col:
                 continue
             added = True
-            bound, name, coeffs, ups, downs, one_shots, groups = columns[action_id]
+            bound, _, _, ups, downs, _, _ = columns[action_id]
             self.increased.update(ups)
             self.decreased.update(downs)
-            if up_row or (one_shots and one_shot_rows):
-                coeffs = dict(coeffs)
-                for var in ups:
-                    if var in up_row:
-                        coeffs[up_row[var]] = coeffs[self.flow_row[var]]
-                for var in downs:
-                    if var in down_row:
-                        coeffs[down_row[var]] = coeffs[self.flow_row[var]]
-                for index in one_shots:
-                    if index in one_shot_rows:
-                        coeffs[one_shot_rows[index]] = 1
-                for index in groups:
-                    if index in big_m_rows:
-                        coeffs[big_m_rows[index]] = -1
-            action_col[action_id] = model.add_column(0, bound, coeffs, name)
+            col = action_col[action_id] = first + action_id
+            model.set_variable_bounds(col, 0, bound)
+            model.add_to_order(col)
         if added:
             self._refresh_switch_rows()
         self.counters.build_time += time.perf_counter() - start

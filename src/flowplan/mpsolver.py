@@ -18,12 +18,12 @@ artificials leave the tableau, so phase 2 never prices one (Chvátal,
 *Linear Programming*, 1983). Models containing integer or binary
 variables are solved by depth-first branch-and-bound over the simplex
 relaxation: every node carries the full list of column bounds, and a
-branch on the lowest-index fractional variable replaces one side of its
-bounds, floor branch first, prune on bound. The root starts from the
-live simplex where it can (below) and from the empty simplex otherwise;
-a child starts from a copy of its parent's final tableau with the one
-bound changed and is re-optimised by the dual simplex (Koberstein, *The
-Dual Simplex Method*, 2005).
+branch on the first fractional variable in `MPModel.variable_order`
+replaces one side of its bounds, floor branch first, prune on bound. The
+root starts from the live simplex where it can (below) and from the empty
+simplex otherwise; a child starts from a copy of its parent's final
+tableau with the one bound changed and is re-optimised by the dual simplex
+(Koberstein, *The Dual Simplex Method*, 2005).
 
 Every optimum read for its vertex, LP or branch-and-bound node, is moved
 to the lexicographically smallest point of its optimal face
@@ -36,29 +36,33 @@ the vertex (`VERTEX`, the default), the objective (`OBJECTIVE`) or the
 status (`STATUS`). Every root relaxation, an LP's or a branch-and-bound
 root's, starts from the model's live simplex, the final state of the
 last LP read for its objective only, if the model has since only gained
-columns and rows. The new columns join the tableau nonbasic at 0 through
-the unit columns of their rows, so the basis stays primal feasible (the
-column-addition warm start; Chvátal, *Linear Programming*, 1983, ch. 10).
-The new rows are written over that basis, each with a basic slack, a
-crashed structural column or an artificial, and phase 1 over those
-artificials restores feasibility (the row-addition warm start, ibid.). A
-cold solve writes every row onto the empty simplex the same way; a
-changed coefficient or effective bound of an existing column sends a
-root cold. An LP read for its objective only works on the live simplex
+columns and rows and raised the upper bound of columns fixed at 0. A
+raised column keeps its value 0, and a new column, whose entries lie in
+the new rows only, joins the tableau nonbasic at 0, so the basis stays
+primal feasible. The new rows are written over that basis, each with a
+basic slack, a crashed structural column or an artificial, and phase 1
+over those artificials restores feasibility (the row-addition warm start;
+Chvátal, *Linear Programming*, 1983, ch. 10). A cold solve writes every
+row onto the empty simplex the same way; any other change to a column,
+a coefficient or a right-hand side the live simplex holds sends a root
+cold. An LP read for its objective only works on the live simplex
 itself and leaves its final state live; any other root (a goal check, an
 extraction at the final layer) works on a copy and leaves the live
-simplex as it was. A warm root is kept whatever it returns; one cut by
-the pivot limit returns `LIMIT`, as a cold solve cut by it does. An LP
-read for its status only under the empty objective stops after phase 1.
-An LP's optimum value and status are unique, so these return what a cold
-solve returns; only the pivot count differs.
+simplex as it was; the copy leaves out the columns that sit nonbasic and
+fixed at 0, as none of its bounds is raised again. A warm root is kept
+whatever it returns; one cut by the pivot limit returns `LIMIT`, as a
+cold solve cut by it does. An LP read for its status only under the
+empty objective stops after phase 1. An LP's optimum value and status
+are unique, so these return what a cold solve returns; only the pivot
+count differs.
 
 A MIP read for its status skips the canonical point: a node's status is
 unique even where its vertex is not, so its tree may differ from the
 cold one, though not its status. Under the empty objective,
 as in a goal check, it is a feasibility search: the solve sets a
-steering cost of 1 on every column with lower bound 0 and a finite upper
-bound (in a flow model, the action counts, switches and fact columns)
+steering cost of 1 on every column with lower bound 0 and a positive
+finite upper bound (in a flow model, the action counts in the layer,
+switches and fact columns)
 in a scratch scope of its own, so that the reduced costs steer the dual
 simplex of every child, and returns at the first node whose integer
 columns are integral. It returns a cold solve's `(OPTIMAL, 0, ())` or
@@ -72,16 +76,19 @@ The model is single-owner mutable; `push_scratch`/`pop_scratch` give
 exact undo of any mutations made in between, which callers use for
 temporary constraints and temporary integrality. The undo log also tells
 the live simplex what changed since its last solve: a column written
-whole by `add_column` is one entry, which holds its coefficients, and only
-a later `set_coefficient` cell is read from the model. The model counts
-its integer and binary columns as they come and go, so a solve tells an
-LP from a MIP without scanning the kinds.
+whole by `add_column` is one entry, which holds its coefficients. The
+model counts its integer and binary columns as they come and go, so a
+solve tells an LP from a MIP without scanning the kinds. Its variable
+order (`variable_order`), which the canonical point and branching read,
+is index order unless the owner sets one; a flow model, whose columns
+exist before the actions join, keeps the order in which they joined.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -177,13 +184,14 @@ class MPModel:
         self._marks: list[int] = []
         # the number of integer and binary variables, which `solve` reads
         self.integral = 0
+        # the variables that canonical points and branching read first, in
+        # this order (`variable_order`)
+        self.order: list[int] = []
         # the final state of the last LP read for its objective only, from
-        # which every root starts where it can, and the length and last
-        # entry of the undo log at that point: an undo below that point
-        # removes that entry, and no later entry is the same object
+        # which every root starts where it can, and the length of the undo
+        # log at that point; an undo below that point drops it
         self._live: _Simplex | None = None
         self._live_at = 0
-        self._live_tail: tuple | None = None
 
     # -- building -----------------------------------------------------------
 
@@ -275,6 +283,29 @@ class MPModel:
         else:
             coeffs[col] = value
 
+    def set_rhs(self, row: int, value) -> None:
+        if not 0 <= row < len(self.constraints):
+            raise SolverError(f"unknown constraint row {row}")
+        constraint = self.constraints[row]
+        self._undo.append(("rhs", row, constraint.rhs))
+        constraint.rhs = _number(value)
+
+    def add_to_order(self, index: int) -> None:
+        """Read variable `index` next in `variable_order`, after every
+        variable ordered so far."""
+        self._var(index)
+        self.order.append(index)
+        self._undo.append(("order",))
+
+    def variable_order(self) -> list[int]:
+        """The variables in the order that the canonical point and
+        branch-and-bound branching read them: those of `order`, then every
+        other variable by index."""
+        if not self.order:
+            return list(range(len(self.variables)))
+        ordered = set(self.order)
+        return self.order + [i for i in range(len(self.variables)) if i not in ordered]
+
     def _var(self, index: int) -> _Variable:
         if not 0 <= index < len(self.variables):
             raise SolverError(f"unknown variable index {index}")
@@ -289,6 +320,8 @@ class MPModel:
         if not self._marks:
             raise SolverError("pop_scratch without a matching push_scratch")
         mark = self._marks.pop()
+        if mark < self._live_at:
+            self._live = None
         while len(self._undo) > mark:
             entry = self._undo.pop()
             tag = entry[0]
@@ -312,6 +345,10 @@ class MPModel:
                     self.constraints[row].coeffs.pop(col, None)
                 else:
                     self.constraints[row].coeffs[col] = old
+            elif tag == "rhs":
+                self.constraints[entry[1]].rhs = entry[2]
+            elif tag == "order":
+                self.order.pop()
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -394,7 +431,9 @@ class MPModel:
         and returns its vertex, unless it is read for its status only
         (`STATUS`) under the empty objective: that is a feasibility search
         under a steering cost set and undone here, which returns
-        `(OPTIMAL, 0, ())` at its first integral node. The root relaxation
+        `(OPTIMAL, 0, ())` at its first integral node, unless an integer
+        column has an infinite bound, along which a search could dive
+        without end; such a model is read for its vertex. The root relaxation
         of every solve starts from the live simplex where it can
         (`_solve_root`): an LP read for its objective only (`OBJECTIVE`)
         carries the live simplex on, and one read for its status only under
@@ -410,12 +449,19 @@ class MPModel:
                 bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
                 if reads != STATUS or self.objective:
                     return self._branch_and_bound(bounds, reads)
+                variables = self.variables
+                if any(variables[i].kind == INTEGER and None in bounds[i]
+                       for i in range(len(bounds))):
+                    # a search can dive without end along an integer column
+                    # with an infinite bound; the vertex read's tree is the
+                    # cold solve's
+                    return self._branch_and_bound(bounds, VERTEX)
                 # a feasibility search, steered by a cost that lives only
                 # inside this solve
                 self.push_scratch()
                 try:
                     self.set_objective({col: 1 for col, (lb, ub) in enumerate(bounds)
-                                        if lb == 0 and ub is not None})
+                                        if lb == 0 and ub})
                     return self._branch_and_bound(bounds, reads, search=True)
                 finally:
                     self.pop_scratch()
@@ -440,33 +486,35 @@ class MPModel:
         final simplex, None where its bounds cross (`INFEASIBLE`).
 
         If, since the live simplex was last brought up to date, the model
-        has only gained columns and rows, changed its objective, or changed
-        a column's kind but not its effective bounds, the live simplex takes
-        the new columns nonbasic at 0 (`add_columns`) and the new rows
-        (`add_rows`), and phase 1 over their artificials restores
-        feasibility from the live basis. The warm result is kept whatever
-        it is; every other change means a cold solve, which writes every
-        row onto the empty simplex instead. A root works on a copy of the
-        live simplex, unless it is to `keep` its final state: then it works
-        on the live simplex itself, and its final state becomes the live
-        simplex if it is optimal or unbounded, so that its basis is primal
-        feasible.
+        has only gained columns and rows, raised the upper bound of columns
+        fixed at 0, changed its objective, or changed a column's kind but
+        not its effective bounds (`_live_changes`), the live simplex takes
+        the raised bounds (`raise_upper`), the new columns nonbasic at 0
+        (`add_columns`) and the new rows (`add_rows`), and phase 1 over
+        their artificials restores feasibility from the live basis. The
+        warm result is kept whatever it is; every other change means a cold
+        solve, which writes every row onto the empty simplex instead. A root
+        works on a copy of the live simplex, without the columns fixed at
+        0 that it does not raise (`copy`), unless it is to `keep` its
+        final state: then it works on the live simplex itself, and its final
+        state becomes the live simplex if it is optimal or unbounded, so
+        that its basis is primal feasible.
         """
         live = self._live
-        added = self._live_changes() if live is not None else None
+        raised = self._live_changes() if live is not None else None
         if keep:
             self._live = None
-        simplex = None
-        if added is not None:
-            warm = live if keep else live.copy()
-            if warm.add_columns(added):
-                try:
-                    status = warm.finish(warm.add_rows(len(warm.tableau)), reads)
-                finally:
-                    self.counters.pivots += warm.pivots
-                self.counters.root_warm += 1
-                simplex = warm
-        if simplex is None:
+        if raised is not None:
+            simplex = live if keep else live.copy(fixed_except=raised)
+            for var, ub in raised.items():
+                simplex.raise_upper(var, ub)
+            simplex.add_columns()
+            try:
+                status = simplex.finish(simplex.add_rows(len(simplex.tableau)), reads)
+            finally:
+                self.counters.pivots += simplex.pivots
+            self.counters.root_warm += 1
+        else:
             self.counters.root_cold += 1
             bounds = [self.effective_bounds(i) for i in range(len(self.variables))]
             if _crossed(bounds):
@@ -481,54 +529,53 @@ class MPModel:
             while at and self._undo[at - 1][0] == "objective":
                 at -= 1
             self._live_at = at
-            self._live_tail = self._undo[at - 1] if at else None
         return status, simplex
 
-    def _live_changes(self) -> dict[int, dict[int, Number]] | None:
-        """The columns added since the live simplex was last brought up to
-        date, each with its coefficients `{row: coeff}`, or None if anything
-        else the live simplex depends on changed since: an existing column's
-        coefficient in one of its rows or its effective bounds, or an undo
-        that reached below that point. A new column's coefficients are those
-        its `add_column` entry holds, with every later `set_coefficient` cell
-        of it read from the model; rows appended since are left in, as
-        `add_columns` skips them: a caller reads them whole."""
-        at, undo = self._live_at, self._undo
-        if len(undo) < at or (at and undo[at - 1] is not self._live_tail):
-            return None
+    def _live_changes(self) -> dict[int, Number | None] | None:
+        """The columns fixed at 0 in the live simplex whose upper bound has
+        been raised since it was last brought up to date, each with its new
+        upper bound, or None if anything else it depends on changed since:
+        another change of an existing column's effective bounds, a
+        coefficient in one of its rows, be it an existing column's or a new
+        one's, or a right-hand side of one. A new column must have effective
+        lower bound 0; `add_columns` takes it, and `add_rows` its entries
+        in the rows appended since, which it writes whole. An undo below
+        that point has dropped the live simplex (`pop_scratch`)."""
         live = self._live
         nrows = len(live.tableau)
         first = len(live.col_of)
-        added: dict[int, dict[int, Number]] = {}
+        raised: dict[int, Number | None] = {}
         seen = set()
-        for index in range(at, len(undo)):
+        undo = self._undo
+        for index in range(self._live_at, len(undo)):
             entry = undo[index]
             tag = entry[0]
             if tag == "pop_column":
-                added[entry[1]] = entry[2]
+                if any(row < nrows for row in entry[2]):
+                    return None
             # the first undo entry of a cell holds its value at that point
             elif tag == "coefficient":
                 row, col, old = entry[1], entry[2], entry[3]
-                if row >= nrows:
-                    continue
-                if col >= first:
-                    column = added[col] = dict(added[col])
-                    value = self.constraints[row].coeffs.get(col)
-                    if value is None:
-                        column.pop(row, None)
-                    else:
-                        column[row] = value
-                elif (row, col) not in seen:
+                if row < nrows and (row, col) not in seen:
                     seen.add((row, col))
-                    if self.constraints[row].coeffs.get(col) != old:
+                    if col >= first or self.constraints[row].coeffs.get(col) != old:
                         return None
+            elif tag == "rhs":
+                if entry[1] < nrows:
+                    return None
             elif tag == "bounds" or tag == "kind":
                 col = entry[1]
                 if col < first and col not in seen:
                     seen.add(col)
-                    if self.effective_bounds(col) != live.bounds_of(col):
-                        return None
-        return added
+                    bounds = self.effective_bounds(col)
+                    if bounds != live.bounds_of(col):
+                        if live.bounds_of(col) != (0, 0) or bounds[0] != 0:
+                            return None
+                        raised[col] = bounds[1]
+        for var in range(first, len(self.variables)):
+            if self.effective_bounds(var)[0] != 0:
+                return None
+        return raised
 
     def _solve_node(self, bounds: list[tuple[Number | None, Number | None]],
                     parent: _Simplex | None, var: int, shared: bool,
@@ -575,8 +622,9 @@ class MPModel:
         and logs a warning; a search has no incumbent, so it returns
         `LIMIT`.
         """
-        integer_cols = [i for i, v in enumerate(self.variables)
-                        if v.kind in (INTEGER, BINARY)]
+        variables = self.variables
+        integer_cols = [i for i in self.variable_order()
+                        if variables[i].kind in (INTEGER, BINARY)]
         # a status read needs an optimum at each node, not the canonical one
         node_reads = OBJECTIVE if reads == STATUS else VERTEX
         minimize = self.sense == MINIMIZE
@@ -711,9 +759,11 @@ class _Simplex:
     costs included. A branch-and-bound child takes that state (`copy`),
     narrows one variable's bounds (`tighten`), which keeps the basis dual
     feasible, and `dual` re-optimises it. A warm root relaxation takes the
-    model's live simplex or a copy of it, appends the model's new columns
+    model's live simplex or a copy of it, raises the upper bounds of
+    columns fixed at 0 (`raise_upper`), appends the model's new columns
     (`add_columns`) and rows (`add_rows`), and `finish` runs phase 1 over
-    the new rows' artificials only.
+    the new rows' artificials only. No column ever enters a row the
+    simplex already holds, so no B^-1 a is needed.
     """
 
     def __init__(self, model: MPModel, bounds: list[tuple[Number | None, Number | None]]):
@@ -748,11 +798,6 @@ class _Simplex:
         self.den: list[int] = []
         self.basis: list[int] = []
         self.row_of: dict[int, int] = {}  # basic column -> row
-        # per row r, a unit column u, whose column is c e_r as the row is
-        # written, and s / c as (numerator, positive denominator), where s is
-        # -1 if the row was negated, else 1 (`add_columns`); None if the row
-        # has no unit column
-        self.unit: list[tuple[int, int, int] | None] = []
         # the reduced costs of the last objective `_optimize` proved optimal
         self.reduced: list[int] = []
         self.rden = 1
@@ -844,105 +889,35 @@ class _Simplex:
 
     # -- warm start from an earlier solve of the same model -------------------
 
-    def add_columns(self, columns: dict[int, dict[int, Number]]) -> bool:
-        """Append the columns of model variables added since this simplex
-        was built or last re-optimised, nonbasic at 0. `columns` maps each
-        such variable, in index order, to its coefficients `{row: coeff}`
-        (`MPModel._live_changes`); a row this simplex does not hold yet is
-        skipped, as `add_rows` writes it whole.
+    def add_columns(self) -> None:
+        """Append the model variables added since this simplex was built or
+        last brought up to date as columns nonbasic at 0. Each has effective
+        lower bound 0 and no entry in a row this simplex holds
+        (`MPModel._live_changes`), so the basis stays primal feasible, and
+        `add_rows` writes its entries with the rows that hold them."""
+        model = self.model
+        for var in range(len(self.col_of), len(model.variables)):
+            self.col_of.append([(self.ncols, 1)])
+            self.offset.append(0)
+            self.upper.append(model.effective_bounds(var)[1])
+            self.flipped.append(False)
+            self.ncols += 1
 
-        In the first tableau, row r was negated if s = -1 and has a unit
-        column u whose column there is c e_r, so the current tableau column
-        of u is c B^-1 e_r, negated if u is flipped. A new column with
-        entries a_r then reads B^-1 (s a_r)_r = sum over r of
-        a_r (s / c) B^-1 e_r. The basic values do not move, so the basis
-        stays primal feasible. An entry that is a whole numerator over its
-        row's denominator is written as it is; a row that gets any other is
-        scaled once, by the least common denominator of its new entries.
-        Returns False, changing nothing, if a variable's effective lower
-        bound is not 0 or one of its rows has no unit column.
-        """
-        if not columns:
-            return True
-        model, unit, flipped, row_of = self.model, self.unit, self.flipped, self.row_of
-        tableau, rhs, den = self.tableau, self.rhs, self.den
-        nrows = len(unit)
-        # current tableau columns of nonbasic unit columns, as (row, entry)
-        unit_entries: dict[int, list[tuple[int, int]]] = {}
-        # the new entries as (row i, column, p): p over den[i]
-        integral: list[tuple[int, int, int]] = []
-        # per row i, its other new entries as (column, p, q): p / q over den[i]
-        fractional: dict[int, list[tuple[int, int, int]]] = {}
-        uppers = []
-        j = self.ncols
-        for var, coeffs in columns.items():
-            lb, ub = model.effective_bounds(var)
-            if lb != 0:
-                return False
-            uppers.append(ub)
-            # per row i, the column's entry as a numerator over den[i] * q
-            sums: dict[int, int] = {}
-            q = 1
-            for r, weight in coeffs.items():
-                if r >= nrows:
-                    continue
-                entry = unit[r]
-                if entry is None:
-                    return False
-                # the multiplier of the unit column u, m / d
-                u, m, d = entry
-                if type(weight) is int:
-                    m *= weight
-                else:
-                    m *= weight.numerator
-                    d *= weight.denominator
-                if flipped[u]:
-                    m = -m
-                if d != 1 and q % d:
-                    scale = lcm(q, d) // q
-                    if sums:
-                        sums = {i: total * scale for i, total in sums.items()}
-                    q *= scale
-                if d != q:
-                    m *= q // d
-                i = row_of.get(u)
-                if i is not None:  # basic: 1 in its row
-                    sums[i] = sums.get(i, 0) + m * den[i]
-                    continue
-                entries = unit_entries.get(u)
-                if entries is None:
-                    entries = unit_entries[u] = [(i, row[u]) for i, row in enumerate(tableau)
-                                                 if u in row]
-                for i, x in entries:
-                    sums[i] = sums.get(i, 0) + m * x
-            for i, total in sums.items():
-                if total:
-                    g = gcd(total, q)
-                    if g == q:
-                        integral.append((i, j, total // q))
-                    else:
-                        fractional.setdefault(i, []).append((j, total // g, q // g))
-            j += 1
-        added = j - self.ncols
-        self.col_of.extend([[(col, 1)] for col in range(self.ncols, j)])
-        self.offset.extend([0] * added)
-        self.upper.extend(uppers)
-        flipped.extend([False] * added)
-        self.ncols = j
-        for i, j, p in integral:
-            tableau[i][j] = p
-        for i, entries in fractional.items():
-            # over den[i] * scale, the row stays in lowest terms: each prime
-            # power of scale is some q's, whose p it does not divide
-            scale = 1
-            for _, _, q in entries:
-                scale = lcm(scale, q)
-            tableau[i] = row = {k: x * scale for k, x in tableau[i].items()}
-            rhs[i] *= scale
-            den[i] *= scale
-            for j, p, q in entries:
-                row[j] = p * (scale // q)
-        return True
+    def raise_upper(self, var: int, ub: Number | None) -> None:
+        """Raise the upper bound of model variable `var` from 0, where it is
+        fixed, to `ub` (None: no upper bound). Its column is first unflipped
+        at 0, which negates its entries and moves no value; a basic column's
+        row is then divided by its negated entry. The column keeps its value
+        0, so the basis stays primal feasible."""
+        ((col, _),) = self.col_of[var]
+        if self.flipped[col]:
+            self._flip_column(col)
+            i = self.row_of.get(col)
+            if i is not None:
+                self._make_unit(i, col)
+            if col < len(self.reduced):
+                self.reduced[col] = -self.reduced[col]
+        self.upper[col] = ub
 
     def add_rows(self, first: int) -> list[int]:
         """Append the model's rows from index `first` on to this basis,
@@ -966,21 +941,18 @@ class _Simplex:
         numbered after the slacks. So the basis is feasible but for the
         artificials, and phase 1 over them alone restores feasibility (the
         row-addition warm start; Chvátal, *Linear Programming*, 1983,
-        ch. 10). A row's slack is its unit column for `add_columns`; an
-        equality row's is its first crash candidate, taken or not.
+        ch. 10).
         """
         model = self.model
         if first == len(model.constraints):
             return []
         tableau, rhs, den, basis = self.tableau, self.rhs, self.den, self.basis
         offset, upper, flipped = self.offset, self.upper, self.flipped
-        row_of, unit, col_of = self.row_of, self.unit, self.col_of
+        row_of, col_of = self.row_of, self.col_of
         old = len(tableau)
         ncols = self.ncols
-        # new rows without a basic column, each with -1 if it was negated,
-        # else 1
-        pending: dict[int, int] = {}
-        touched = set()  # the columns of the new rows
+        # the new rows without a basic column, in row order
+        pending: dict[int, None] = {}
         for constraint in model.constraints[first:]:
             row: dict[int, Number] = {}
             value = constraint.rhs
@@ -1002,10 +974,7 @@ class _Simplex:
             if d != 1:
                 row = {col: x.numerator * (d // x.denominator) for col, x in row.items()}
             value = value.numerator * (d // value.denominator)
-            eliminated = ()
-            if old:
-                touched.update(row)
-                eliminated = [col for col in row if col in row_of]
+            eliminated = [col for col in row if col in row_of] if old else ()
             # row / d - (c / d) (tableau[i] / den[i]) is over d * den[i]; the
             # other basic columns are 0 in tableau[i], so one pass clears all
             for col in eliminated:
@@ -1036,7 +1005,6 @@ class _Simplex:
                 value = -value
                 sign = -1
             i = len(tableau)
-            unit.append((ncols, slack, 1) if slack else None)
             if slack:
                 row[ncols] = sign * slack * d
                 ncols += 1
@@ -1045,17 +1013,12 @@ class _Simplex:
                 basis.append(ncols - 1)
             else:
                 basis.append(-1)
-                pending[i] = sign
+                pending[i] = None
             tableau.append(row)
             rhs.append(value)
             den.append(d)
             if eliminated:
                 self._reduce(i)
-        # a structural unit column of an old row stops being one once a new
-        # row has an entry in it
-        for r in range(old):
-            if unit[r] is not None and unit[r][0] in touched:
-                unit[r] = None
 
         artificial_cols = []
         if pending:
@@ -1072,11 +1035,6 @@ class _Simplex:
                 if i not in pending or (old and any(j in tableau[k] for k in range(old))):
                     continue
                 entry = tableau[i][j]
-                if unit[i] is None:
-                    # `add_columns` reads a unit column unflipped
-                    a = -entry if flipped[j] else entry
-                    s = pending[i] * den[i]
-                    unit[i] = (j, s, a) if a > 0 else (j, -s, -a)
                 # the column's basic value would be rhs[i] / entry
                 num, value_den = (rhs[i], entry) if entry > 0 else (-rhs[i], -entry)
                 limit = upper[j]
@@ -1100,21 +1058,40 @@ class _Simplex:
 
     # -- warm start from a parent's final state -------------------------------
 
-    def copy(self) -> _Simplex:
+    def copy(self, fixed_except: Collection[int] | None = None) -> _Simplex:
         """An independent copy of the state after `finish` or `dual`,
-        whatever status it ended with; its pivots count from 0."""
+        whatever status it ended with; its pivots count from 0.
+
+        With `fixed_except`, the copy is for a root whose bounds are never
+        raised again: it leaves out the column of every model variable,
+        other than those in `fixed_except`, that sits nonbasic and fixed at
+        0. No pivot enters such a column, so leaving it out changes no
+        pivot and no point; the variable keeps its value 0 and every later
+        row is written without it."""
         clone = _Simplex.__new__(_Simplex)
         clone.model = self.model
         clone.pivots = 0
-        # add_columns appends to col_of and unit, never changes an entry
+        # add_columns appends to col_of, never changes an entry
         clone.col_of = self.col_of.copy()
-        clone.unit = self.unit.copy()
         clone.offset = self.offset.copy()
         clone.upper = self.upper.copy()
         clone.flipped = self.flipped.copy()
         clone.nstruct = self.nstruct
         clone.ncols = self.ncols
-        clone.tableau = [row.copy() for row in self.tableau]
+        left_out = set()
+        if fixed_except is not None:
+            upper, row_of, offset, col_of = self.upper, self.row_of, self.offset, clone.col_of
+            for var, cols in enumerate(col_of):
+                if len(cols) == 1 and var not in fixed_except:
+                    col = cols[0][0]
+                    if upper[col] == 0 and not offset[var] and col not in row_of:
+                        left_out.add(col)
+                        col_of[var] = []
+        if left_out:
+            clone.tableau = [{j: x for j, x in row.items() if j not in left_out}
+                             for row in self.tableau]
+        else:
+            clone.tableau = [row.copy() for row in self.tableau]
         clone.rhs = self.rhs.copy()
         clone.den = self.den.copy()
         clone.basis = self.basis.copy()
@@ -1251,8 +1228,8 @@ class _Simplex:
 
     def canonicalize(self) -> str:
         """Move an optimal basis to the canonical point of its optimal face:
-        the lexicographically smallest, taking the model variables in index
-        order, each by its distance from its finite bound (x - lb, or
+        the lexicographically smallest, taking the model variables in
+        `MPModel.variable_order`, each by its distance from its finite bound (x - lb, or
         ub - x where only ub is finite; a free variable by its positive
         column, then its negative one), which depends on the LP only
         (Isermann, 1982; Dantzig, Orden and Wolfe, 1955).
@@ -1274,7 +1251,8 @@ class _Simplex:
         if len(free) == len(row_of):
             return OPTIMAL
         primary = self.reduced, self.rden
-        for col, sign in [pair for cols in self.col_of for pair in cols]:
+        col_of = self.col_of
+        for col, sign in [pair for var in self.model.variable_order() for pair in col_of[var]]:
             if len(free) == len(row_of):
                 break
             # the distance as a cost on t, x = offset + sign * t: a mirrored
@@ -1336,18 +1314,20 @@ class _Simplex:
                 return LIMIT
             # pricing: reduced costs share the denominator rden > 0, so their
             # numerators order them; basic columns have reduced cost 0, so
-            # the sign test rejects them and every zero; only columns in
-            # `allowed` enter, if given
+            # the sign test rejects them and every zero; a fixed column never
+            # enters, and only columns in `allowed` do, if given
             entering = -1
             if bland:
                 for j, r in enumerate(reduced):
-                    if r < 0 and j not in basic and (allowed is None or j in allowed):
+                    if r < 0 and j not in basic and upper[j] != 0 and (
+                            allowed is None or j in allowed):
                         entering = j
                         break
             else:
                 best = 0
                 for j, r in enumerate(reduced):
-                    if r < best and j not in basic and (allowed is None or j in allowed):
+                    if r < best and j not in basic and upper[j] != 0 and (
+                            allowed is None or j in allowed):
                         best = r
                         entering = j
             if entering == -1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import extract, model, rpg, search
 from .analysis import AnalysedTask, analyse
 from .errors import FlowplanError
-from .lpmodel import HeuristicConfig, LandmarkView
+from .lpmodel import FlowModel, HeuristicConfig, LandmarkView
 from .mpsolver import Counters
 
 log = logging.getLogger(__name__)
@@ -60,9 +60,12 @@ def config_fingerprint(mode: str, config: HeuristicConfig) -> str:
 class Evaluator:
     """Per-state heuristic evaluation for one search run.
 
-    Evaluation is a pure function of (state, achieved landmarks) given the
-    immutable analysed task, so concurrent evaluations only need separate
-    Evaluator instances (each builds its own flow models).
+    In LP mode the evaluator holds one flow model for the whole run, built
+    at its first evaluation, and each evaluation is a scratch scope on it
+    (`FlowModel.begin`/`end`). Evaluation is still a pure function of
+    (state, achieved landmarks) given the immutable analysed task, so
+    concurrent evaluations only need separate Evaluator instances (each
+    holds its own flow model).
     """
 
     def __init__(self, analysed: AnalysedTask, config: HeuristicConfig, mode: str,
@@ -76,6 +79,7 @@ class Evaluator:
         lm = analysed.landmarks
         self.landmark_facts = frozenset(lm.conjunctive) | frozenset(
             fact for group in lm.disjunctive for fact in group)
+        self.flow: FlowModel | None = None
 
     def landmark_view(self, state: model.State,
                       achieved: frozenset[int]) -> LandmarkView:
@@ -88,11 +92,17 @@ class Evaluator:
                  achieved: frozenset[int] = frozenset()) -> extract.HeuristicResult:
         if self.mode == MODE_LPRPG:
             view = self.landmark_view(state, achieved)
-            graph = rpg.expand(self.analysed, state, self.config, rpg.LPRPG,
-                               self.counters, view)
-            if graph.status != rpg.GOALS_REACHED:
-                return extract.DEAD_END
-            return extract.extract_lprpg(graph, self.analysed, view, self.config)
+            if self.flow is None:
+                self.flow = FlowModel(self.analysed, self.counters)
+            self.flow.begin(state)
+            try:
+                graph = rpg.expand(self.analysed, state, self.config, rpg.LPRPG,
+                                   self.counters, view, self.flow)
+                if graph.status != rpg.GOALS_REACHED:
+                    return extract.DEAD_END
+                return extract.extract_lprpg(graph, self.analysed, view, self.config)
+            finally:
+                self.flow.end()
         graph = rpg.expand(self.analysed, state, self.config, RPG_MODES[self.mode],
                            self.counters)
         if graph.status != rpg.GOALS_REACHED:

@@ -293,7 +293,8 @@ def _release(users, counts: list[int], ready: list[int]) -> None:
 
 def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
            mode: str = LPRPG, counters: mp.Counters | None = None,
-           landmarks: LandmarkView | None = None) -> RPGraph:
+           landmarks: LandmarkView | None = None,
+           flow: FlowModel | None = None) -> RPGraph:
     """Build the layered graph until the goal is reachable or growth stagnates.
 
     Each action's counter starts at its static precondition count. Facts
@@ -310,6 +311,11 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     `_stagnated` compares those alone, unless a changed variable is read
     by an effect's magnitude. The interval step recomputes only the
     variables `_LayerEffects.join` names.
+
+    In LP mode the graph asks `flow`, the task's flow model with the scope
+    of `state` begun, for bounds, and keeps per tracked variable the number
+    of its relevant-up and relevant-down conditions not yet satisfiable;
+    without a `flow` it builds a flow model of its own, for this graph.
     """
     task = analysed.task
     landmarks = landmarks if landmarks is not None else LandmarkView()
@@ -324,6 +330,23 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
     first_action_layer: dict[int, int] = {}
     first_by_id: list[int | None] = [None] * len(conditions)
 
+    lp = mode == LPRPG
+    if lp:
+        if flow is None:
+            flow = FlowModel(analysed, counters)
+            flow.begin(state)
+        up_vars, down_vars = analysed.up_relevant_vars, analysed.down_relevant_vars
+        relevant_up, relevant_down = analysed.relevant_up, analysed.relevant_down
+        open_up = [len(relevant_up.get(var, ())) for var in range(len(state.values))]
+        open_down = [len(relevant_down.get(var, ())) for var in range(len(state.values))]
+
+        def close(cond_id: int) -> None:
+            """Condition `cond_id` became satisfiable: it is open no more."""
+            for var in up_vars[cond_id]:
+                open_up[var] -= 1
+            for var in down_vars[cond_id]:
+                open_down[var] -= 1
+
     counts = list(analysed.precondition_counts)
     ready = [action_id for action_id, count in enumerate(counts) if not count]
     for fact in state.facts:
@@ -332,11 +355,8 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         if condition_satisfiable(cond, numeric_layers[0]):
             first_by_id[cond_id] = 0
             _release(condition_users[cond_id], counts, ready)
-
-    flow: FlowModel | None = None
-    if mode == LPRPG:
-        flow = FlowModel(analysed, state, counters)
-        flow.add_catalytic()
+            if lp:
+                close(cond_id)
 
     graph = RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
                     first_fact_layer, first_action_layer, first_by_id,
@@ -350,7 +370,7 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         for cond_id in goal_ids:
             if first_by_id[cond_id] is None:
                 return False
-        if mode == LPRPG and config.uses_goal_check():
+        if lp and config.uses_goal_check():
             flow.model.push_scratch()
             try:
                 flow.add_goal_constraints(config, landmarks, action_layers[layer])
@@ -377,11 +397,11 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
         for action_id in new_actions:
             next_facts.update(task.actions[action_id].add_effects)
 
-        if mode == LPRPG:
+        if lp:
             if new_actions:
                 flow.extend(new_actions)
             next_intervals, next_changed = _lp_layer_bounds(
-                graph, analysed, effects, new_actions, changed)
+                graph, analysed, effects, new_actions, changed, open_up, open_down)
         else:
             next_intervals, next_changed = effects.step(
                 effects.join(new_actions, changed), intervals, unbounded)
@@ -410,6 +430,8 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
             if condition_satisfiable(conditions[cond_id], next_intervals):
                 first_by_id[cond_id] = layer
                 _release(condition_users[cond_id], counts, ready)
+                if lp:
+                    close(cond_id)
         changed = next_changed
 
         if goal_reached(layer):
@@ -435,9 +457,12 @@ def _open_conditions(analysed: AnalysedTask, first_by_id: list[int | None],
 
 
 def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, effects: _LayerEffects,
-                     new_actions, changed) -> tuple[list[Interval], list[int]]:
+                     new_actions, changed, open_up: list[int],
+                     open_down: list[int]) -> tuple[list[Interval], list[int]]:
     """Next numeric layer in LP mode, applying the four skip rules; returns
-    it with the variables whose interval changed.
+    it with the variables whose interval changed. A side is queried only
+    while the variable has an open condition (`open_up`, `open_down`) that
+    widening it could help satisfy.
 
     Each query widens from the previous layer's bound. A side that is
     already infinite stays infinite without a query: a bound query that hit
@@ -446,7 +471,6 @@ def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, effects: _LayerEffe
     interval and break the monotone widening `expand` relies on.
     """
     flow = graph.flow
-    satisfiable = graph.condition_first_by_id
     previous = graph.numeric_layers[-1]
     if not new_actions:
         return list(previous), []
@@ -456,13 +480,11 @@ def _lp_layer_bounds(graph: RPGraph, analysed: AnalysedTask, effects: _LayerEffe
     dirty = effects.join([a for a in new_actions if a in analysed.untracked_affectors],
                          changed)
     intervals, moved = effects.step([v for v in dirty if v not in tracked], previous, False)
-    for var in sorted(tracked):
+    for var in analysed.tracked_order:
         lo, hi = previous[var]
-        if hi is not None and any(satisfiable[c] is None
-                                  for c in analysed.relevant_up.get(var, ())):
+        if hi is not None and open_up[var]:
             hi = flow.query_bound(var, "max", hi)
-        if lo is not None and any(satisfiable[c] is None
-                                  for c in analysed.relevant_down.get(var, ())):
+        if lo is not None and open_down[var]:
             lo = flow.query_bound(var, "min", lo)
         if lo != previous[var][0] or hi != previous[var][1]:
             intervals[var] = (lo, hi)

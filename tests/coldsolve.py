@@ -34,7 +34,7 @@ def model_state(model: mp.MPModel) -> tuple:
         live.basis.copy(), live.upper.copy(), live.flipped.copy(),
         live.reduced.copy(), live.rden, live.ncols)
     return (dict(model.objective), model.sense, model._undo.copy(), live,
-            model._live_at, model._live_tail, tableau)
+            model._live_at, tableau)
 
 
 def status_read(model: mp.MPModel) -> tuple[mp.MPSolution, mp.MPSolution]:

@@ -6,14 +6,22 @@ under an expansion budget only, and records:
 - its status, plan, whether the plan validates, expansions, evaluations
   and LP solves;
 - a digest of every evaluation's (h, helpful actions), in order;
-- a digest of every `MPModel.solve` call's (reads, status, objective,
-  values), in order, with the type of every number;
+- every `MPModel.solve` call's (reads, status, objective, nonzero values),
+  in order, as a short digest each and one digest over all; the values
+  are keyed by column name and sorted, so models whose columns differ in
+  number or order record the same solve alike, and every number carries
+  its type;
 - the run's `Counters` totals, times left out.
 
 Two trees are compared by running the recorder on each and comparing the
-output, for example
+two files, for example
 
-    PYTHONPATH=src python tests/exactness.py lp-search 1 > lp-search-1.json
+    PYTHONPATH=src python tests/exactness.py lp-search 1 > new.json
+    PYTHONPATH=src python tests/exactness.py --compare old.json new.json
+
+The comparison prints, per instance, every field that differs and the
+first solve whose record differs; pivot counts, which a change to the
+simplex may move, are listed apart.
 
 It is a helper module, not a test module: pytest collects nothing here.
 """
@@ -53,7 +61,7 @@ def record_instance(instance) -> dict:
     domain, problem = generators.generate(instance.generator, instance.size, instance.seed,
                                           threshold=instance.threshold)
     task = model.parse_and_ground(domain, problem)
-    solves = hashlib.sha256()
+    solves: list[str] = []
     evaluations = hashlib.sha256()
     counters: list[mpsolver.Counters] = []
     real_solve = mpsolver.MPModel.solve
@@ -61,8 +69,10 @@ def record_instance(instance) -> dict:
 
     def recording_solve(self, reads=mpsolver.VERTEX):
         solution = real_solve(self, reads=reads)
-        solves.update(repr((reads, solution.status, solution.objective,
-                            solution.values)).encode() + b"\n")
+        values = sorted((self.variables[col].name, value)
+                        for col, value in enumerate(solution.values) if value)
+        record = repr((reads, solution.status, solution.objective, values))
+        solves.append(hashlib.sha256(record.encode()).hexdigest()[:16])
         return solution
 
     class RecordingEvaluator(real_evaluator):
@@ -96,7 +106,8 @@ def record_instance(instance) -> dict:
         "evaluations": outcome.stats.evaluations,
         "lp_solves": outcome.stats.lp_solves,
         "evaluation_digest": evaluations.hexdigest(),
-        "solve_digest": solves.hexdigest(),
+        "solve_digest": hashlib.sha256("\n".join(solves).encode()).hexdigest(),
+        "solves": solves,
         "counters": {f.name: getattr(run_counters, f.name) for f in fields(run_counters)
                      if f.name not in _TIMES},
     }
@@ -107,11 +118,47 @@ def record_workload(name: str, seed: int) -> list[dict]:
     return [record_instance(instance) for instance in workloads.WORKLOADS[name](seed)]
 
 
+def compare(old: list[dict], new: list[dict]) -> list[str]:
+    """Lines naming what differs between two recordings of one workload:
+    per instance, each field, the first differing solve and each counter,
+    and after all of those the pivot counts that moved. No line means the
+    recordings agree."""
+    lines = []
+    if [r["id"] for r in old] != [r["id"] for r in new]:
+        return ["the recordings hold different instances"]
+    for a, b in zip(old, new):
+        for key in a:
+            if key in ("solves", "counters") or a[key] == b.get(key):
+                continue
+            lines.append(f"{a['id']}: {key} {a[key]!r} -> {b.get(key)!r}")
+        first = next((i for i, (x, y) in enumerate(zip(a["solves"], b["solves"])) if x != y),
+                     None)
+        if first is not None:
+            lines.append(f"{a['id']}: solve {first} is the first to differ")
+        for key, value in a["counters"].items():
+            if key != "pivots" and value != b["counters"].get(key):
+                lines.append(f"{a['id']}: counters.{key} {value} -> {b['counters'].get(key)}")
+    for a, b in zip(old, new):
+        before, after = a["counters"]["pivots"], b["counters"]["pivots"]
+        if before != after:
+            lines.append(f"{a['id']}: pivots {before} -> {after} ({after - before:+d})")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("seed", type=int)
+    parser.add_argument("workload", nargs="?", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("seed", nargs="?", type=int)
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                        help="print how recording B differs from recording A")
     args = parser.parse_args()
+    if args.compare:
+        old, new = (json.loads(Path(path).read_text()) for path in args.compare)
+        for line in compare(old, new) or ["identical"]:
+            print(line)
+        return
+    if args.workload is None or args.seed is None:
+        parser.error("a recording needs a workload and a seed")
     print(json.dumps(record_workload(args.workload, args.seed), indent=1))
 
 

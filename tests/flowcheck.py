@@ -1,10 +1,19 @@
-"""Shared helper: evaluate a plan's count vector against a flow model."""
+"""Shared helpers: a flow model begun on a state, and a plan's count
+vector evaluated against a flow model."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from flowplan.lpmodel import FlowModel
+
+
+def begun_flow(analysed, state, counters=None) -> FlowModel:
+    """The task's flow model with the scope of `state` begun, as an
+    evaluation begins it; no action has joined the layer yet."""
+    flow = FlowModel(analysed, counters)
+    flow.begin(state)
+    return flow
 
 
 def forced_columns(task, flow: FlowModel, counts: dict[int, int]) -> list[Fraction]:

@@ -7,12 +7,16 @@ shares any code with the simplex or branch-and-bound paths they check.
 `expand_by_scanning` is the planning-graph expansion without precondition
 counters or changed-variable re-tests: every layer rescans every action,
 condition and in-layer effect. It shares the graph record, the interval
-helpers and the flow model with `rpg.expand`, not the bookkeeping.
-`CellFlowModel` is the flow model with the column builder that compiled
-columns replaced: it writes each action's column cell by cell from the
+helpers with `rpg.expand`, not the bookkeeping, and uses the per-state
+flow model below. `StateFlowModel` is the flow model built afresh for one
+state, holding only the actions that joined its layer, in the order they
+joined: the reference for the per-task model, which holds every action
+from the start and makes each state a scratch scope. `CellFlowModel` is
+the per-state model with the column builder that compiled columns
+replaced: it writes each action's column cell by cell from the
 classification. `replay_flow_layers` runs a flow model over given layers
-and records every row, column and query result, so the two builders can
-be compared.
+and records its query results, vertices keyed by column name, so that
+any two of them can be compared.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from fractions import Fraction
 
 from flowplan import mpsolver as mp
 from flowplan import rpg
+from flowplan.analysis import CATALYTIC
 from flowplan.lpmodel import FlowModel, LandmarkView
-from flowplan.model import exact
+from flowplan.model import GE, exact
 
 
 def solve_linear_system(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -216,7 +221,7 @@ def expand_by_scanning(analysed, state, config, mode=rpg.LPRPG, counters=None,
 
     flow = None
     if mode == rpg.LPRPG:
-        flow = FlowModel(analysed, state, counters)
+        flow = StateFlowModel(analysed, state, counters)
         flow.add_catalytic()
 
     graph = rpg.RPGraph(mode, state, fact_layers, numeric_layers, action_layers,
@@ -328,12 +333,120 @@ def _scanning_lp_layer_bounds(graph, analysed, layer_actions, new_actions, satis
 
 
 # ---------------------------------------------------------------------------
-# Reference flow-model column builder
+# Reference flow models
 
 
-class CellFlowModel(FlowModel):
-    """`FlowModel` with the cell-by-cell column builder: `extend` adds each
-    action's count column empty and writes its coefficients one
+class StateFlowModel(FlowModel):
+    """The flow model of one state, grown with its layer: the constructor
+    writes the post columns and flow rows with the state's values, and a
+    one-shot row only where its fact holds; `add_catalytic` the catalytic
+    bound columns and switch rows, anchored at the state's value where the
+    classification has no bound; `extend` appends a count column per
+    joining action, so the columns stand in the order the actions joined.
+    Its queries are the per-task model's."""
+
+    def __init__(self, analysed, state, counters=None):
+        self.analysed = analysed
+        self.task = analysed.task
+        self.cls = analysed.classification
+        self.state = state
+        self.counters = counters if counters is not None else mp.Counters()
+        self.model = mp.MPModel(self.counters)
+        self.tracked = analysed.tracked
+        self.action_col = {}
+        self.post_col = {}
+        self.up_col = {}
+        self.down_col = {}
+        self.flow_row = {}
+        self.up_row = {}
+        self.down_row = {}
+        # one-shot set index -> its row, for the sets whose fact holds
+        self.one_shot_rows = {}
+        self.switch_cols = []
+        self.switches = []
+        self.big_m_rows = {}
+        self.increased = set()
+        self.decreased = set()
+        model, values = self.model, state.values
+        for var, post_name, flow_name, lb, ub in analysed.flow_posts:
+            value = values[var]
+            col = model.add_variable(None if lb is None else min(lb, value),
+                                     None if ub is None else max(ub, value), name=post_name)
+            self.post_col[var] = col
+            self.flow_row[var] = model.add_constraint({col: 1}, "=", value, name=flow_name)
+        for index, oss in enumerate(analysed.one_shot_sets):
+            if oss.fact in state.facts:
+                self.one_shot_rows[index] = model.add_constraint(
+                    {}, "<=", 1, name=f"oneshot {self.task.fact_names[oss.fact]}")
+
+    def add_catalytic(self):
+        task, cls, model, values = self.task, self.cls, self.model, self.state.values
+        for var in sorted(self.tracked):
+            if cls.status.get(var) != CATALYTIC:
+                continue
+            name = task.var_names[var]
+            up = model.add_variable(None, None, name=f"up {name}")
+            down = model.add_variable(None, None, name=f"down {name}")
+            self.up_col[var] = up
+            self.down_col[var] = down
+            self.up_row[var] = model.add_constraint({up: 1}, "=", values[var],
+                                                    name=f"uprow {name}")
+            self.down_row[var] = model.add_constraint({down: 1}, "=", values[var],
+                                                      name=f"downrow {name}")
+        for index, group in enumerate(cls.catalytic_groups):
+            if group.variable not in self.up_col:
+                continue
+            switch = model.add_variable(0, 1, name=f"switch{index}")
+            self.switch_cols.append(switch)
+            present = [a for a in group.actions if a in self.action_col]
+            coeffs = {self.action_col[a]: -1 for a in present}
+            coeffs[switch] = sum(cls.count_bound[a] for a in present)
+            big_m_row = model.add_constraint(coeffs, ">=", 0, name=f"bigM{index}")
+            self.big_m_rows[index] = big_m_row
+            var = group.variable
+            if group.op == GE:
+                anchor = cls.lb[var] if cls.lb[var] is not None else values[var]
+                bound_row = model.add_constraint(
+                    {self.up_col[var]: 1, switch: -(group.threshold - anchor)}, ">=", anchor,
+                    name=f"catal{index}")
+            else:
+                anchor = cls.ub[var] if cls.ub[var] is not None else values[var]
+                bound_row = model.add_constraint(
+                    {self.down_col[var]: 1, switch: (anchor - group.threshold)}, "<=", anchor,
+                    name=f"catal{index}")
+            self.switches.append((frozenset(group.actions), switch, big_m_row, bound_row))
+
+    def extend(self, new_action_ids):
+        columns, model, action_col = self.analysed.flow_columns, self.model, self.action_col
+        added = False
+        for action_id in sorted(new_action_ids):
+            if action_id in action_col:
+                continue
+            added = True
+            bound, name, coeffs, ups, downs, one_shots, groups = columns[action_id]
+            self.increased.update(ups)
+            self.decreased.update(downs)
+            coeffs = dict(coeffs)
+            for var in ups:
+                if var in self.up_row:
+                    coeffs[self.up_row[var]] = coeffs[self.flow_row[var]]
+            for var in downs:
+                if var in self.down_row:
+                    coeffs[self.down_row[var]] = coeffs[self.flow_row[var]]
+            for index in one_shots:
+                if index in self.one_shot_rows:
+                    coeffs[self.one_shot_rows[index]] = 1
+            for index in groups:
+                if index in self.big_m_rows:
+                    coeffs[self.big_m_rows[index]] = -1
+            action_col[action_id] = model.add_column(0, bound, coeffs, name)
+        if added:
+            self._refresh_switch_rows()
+
+
+class CellFlowModel(StateFlowModel):
+    """`StateFlowModel` with the cell-by-cell column builder: `extend` adds
+    each action's count column empty and writes its coefficients one
     `set_coefficient` cell at a time, read from the classification and the
     one-shot sets, and `_refresh_switch_rows` rewrites the -1 of every
     group member in the layer along with each switch's big-M coefficient."""
@@ -376,23 +489,34 @@ class CellFlowModel(FlowModel):
                 self.model.set_coefficient(big_m_row, self.action_col[action_id], -1)
 
 
-def replay_flow_layers(flow_class, analysed, state, config, layers, weights,
-                       first_layer) -> list:
-    """A flow model of `flow_class` extended by each action set of `layers`
-    in turn, with a record per layer: every column's bounds, kind and name,
-    every row as a dict with its operator, rhs and name, a max and a min
-    bound query per tracked variable, a goal check, and an extraction-like
-    vertex solve under `config`'s integrality and the action `weights`.
-    Every solve reads through the live simplex, which the queries bring up,
-    so warm roots are compared along with the model."""
-    flow = flow_class(analysed, state)
+def state_flow(flow_class, analysed, state, counters=None):
+    """A per-state reference flow model of `flow_class` for `state`, its
+    catalytic rows added, before any action joins."""
+    flow = flow_class(analysed, state, counters)
     flow.add_catalytic()
+    return flow
+
+
+def named_vertex(model: mp.MPModel, solution: mp.MPSolution) -> tuple:
+    """A solution's status and objective and its nonzero values keyed by
+    column name, numbers with their types."""
+    values = sorted((model.variables[col].name, value, type(value))
+                    for col, value in enumerate(solution.values) if value)
+    return solution.status, solution.objective, type(solution.objective), values
+
+
+def replay_flow_layers(flow, config, layers, weights, first_layer) -> list:
+    """`flow`, with no action in its layer yet, extended by each action set
+    of `layers` in turn, with a record per layer: a max and a min bound
+    query per tracked variable, a goal check, and an extraction-like vertex
+    solve under `config`'s integrality and the action `weights`, keyed by
+    column name. Every solve reads through the live simplex, which the
+    queries bring up, so warm roots are compared along with the model."""
     records = []
     for actions in layers:
         flow.extend(actions)
         model = flow.model
-        record = [[(v.lb, v.ub, v.kind, v.name) for v in model.variables],
-                  [(dict(c.coeffs), c.op, c.rhs, c.name) for c in model.constraints]]
+        record = []
         for var in sorted(flow.tracked):
             for direction in ("max", "min"):
                 bound = flow.query_bound(var, direction, None)
@@ -403,9 +527,7 @@ def replay_flow_layers(flow_class, analysed, state, config, layers, weights,
             record.append(flow.feasible())
             flow.apply_integrality(config, first_layer, frozenset(), frozenset())
             flow.set_action_objective(weights)
-            solution = model.solve()
-            record.append((solution.status, solution.objective, type(solution.objective),
-                           solution.values, tuple(map(type, solution.values))))
+            record.append(named_vertex(model, model.solve()))
         finally:
             model.pop_scratch()
         records.append(record)

@@ -22,7 +22,7 @@ from flowplan.lpmodel import (
 )
 
 from bruteforce import all_plans, optimal_plan, reachable_states
-from flowcheck import forced_columns
+from flowcheck import begun_flow, forced_columns
 from microtasks import random_pc_task
 
 PASS_LINE = "ACCEPTANCE {num} ({name}): PASS"
@@ -211,9 +211,7 @@ def test_criterion_5_relaxation_soundness_suite():
             counts: dict[int, int] = {}
             for action_id in plan:
                 counts[action_id] = counts.get(action_id, 0) + 1
-            from flowplan.lpmodel import FlowModel
-            flow = FlowModel(analysed, analysed.task.initial)
-            flow.add_catalytic()
+            flow = begun_flow(analysed, analysed.task.initial)
             flow.extend(sorted(counts))
             flow.add_goal_constraints(config, LandmarkView(), frozenset(counts))
             values = forced_columns(analysed.task, flow, counts)

@@ -18,8 +18,8 @@ from flowplan.model import GE, LE
 from bruteforce import all_plans
 from coldsolve import cold_vertex, status_and_objective
 from microtasks import random_pc_task
-from oracles import CellFlowModel, replay_flow_layers
-from flowcheck import forced_columns
+from oracles import CellFlowModel, StateFlowModel, replay_flow_layers, state_flow
+from flowcheck import begun_flow, forced_columns
 from taskbuild import TaskBuilder
 
 
@@ -35,8 +35,7 @@ def exchange_task():
 
 def build_flow_for(task, action_ids=None):
     analysed = analyse(task)
-    flow = FlowModel(analysed, task.initial)
-    flow.add_catalytic()
+    flow = begun_flow(analysed, task.initial)
     flow.extend(action_ids if action_ids is not None
                 else [a.id for a in task.actions])
     return analysed, flow
@@ -54,7 +53,7 @@ def test_flow_fragment_model_exact_bounds():
 def test_empty_layer_keeps_state_values():
     task, v0, v1 = exchange_task()
     analysed = analyse(task)
-    flow = FlowModel(analysed, task.initial)
+    flow = begun_flow(analysed, task.initial)
     solution = flow.model.solve()
     assert solution.status == mp.OPTIMAL
     assert solution.values[flow.post_col[v0]] == 0
@@ -77,14 +76,20 @@ def test_one_shot_pair_gets_shared_row():
 
 
 def test_one_shot_row_absent_when_fact_false():
+    """A one-shot set whose fact is false keeps its row, which caps the sum
+    of its members' counts by the sum of their count bounds: a bound every
+    point meets, so the row constrains nothing."""
     builder = TaskBuilder()
     v = builder.var("(v)", 0)
     p = builder.fact("(p)", initially_true=False)
     builder.action("a", pre=[p], delete=[p], effects=[(v, "increase", 1)])
     builder.goal(conditions=[builder.condition({v: 1}, GE, 1)])
     task = builder.build()
-    _, flow = build_flow_for(task)
-    assert flow.one_shot_rows == {}
+    analysed, flow = build_flow_for(task)
+    (row,) = flow.one_shot_rows
+    bound = analysed.classification.count_bound[0]
+    assert flow.model.constraints[row].rhs == bound > 1
+    assert flow.query_bound(v, "max", None) == bound
 
 
 def pump_task():
@@ -162,9 +167,11 @@ def test_catalytic_switch_forces_production():
                                     "pump-catalyst-3-t4"])
 def test_compiled_columns_build_the_cell_by_cell_model_on_catalytic_tasks(source, all_props):
     """On the catalytic pump tasks, whose switches get a bigM row each, the
-    flow model built from compiled columns equals the cell-by-cell one over
-    every layer of the root's expansion, rows compared as dicts, and so do
-    its bound queries, goal checks and extraction-like solves."""
+    per-task flow model, its columns compiled and pinned until they join,
+    answers every bound query, goal check and extraction-like solve over
+    every layer of the root's expansion as the per-state models do, the one
+    built from compiled columns and the cell-by-cell one, vertices compared
+    by column name."""
     if source.startswith("pump-catalyst"):
         threshold = 4 if source.endswith("-t4") else None
         texts = generators.generate("pump-catalyst", 3, 1, threshold=threshold)
@@ -175,20 +182,23 @@ def test_compiled_columns_build_the_cell_by_cell_model_on_catalytic_tasks(source
     config = HeuristicConfig(include_all_propositions=all_props)
     state = analysed.task.initial
     graph = rpg.expand(analysed, state, config, rpg.LPRPG)
-    replay = (analysed, state, config, graph.action_layers,
+    replay = (config, graph.action_layers,
               layer_weights(config, graph.first_action_layer, None), graph.actions_at(1))
-    records = replay_flow_layers(FlowModel, *replay)
+    records = replay_flow_layers(begun_flow(analysed, state), *replay)
     assert len(records) > 1
-    assert records == replay_flow_layers(CellFlowModel, *replay)
+    for reference in (StateFlowModel, CellFlowModel):
+        assert records == replay_flow_layers(state_flow(reference, analysed, state), *replay)
 
 
 def test_no_catalytic_variables_leaves_model_unchanged():
+    """Without catalytic variables the model holds the flow rows and the
+    post and count columns only."""
     task, _, _ = exchange_task()
     analysed = analyse(task)
-    flow = FlowModel(analysed, task.initial)
-    rows_before = len(flow.model.constraints)
-    flow.add_catalytic()
-    assert len(flow.model.constraints) == rows_before
+    flow = begun_flow(analysed, task.initial)
+    assert (flow.up_col, flow.switches, flow.one_shot_rows) == ({}, [], [])
+    assert len(flow.model.constraints) == len(analysed.tracked)
+    assert len(flow.model.variables) == len(analysed.tracked) + len(task.actions)
 
 
 # -- goal constraints ----------------------------------------------------------
@@ -443,8 +453,7 @@ def test_valid_plan_counts_satisfy_fully_loaded_flow_model():
             counts: dict[int, int] = {}
             for action_id in plan:
                 counts[action_id] = counts.get(action_id, 0) + 1
-            flow = FlowModel(analysed, analysed.task.initial)
-            flow.add_catalytic()
+            flow = begun_flow(analysed, analysed.task.initial)
             flow.extend(sorted(counts))
             flow.add_goal_constraints(HeuristicConfig(include_all_propositions=False),
                                       LandmarkView(), frozenset(counts))
@@ -544,8 +553,7 @@ def _layered_bounds(task, layers, queries):
     again of a flow model built cold over the same actions. Returns the
     model's counters."""
     analysed = analyse(task)
-    flow = FlowModel(analysed, task.initial)
-    flow.add_catalytic()
+    flow = begun_flow(analysed, task.initial)
     reached = []
     for layer, layer_queries in zip(layers, queries):
         flow.extend(layer)
@@ -616,8 +624,7 @@ def test_warm_goal_checks_leave_the_bound_queries_as_they_were():
     runs = []
     for goal_checks in (False, True):
         analysed = analyse(task)
-        flow = FlowModel(analysed, task.initial)
-        flow.add_catalytic()
+        flow = begun_flow(analysed, task.initial)
         queries, checks = [], []
         for layer, (var, direction) in zip([[mine], [sell], [buy]],
                                            [(ore, "max"), (cash, "max"), (ore, "min")]):

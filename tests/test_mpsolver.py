@@ -478,7 +478,6 @@ def test_cold_solve_takes_the_slack_of_a_greater_equal_row_tight_at_zero(monkeyp
     simplex = mp._Simplex(model, [model.effective_bounds(i) for i in range(2)])
     assert simplex.add_rows(0) == []
     assert simplex.basis == [2, 3]  # both slacks, numbered in row order
-    assert simplex.unit == [(2, -1, 1), (3, 1, 1)]
     assert model.solve() == mp.MPSolution(mp.OPTIMAL, 2, (2, 2))
     assert artificials == [[]]
     assert model.counters.pivots == 2  # y enters, then x: phase 2 only
@@ -500,16 +499,17 @@ def _query(model, objective, sense):
 
 
 def _grown_lps(rng: random.Random, rational: bool, mirrored: bool = False):
-    """Models whose columns arrive in layers, as a flow model's do: rows over
+    """Models whose columns join in layers, as a flow model's do: rows over
     structural columns with general bounds (an equality row over a
-    singleton column, as a flow row over its post column, among them), then
-    columns with lower bound 0 wired into those rows. Between layers an
-    existing coefficient sometimes changes, and a scratch row is sometimes
-    added and solved. Every other new column is written whole by
-    `add_column`, the others cell by cell, from the same draws. Yields the
-    model at every objective-only query. With
-    `mirrored`, a fifth of the structural columns have an upper bound only,
-    and every column's bounds are moved by an integer."""
+    singleton column, as a flow row over its post column, among them), and
+    columns wired into those rows, pinned to [0, 0] until their layer
+    raises their upper bound. Between layers an existing coefficient
+    sometimes changes, and a scratch row is sometimes added and solved.
+    Every other pinned column is written whole by `add_column`, the others
+    cell by cell, from the same draws. Yields the model at every
+    objective-only query. With `mirrored`, a fifth of the structural
+    columns have an upper bound only, and every column's bounds are moved
+    by an integer."""
     for _ in range(60):
         model = mp.MPModel()
         base = []
@@ -532,18 +532,25 @@ def _grown_lps(rng: random.Random, rational: bool, mirrored: bool = False):
             coeffs = {c: _draw(rng, -5, 5, rational) for c in cols}
             model.add_constraint(coeffs, rng.choice(["<=", ">="]),
                                  _draw(rng, -4, 20, rational))
+        layers = []
         for _ in range(rng.randint(2, 5)):
+            layer = []
             for _ in range(rng.randint(0, 3)):
                 ub = rng.choice([None, _draw(rng, 1, 8, rational)])
                 coeffs = {row: _draw(rng, -5, 5, rational)
                           for row in rng.sample(range(len(model.constraints)),
                                                 rng.randint(1, len(model.constraints)))}
                 if len(model.variables) % 2:
-                    model.add_column(0, ub, coeffs)
+                    layer.append((model.add_column(0, 0, coeffs), ub))
                     continue
-                col = model.add_variable(0, ub)
+                col = model.add_variable(0, 0)
                 for row, weight in coeffs.items():
                     model.set_coefficient(row, col, weight)
+                layer.append((col, ub))
+            layers.append(layer)
+        for layer in layers:
+            for col, ub in layer:
+                model.set_variable_bounds(col, 0, ub)
             if rng.random() < 0.15:
                 row = rng.randrange(len(model.constraints))
                 model.set_coefficient(row, rng.randrange(len(model.variables)),
@@ -647,10 +654,9 @@ def test_warm_roots_equal_cold_solves_on_grown_lps(monkeypatch, data):
         model.push_scratch()
         try:
             if rng.random() < 0.3:
-                new = model.add_variable(0, rng.choice([None, _draw(rng, 1, 6, rational)]))
-                for row in rng.sample(range(len(model.constraints)),
-                                      rng.randint(0, len(model.constraints))):
-                    model.set_coefficient(row, new, _draw(rng, -4, 4, rational))
+                # a new column, as a fact column of a goal check is: its
+                # entries lie in the rows appended after it
+                model.add_variable(0, rng.choice([None, _draw(rng, 1, 6, rational)]))
             for _ in range(rng.randint(1, 3)):
                 cols = rng.sample(range(len(model.variables)),
                                   rng.randint(1, min(3, len(model.variables))))
@@ -692,14 +698,19 @@ def _live_model():
 
 
 def test_warm_root_leaves_the_live_simplex_as_it_was():
-    """A warm root that adds a column and rows to its copy of the live
-    simplex changes nothing the next objective-only query sees: it returns
-    what it returns without that root, with the same pivots."""
+    """A warm root that raises a pinned column's upper bound and adds rows
+    in its copy of the live simplex changes nothing the next
+    objective-only query sees: it returns what it returns without that
+    root, with the same pivots."""
     runs = []
     for goal_check in (False, True):
-        model, x, y = _live_model()
-        z = model.add_variable(0, 4)
-        model.set_coefficient(0, z, 1)
+        model = mp.MPModel()
+        x = model.add_variable(0, 3)
+        y = model.add_variable(-2, 5)
+        z = model.add_variable(0, 0)
+        model.add_constraint({x: 1, y: 1, z: 1}, "<=", 6)
+        assert _query(model, {x: 1, y: 1}, mp.MAXIMIZE)[0].objective == 6
+        model.set_variable_bounds(z, 0, 4)
         if goal_check:
             model.push_scratch()
             model.add_constraint({z: 1, y: -1}, ">=", 1)
@@ -819,122 +830,136 @@ def test_warm_root_crashes_a_column_in_no_live_row(monkeypatch):
     monkeypatch.setattr(mp.MPModel, "_solve_root", solve_root)
     got = model.solve()
     assert model.counters.root_warm == 1 and artificials == [[]]
-    assert roots[0].unit[1] == (z, 1, 2)  # s / c for c = 2, the row not negated
+    assert roots[0].basis[1] == z
     assert got == cold_vertex(model) == mp.MPSolution(mp.OPTIMAL, 4, (3, 0, 1))
     model.pop_scratch()
 
 
-def test_new_column_reads_a_flipped_column_crashed_in_an_appended_row():
-    """z is in no live row and sits flipped at its upper bound 4, so the
-    appended row 2z + x = 5 reads -2z' - x' = -6 over the flipped x and z,
-    is negated, and crashes z' at 3. The row's unit column is z, read
-    through its flip: a column added after the row joins the tableau with
-    the entries of a cold build."""
-    model = mp.MPModel()
-    x = model.add_variable(0, 3)
-    y = model.add_variable(0, 5)
-    z = model.add_variable(0, 4)
-    model.add_constraint({x: 1, y: 1}, "<=", 6)
-    assert _query(model, {x: 1, y: 1, z: 1}, mp.MAXIMIZE)[0].objective == 10
-    live = model._live
-    assert live.flipped[x] and live.flipped[z]
-    model.push_scratch()
-    model.add_constraint({z: 2, x: 1}, "=", 5)
-    warm = live.copy()
-    assert warm.add_rows(1) == [] and warm.basis[1] == z
-    w = model.add_variable(0, 10)
-    model.set_coefficient(0, w, 1)
-    model.set_coefficient(1, w, -1)
-    assert warm.add_columns({w: {0: 1, 1: -1}})
-    for objective, sense in (({w: 1}, mp.MAXIMIZE), ({w: 1, z: -1}, mp.MAXIMIZE),
-                             ({w: 2, y: 1}, mp.MINIMIZE)):
-        model.set_objective(objective, sense)
-        got = warm.result(warm.finish([], mp.OBJECTIVE), mp.OBJECTIVE)
-        assert status_and_objective(got) == status_and_objective(cold_vertex(model))
-    model.pop_scratch()
+def test_warm_root_copy_leaves_out_columns_fixed_at_zero(monkeypatch):
+    """p and q sit nonbasic and fixed at 0 in the live simplex; q's upper
+    bound is then raised. The copy that a vertex read works on keeps q,
+    leaves out p's column, which its rows and the appended row are written
+    without, and returns the cold solve's vertex with the pivots of a copy
+    that keeps every column; the live simplex keeps both."""
+    runs = []
+    for leave_out in (True, False):
+        model = mp.MPModel()
+        x = model.add_variable(0, 3)
+        y = model.add_variable(0, 5)
+        p = model.add_variable(0, 0)
+        q = model.add_variable(0, 0)
+        model.add_constraint({x: 1, y: 1, p: 1, q: 1}, "<=", 6)
+        model.add_constraint({y: 1, p: -2, q: 1}, "<=", 4)
+        assert _query(model, {x: 1, y: 1}, mp.MAXIMIZE)[0].objective == 6
+        live = model._live
+        model.set_variable_bounds(q, 0, 2)
+        model.push_scratch()
+        model.add_constraint({x: 1, p: 1, q: -1}, ">=", 2)
+        model.set_objective({q: 1, y: -1}, mp.MAXIMIZE)
+        roots = []
+        real_copy = mp._Simplex.copy
+
+        def copy(self, fixed_except=None):
+            clone = real_copy(self, fixed_except if leave_out else None)
+            roots.append(clone)
+            return clone
+
+        monkeypatch.setattr(mp._Simplex, "copy", copy)
+        got = model.solve()
+        monkeypatch.undo()
+        ((p_col, _),) = live.col_of[p]
+        if leave_out:
+            assert roots[0].col_of[p] == [] and roots[0].col_of[q] == live.col_of[q]
+            assert all(p_col not in row for row in roots[0].tableau)
+        assert live.col_of[p] == [(p_col, 1)] and any(p_col in row for row in live.tableau)
+        assert _solution_key(got) == _solution_key(cold_vertex(model))
+        runs.append((got, model.counters.pivots))
+        model.pop_scratch()
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("data", DATA)
-def test_appended_rows_give_new_columns_their_unit_columns(data):
-    """Rows written onto a copy of the live simplex record unit columns: a
-    column added after them, with entries in live and appended rows alike,
-    joins that tableau through `add_columns`, and primal phase 2 from there
-    returns the cold solve's status and objective."""
+def test_raised_and_new_columns_equal_cold_solves(data):
+    """On the live simplex of a grown LP, some pinned columns get their
+    upper bound raised, a new column sometimes joins with its entries in
+    the rows appended after it only, and rows are appended: the root, warm
+    from a copy of the live simplex, returns the cold solve's vertex, and
+    an objective read on the live simplex itself its status and
+    objective."""
     rational = data == "rational"
     rng = random.Random(1618)
-    through_appended = 0
+    raised = joined = 0
     for model in _grown_lps(rng, rational, mirrored=True):
         _query(model, {rng.randrange(len(model.variables)): 1}, mp.MINIMIZE)
-        live = model._live
-        if live is None:
+        if model._live is None:
             continue
-        nrows = len(live.tableau)
+        pinned = [v for v in range(len(model.variables))
+                  if model.effective_bounds(v) == (0, 0)]
         model.push_scratch()
         try:
-            for _ in range(rng.randint(1, 3)):
-                cols = rng.sample(range(len(model.variables)),
-                                  rng.randint(1, min(3, len(model.variables))))
+            for var in pinned:
+                if rng.random() < 0.6:
+                    model.set_variable_bounds(var, 0, rng.choice([None, _draw(rng, 1, 6,
+                                                                              rational)]))
+                    raised += 1
+            if rng.random() < 0.5:
+                cols = [model.add_variable(0, rng.choice([None, _draw(rng, 1, 6, rational)]))]
+                joined += 1
+            else:
+                cols = []
+            for _ in range(rng.randint(0, 2)):
+                cols += rng.sample(range(len(model.variables)), 1)
                 model.add_constraint({c: _draw(rng, -4, 4, rational) or 1 for c in cols},
                                      rng.choice(["<=", ">=", "="]), _draw(rng, -8, 6, rational))
-            warm = live.copy()
-            if warm.finish(warm.add_rows(nrows), mp.OBJECTIVE) != mp.OPTIMAL:
-                continue
-            new = model.add_variable(0, rng.choice([None, _draw(rng, 1, 6, rational)]))
-            rows = rng.sample(range(len(model.constraints)),
-                              rng.randint(1, len(model.constraints)))
-            for row in rows:
-                model.set_coefficient(row, new, _draw(rng, -4, 4, rational) or 1)
-            if not warm.add_columns({new: {row: model.constraints[row].coeffs[new]
-                                           for row in rows}}):
-                continue
-            through_appended += any(row >= nrows for row in rows)
-            model.set_objective({new: _draw(rng, -3, 3, rational) or 1,
-                                 rng.randrange(new): _draw(rng, -3, 3, rational)},
-                                rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
-            got = warm.result(warm.finish([], mp.OBJECTIVE), mp.OBJECTIVE)
-            assert status_and_objective(got) == status_and_objective(cold_vertex(model))
+            objective = {c: _draw(rng, -3, 3, rational) or 1
+                         for c in rng.sample(range(len(model.variables)), 2)
+                         if len(model.variables) > 1}
+            sense = rng.choice([mp.MINIMIZE, mp.MAXIMIZE])
+            warm = model.counters.root_warm
+            model.set_objective(objective, sense)
+            assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
+            got, cold = _query(model, objective, sense)
+            assert status_and_objective(got) == status_and_objective(cold)
+            assert model.counters.root_warm == warm + 2
         finally:
             model.pop_scratch()
-    assert through_appended > 30, through_appended  # 39 and 38
+    assert raised > 50 and joined > 30, (raised, joined)
 
 
-def test_new_column_reads_flipped_and_structural_unit_columns():
-    """A column added after the unit columns of its rows moved: the slack of
-    row 0 left the basis at its upper bound (flipped) and the equality row
-    is covered by its structural singleton column."""
+@pytest.mark.parametrize("case", ["nonbasic", "flipped", "basic"])
+def test_raising_a_pinned_column_on_a_live_simplex(case):
+    """z, pinned to [0, 0], sits in the live simplex nonbasic, nonbasic and
+    flipped at its bound 0, or basic at 0 in a degenerate row. Raising its
+    upper bound to 2 keeps the live basis primal feasible: every solve
+    after it is warm and returns the cold solve's vertex, or its status
+    and objective for an objective read."""
     model = mp.MPModel()
     x = model.add_variable(0, 4)
-    post = model.add_variable(-10, 10)
-    model.add_constraint({x: 1}, "<=", 3)                    # slack of row 0
-    model.add_constraint({post: 2, x: -1}, "=", Fraction(-3, 2))  # negated row
-    got, cold = _query(model, {x: 1}, mp.MAXIMIZE)
-    assert (got.status, got.objective) == (cold.status, cold.objective) == (mp.OPTIMAL, 3)
-    y = model.add_variable(0, Fraction(7, 2))
-    model.set_coefficient(0, y, 1)
-    model.set_coefficient(1, y, Fraction(-1, 3))
-    for objective, sense in (({post: 1}, mp.MINIMIZE), ({post: 1, y: 2}, mp.MAXIMIZE),
-                             ({y: 1}, mp.MAXIMIZE)):
+    y = model.add_variable(0, 5)
+    z = model.add_variable(0, 0)
+    model.add_constraint({x: 1, z: 1}, "<=", 3)
+    model.add_constraint({z: 1, y: -1}, "<=", 0)
+    model.add_constraint({x: 1, y: 1}, "<=", 6)
+    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 3
+    live = model._live
+    ((col, _),) = live.col_of[z]
+    assert col not in live.row_of and not live.flipped[col]
+    if case == "flipped":
+        live._flip_column(col)
+    elif case == "basic":
+        row = next(i for i, entries in enumerate(live.tableau)
+                   if col in entries and live.rhs[i] == 0)
+        live._pivot(row, col)
+    model.set_variable_bounds(z, 0, 2)
+    for objective, sense in (({z: 1}, mp.MAXIMIZE), ({x: 1, z: 1}, mp.MAXIMIZE),
+                             ({z: 1, y: 1}, mp.MINIMIZE), ({z: -1, y: 1}, mp.MAXIMIZE)):
+        model.push_scratch()
+        model.set_objective(objective, sense)
+        assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
+        model.pop_scratch()
         got, cold = _query(model, objective, sense)
         assert status_and_objective(got) == status_and_objective(cold)
-    assert model.counters.root_warm == 3 and model.counters.root_cold == 1
-
-
-def test_columns_added_together_share_their_row_denominator():
-    """Two columns whose entries in one row are over 2 and over 3 scale
-    that row once, by 6."""
-    model = mp.MPModel()
-    x = model.add_variable(0, 10)
-    model.add_constraint({x: 1}, "<=", 4)
-    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].objective == 4
-    y = model.add_variable(0, 20)
-    z = model.add_variable(0, 20)
-    model.set_coefficient(0, y, Fraction(1, 2))
-    model.set_coefficient(0, z, Fraction(1, 3))
-    for objective, want in (({y: 1}, 8), ({z: 1}, 12), ({x: 1, y: 1, z: 1}, 12)):
-        got, cold = _query(model, objective, mp.MAXIMIZE)
-        assert (got.status, got.objective) == (cold.status, cold.objective) == (mp.OPTIMAL,
-                                                                                want)
-    assert model.counters.root_warm == 3
+    assert (model.counters.root_warm, model.counters.root_cold) == (8, 1)
 
 
 def test_pop_scratch_after_add_column_restores_every_row():
@@ -967,10 +992,11 @@ def test_pop_scratch_after_add_column_restores_every_row():
 
 
 def test_added_column_with_a_later_cell_joins_a_warm_root():
-    """A column written whole by `add_column`, then given a cell in a live
-    row it has no coefficient in and a new value in one it has, joins the
-    live simplex with the model's current coefficients: each warm root
-    returns what a cold vertex solve returns."""
+    """A column written whole by `add_column` with no entry in a live row,
+    then given cells in the rows appended after it, as a fact column of a
+    goal check is, joins the live simplex nonbasic at 0 and its cells with
+    those rows: each warm root returns what a cold vertex solve returns. A
+    cell of it in a live row sends the root cold."""
     model = mp.MPModel()
     x = model.add_variable(0, 6)
     post = model.add_variable(-10, 10)
@@ -979,9 +1005,10 @@ def test_added_column_with_a_later_cell_joins_a_warm_root():
     model.add_constraint({post: 1, x: -1}, "=", 1)
     model.add_constraint({x: 1, y: -1}, ">=", -2)
     assert _query(model, {post: 1}, mp.MAXIMIZE)[0].objective == 5
-    col = model.add_column(0, 5, {1: -2, 2: 1})
-    model.set_coefficient(0, col, 1)
-    model.set_coefficient(1, col, Fraction(-3, 2))
+    col = model.add_column(0, 5, {})
+    model.add_constraint({col: 2, x: -1}, ">=", 1)
+    model.add_constraint({col: 1, post: 1}, "<=", 7)
+    model.set_coefficient(3, col, Fraction(3, 2))
     for objective, sense in (({post: 1}, mp.MAXIMIZE), ({col: 1}, mp.MAXIMIZE),
                              ({col: 1, post: -1}, mp.MINIMIZE)):
         warm = model.counters.root_warm
@@ -990,6 +1017,13 @@ def test_added_column_with_a_later_cell_joins_a_warm_root():
         assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
         model.pop_scratch()
         assert model.counters.root_warm == warm + 1
+    model.set_coefficient(0, col, 1)
+    cold = model.counters.root_cold
+    model.push_scratch()
+    model.set_objective({col: 1}, mp.MAXIMIZE)
+    assert _solution_key(model.solve()) == _solution_key(cold_vertex(model))
+    model.pop_scratch()
+    assert model.counters.root_cold == cold + 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1124,8 +1158,10 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
     assert model.counters.bb_nodes > 1  # the root relaxation was fractional
 
 
-# Pivots, B&B nodes and a digest of every solve's (status, objective, values)
-# over whole plan_task runs. Solves, nodes and the status and objective of
+# Pivots, B&B nodes and a digest of every solve's (status, objective, nonzero
+# values keyed by column name) over whole plan_task runs, so that a model
+# with more columns, or with its columns in another order, records the same
+# solve alike. Solves, nodes and the status and objective of
 # every record were recorded from the dense-tableau simplex that the sparse
 # one replaced; every vertex is the canonical point of its optimal face
 # (`_Simplex.canonicalize`), which moved the values of non-unique optima
@@ -1146,11 +1182,11 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # counts.
 PINNED_RUNS = (
     ("market-trader", 2, False, 50, 43, 10,
-     "52503816facf8b641aeeff5455e1e1bb0a92eb15909fb1f204b32411f2ee35f6"),
+     "2f6a32215eebf30bceddaf107051372f23d7d2b85628a9aacb89a413cb7cd461"),
     ("mini-settlers", 2, False, 49, 67, 10,
-     "873726dac0b300d72a6d2e1aaea0ff277fc173f52d7af685525cd024078a38a3"),
-    ("pump-catalyst", 3, True, 29, 67, 13,
-     "d57a169e87ae65f2bc778d8b661d6a0ff8f221f1149cc49933f208a5bf4679c9"),
+     "1857f6b632493706843c955fa3f58505c356beebc913bfe9d6beb1fdde82e11f"),
+    ("pump-catalyst", 3, True, 29, 66, 13,
+     "fa04214776daf0201cefc8dd839c7cc886736f1cabb5415305aec894c7ea124c"),
 )
 
 
@@ -1180,7 +1216,8 @@ def test_solver_behaviour_over_plan_task_is_pinned(monkeypatch, family, size, al
             assert status_and_objective(solution) == status_and_objective(vertex)
             solution = vertex
         records.append(repr((solution.status, str(solution.objective),
-                             tuple(str(v) for v in solution.values))))
+                             sorted((self.variables[col].name, str(value))
+                                    for col, value in enumerate(solution.values) if value))))
         return solution
 
     monkeypatch.setattr(mp.MPModel, "solve", recording_solve)
@@ -1209,6 +1246,24 @@ def test_exactness_recorder_records_the_same_runs_twice():
         assert record["status"] == "solved" and record["valid"]
         assert counters["root_warm"] + counters["root_cold"] == counters["solves"] \
             == record["lp_solves"] > 0
+
+
+def test_exactness_comparison_lists_pivots_apart():
+    """`exactness.compare` names each differing field and counter per
+    instance and the first differing solve, and lists moved pivot counts
+    after all of those; two equal recordings give no line."""
+    import exactness
+
+    old = [{"id": "a", "status": "solved", "plan": [0, 1], "solves": ["x", "y", "z"],
+            "counters": {"solves": 3, "pivots": 7}},
+           {"id": "b", "status": "solved", "plan": [2], "solves": ["x"],
+            "counters": {"solves": 1, "pivots": 2}}]
+    new = [dict(old[0], plan=[1, 0], solves=["x", "w", "z"],
+                counters={"solves": 3, "pivots": 9}), old[1]]
+    assert exactness.compare(old, old) == []
+    assert exactness.compare(old, new) == ["a: plan [0, 1] -> [1, 0]",
+                                           "a: solve 1 is the first to differ",
+                                           "a: pivots 7 -> 9 (+2)"]
 
 
 def _plan_pinned_run(family, size, all_props):
@@ -1564,6 +1619,28 @@ def test_status_reads_of_grown_mips_equal_cold_solves(data):
         finally:
             model.pop_scratch()
     assert counters.root_warm > 40 and counters.bb_warm > 200, counters
+
+
+def test_status_read_with_an_unbounded_integer_column_is_a_vertex_read():
+    """x0 integer with no lower bound and x1 integer with no upper bound: a
+    feasibility search, which follows whatever vertex each node reaches,
+    dives along them past the node limit, while the cold vertex read finds
+    an integral point at its fifth node. A status read of such a model is
+    read for its vertex, so it returns the cold solve's status."""
+    model = mp.MPModel()
+    model.add_variable(None, Fraction(16, 3), kind=mp.INTEGER)
+    model.add_variable(0, None, kind=mp.INTEGER)
+    model.add_variable(0, Fraction(7, 4), kind=mp.BINARY)
+    model.add_variable(0, None)
+    model.add_variable(0, None)
+    model.add_variable(0, 0)
+    model.add_constraint({0: Fraction(2, 3), 1: 4, 3: 1, 4: Fraction(-3, 5),
+                          5: Fraction(3, 2)}, "=", Fraction(4, 5))
+    model.add_constraint({0: Fraction(2, 3), 1: 1, 2: 1, 3: Fraction(3, 2),
+                          4: Fraction(-2, 3), 5: 1}, "<=", -3)
+    got, cold = status_read(model)
+    assert status_and_objective(got) == status_and_objective(cold) == (mp.OPTIMAL, 0, int)
+    assert model.counters.bb_nodes == 5
 
 
 def test_status_read_at_the_node_limit_without_an_integral_node():

@@ -5,9 +5,11 @@ inputs are all `Fraction` or normalised by `model.exact` (an int where
 the value is integral), and the normalised run never yields a float.
 `model.divide` agrees with Fraction division in value and type.
 `rpg.expand` builds the same graph as the scanning reference in
-`oracles.expand_by_scanning`. Flow models built from compiled columns
-equal those of the cell-by-cell builder in `oracles.CellFlowModel`, layer
-by layer, and so do their query results. Every bound query of an LP-mode expansion,
+`oracles.expand_by_scanning`. The per-task flow model, which holds every
+action's column from the start, answers every query as the per-state
+models in `oracles` do, the one built from compiled columns and the
+cell-by-cell one, layer by layer and over a sequence of states served by
+one model. Every bound query of an LP-mode expansion,
 warm from the live simplex or cold, returns what a cold solve returns, and
 so does every goal check and extraction solve, roots warm from a copy of
 the live simplex among them; a goal check under the all-propositions
@@ -29,7 +31,10 @@ from flowplan.model import GE, GT, LE, LT, EQ, LinearExpr, exact
 from bruteforce import optimal_plan
 from coldsolve import cold_vertex, model_state, status_and_objective
 from microtasks import magnitude_reader_task
-from oracles import CellFlowModel, expand_by_scanning, replay_flow_layers
+from flowcheck import begun_flow
+from oracles import (
+    CellFlowModel, StateFlowModel, expand_by_scanning, replay_flow_layers, state_flow,
+)
 from taskbuild import TaskBuilder
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -328,8 +333,7 @@ def _replay_layers(graph, analysed, state, config, data, extraction):
     vertex solve."""
     if graph.flow is None:
         return
-    flow = FlowModel(analysed, state)
-    flow.add_catalytic()
+    flow = begun_flow(analysed, state)
     weights = layer_weights(config, graph.first_action_layer, None)
     first_layer = graph.actions_at(1)
     for actions in graph.action_layers:
@@ -351,9 +355,10 @@ def _replay_layers(graph, analysed, state, config, data, extraction):
 def test_compiled_columns_build_the_cell_by_cell_model(task, data):
     """Over the layers of an LP-mode expansion, from the initial or an
     arbitrary state, with or without the all-propositions encoding, the
-    flow model that `extend` builds from compiled columns has the columns
-    and rows, compared as dicts, of the cell-by-cell builder, and returns
-    the same bound queries, goal checks and extraction-like solves."""
+    per-task flow model, its columns compiled and pinned until they join,
+    returns the bound queries, goal checks and extraction-like vertices, by
+    column name, of the per-state models, the one built from compiled
+    columns and the cell-by-cell one."""
     analysed = analyse(task, with_landmarks=False)
     state = analysed.task.initial
     if data.draw(st.booleans()):
@@ -364,9 +369,72 @@ def test_compiled_columns_build_the_cell_by_cell_model(task, data):
     graph = rpg.expand(analysed, state, config, rpg.LPRPG)
     if graph.flow is None:
         return
-    replay = (analysed, state, config, graph.action_layers,
+    replay = (config, graph.action_layers,
               layer_weights(config, graph.first_action_layer, None), graph.actions_at(1))
-    assert replay_flow_layers(FlowModel, *replay) == replay_flow_layers(CellFlowModel, *replay)
+    records = replay_flow_layers(begun_flow(analysed, state), *replay)
+    for reference in (StateFlowModel, CellFlowModel):
+        assert records == replay_flow_layers(state_flow(reference, analysed, state), *replay)
+
+
+@st.composite
+def anchored_task(draw):
+    """A small TaskBuilder task with a one-shot set (p0 holds initially, two
+    actions need and delete it, none adds it) and a catalytic variable v
+    with a simple producer and no consumer, read at thresholds by actions
+    that do not change it: it has neither a lower nor an upper bound, so
+    each of its switch rows is anchored at the evaluated state's value."""
+    task_builder = TaskBuilder()
+    p0 = task_builder.fact("(p0)", initially_true=True)
+    p1 = task_builder.fact("(p1)", initially_true=draw(st.booleans()))
+    v = task_builder.var("(v)", draw(small))
+    w = task_builder.var("(w)", draw(small))
+    out = task_builder.var("(out)", 0)
+    task_builder.action("make", pre=draw(st.lists(st.just(p1), max_size=1)),
+                        effects=[(v, "increase", draw(st.sampled_from((1, 2, Fraction(3, 2)))))])
+    readers = draw(st.lists(st.sampled_from((GE, LE)), min_size=1, max_size=2))
+    for index, op in enumerate(readers):
+        task_builder.action(f"use{index}",
+                            num_pre=[task_builder.condition({v: 1}, op, draw(small))],
+                            effects=[(out, "increase", 1)])
+    for index in range(2):
+        task_builder.action(f"shot{index}", pre=[p0], delete=[p0], add=[p1],
+                            effects=[(w, "increase", draw(st.sampled_from((1, 3)))),
+                                     (out, "increase", 1)])
+    task_builder.goal(conditions=[task_builder.condition({out: 1}, GE, draw(st.integers(1, 3))),
+                                  task_builder.condition({w: 1}, GE, draw(far))])
+    return task_builder.build()
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.one_of(small_task(), anchored_task()), st.data())
+def test_one_flow_model_over_a_sequence_of_states(task, data):
+    """One per-task flow model serves a sequence of states, each a scratch
+    scope from `begin` to `end`: over the layers of each state's expansion
+    it returns the bound queries, goal checks and extraction-like vertices,
+    by column name, of a per-state model built afresh for that state, and
+    each `end` leaves the model as built."""
+    analysed = analyse(task, with_landmarks=False)
+    n_facts, n_vars = len(analysed.task.fact_names), len(analysed.task.var_names)
+    states = [analysed.task.initial] + [
+        model.State(data.draw(st.frozensets(st.integers(0, n_facts - 1))),
+                    tuple(exact(data.draw(small)) for _ in range(n_vars)))
+        for _ in range(data.draw(st.integers(1, 3)))]
+    config = HeuristicConfig(max_layers=data.draw(st.integers(1, 15)),
+                             include_all_propositions=data.draw(st.booleans()))
+    flow = FlowModel(analysed)
+    base = (len(flow.model._undo), list(flow.model.order))
+    for state in data.draw(st.permutations(states)):
+        graph = rpg.expand(analysed, state, config, rpg.LPRPG)
+        replay = (config, graph.action_layers,
+                  layer_weights(config, graph.first_action_layer, None), graph.actions_at(1))
+        flow.begin(state)
+        try:
+            records = replay_flow_layers(flow, *replay)
+        finally:
+            flow.end()
+        assert (len(flow.model._undo), flow.model.order, flow.model._marks) == (*base, [])
+        assert records == replay_flow_layers(state_flow(StateFlowModel, analysed, state),
+                                             *replay)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

@@ -1,6 +1,9 @@
 """EHC, WA*, and the independent plan validator."""
 
+from dataclasses import fields
 from fractions import Fraction
+
+import pytest
 
 from flowplan import model, planner, search
 from flowplan.analysis import analyse
@@ -304,3 +307,85 @@ def test_memo_keeps_search_identical_and_evaluates_each_key_once(monkeypatch):
         assert outcome.stats.evaluations == len(by_key) == len(calls)
         repeats += len(fresh_calls) - len(by_key)
     assert repeats > 0
+
+
+def _counts(counters):
+    """A Counters' totals, its times left out."""
+    return {f.name: getattr(counters, f.name) for f in fields(counters)
+            if not f.name.endswith("_time")}
+
+
+@pytest.mark.parametrize("family,size,all_props", [("market-trader", 3, False),
+                                                   ("pump-catalyst", 3, True)])
+def test_lp_evaluation_is_pure_after_different_predecessors(family, size, all_props):
+    """The evaluator keeps one flow model for its run, and each evaluation
+    is a scratch scope on it: evaluating a state after two different
+    predecessors, or first, gives the same result and the same counter
+    deltas, pivots included, and the model is as built between
+    evaluations."""
+    from flowplan import generators
+
+    task = model.parse_and_ground(*generators.generate(family, size, 1))
+    analysed = analyse(task)
+    config = HeuristicConfig(include_all_propositions=all_props)
+    initial = analysed.task.initial
+    successors = [model.apply(initial, action, analysed.task)
+                  for action in analysed.task.actions if model.applicable(initial, action)]
+    assert len(successors) >= 2
+    target = successors[0]
+    runs = []
+    for predecessors in ((), (initial,), (successors[1],), (successors[1], initial)):
+        evaluate = planner.Evaluator(analysed, config, planner.MODE_LPRPG)
+        for state in predecessors:
+            evaluate(state)
+        flow = evaluate.flow
+        base = None if flow is None else (len(flow.model._undo), list(flow.model.order))
+        before = _counts(evaluate.counters)
+        result = evaluate(target, frozenset({0}))
+        after = _counts(evaluate.counters)
+        assert base is None or (len(flow.model._undo), flow.model.order) == base
+        assert evaluate.flow.model._marks == [] and evaluate.flow.state is None
+        runs.append((result, {key: after[key] - before[key] for key in after}))
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][1]["solves"] > 0
+
+
+def test_evaluation_that_raises_during_extraction_leaves_the_model_as_built(monkeypatch):
+    """A solver error in an extraction solve, the first vertex read of an
+    evaluation, still closes the state's scope: the undo log is back at its
+    length after the build, no scratch mark is open, and the next
+    evaluation returns what a fresh evaluator does."""
+    from flowplan import generators
+    from flowplan import mpsolver as mp
+    from flowplan.errors import SolverError
+
+    task = model.parse_and_ground(*generators.generate("market-trader", 2, 1))
+    analysed = analyse(task)
+    state = analysed.task.initial
+    expected = planner.Evaluator(analysed, HeuristicConfig(), planner.MODE_LPRPG)(state)
+    evaluate = planner.Evaluator(analysed, HeuristicConfig(), planner.MODE_LPRPG)
+    evaluate(successor_of(analysed.task, state))
+    flow = evaluate.flow
+    undo = len(flow.model._undo)
+    real_solve = mp.MPModel.solve
+    marks = []
+
+    def failing_solve(self, reads=mp.VERTEX):
+        if reads == mp.VERTEX:
+            marks.append(len(self._marks))
+            raise SolverError("extraction solve failed")
+        return real_solve(self, reads=reads)
+
+    monkeypatch.setattr(mp.MPModel, "solve", failing_solve)
+    with pytest.raises(SolverError):
+        evaluate(state)
+    assert marks == [2]  # the state's scope and the extraction solve's
+    assert len(flow.model._undo) == undo and flow.model._marks == []
+    monkeypatch.undo()
+    assert evaluate(state) == expected
+
+
+def successor_of(task, state):
+    """The state the first applicable action leads to."""
+    action = next(a for a in task.actions if model.applicable(state, a))
+    return model.apply(state, action, task)
