@@ -632,9 +632,9 @@ class AnalysedTask:
       in tracked-variable order (`flow_posts`) and every action's count
       column (`flow_columns`).
     - For extraction: fact adders, the actions affecting each variable,
-      positive signatures, the best single-action production per
-      variable, and the split and normalised numeric subgoals of each
-      action and of the goal.
+      the actions that change a numeric goal's variable, positive
+      signatures, the best single-action production per variable, and the
+      split and normalised numeric subgoals of each action and of the goal.
     """
 
     task: GroundTask
@@ -662,6 +662,8 @@ class AnalysedTask:
     affectors: dict[int, tuple[int, ...]] = _derived()
     signatures: tuple[frozenset, ...] = _derived()
     best_production: dict[int, Number] = _derived()
+    # ids of the actions that change a variable of a numeric goal
+    numeric_goal_affectors: frozenset[int] = _derived()
     action_subgoals: tuple[tuple[Subgoal, ...], ...] = _derived()
     goal_subgoals: tuple[Subgoal, ...] = _derived()
 
@@ -728,6 +730,10 @@ class AnalysedTask:
         derive("adders", fact_adders(task))
         derive("signatures", tuple(positive_signature(a) for a in actions))
         derive("best_production", best_production(task))
+        delta_of = self.classification.delta_of
+        derive("numeric_goal_affectors", frozenset(
+            action_id for cond in task.goal_conditions for var, _ in cond.expr.terms
+            for action_id in affectors.get(var, ()) if delta_of(action_id, var) != 0))
 
         def subgoals(conds) -> tuple[Subgoal, ...]:
             return tuple((ids[cond], normalise_single(cond))

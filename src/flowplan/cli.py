@@ -156,6 +156,8 @@ def _dump_debug(args, outcome: planner.PlanOutcome, config: HeuristicConfig) -> 
     if args.dump_rpg:
         print(graph.dump(task))
     if args.dump_lp and graph.flow is not None:
+        # the root flow model, without the goal rows its final check left
+        graph.flow.close_goal_rows()
         with args.dump_lp.open("w") as handle:
             graph.flow.model.write_lp(handle)
         print(f"wrote {args.dump_lp}")

@@ -349,14 +349,10 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
     for group in landmarks.disjunctive:
         lm_facts.update(group)
     targets = (task.goal_facts | lm_facts) - state.facts
-    goal_achievers = frozenset(
-        a.id for a in task.actions
-        if a.id in graph.first_action_layer and a.add_effects & targets)
-    numeric_goal_vars = {v for cond in task.goal_conditions for v, _ in cond.expr.terms}
-    numeric_affectors = frozenset(
-        a.id for a in task.actions
-        if a.id in graph.first_action_layer and
-        any(analysed.classification.delta_of(a.id, v) != 0 for v in numeric_goal_vars))
+    in_graph = graph.first_action_layer
+    goal_achievers = frozenset(a for fact in targets for a in analysed.adders.get(fact, ())
+                               if a in in_graph)
+    numeric_affectors = frozenset(a for a in analysed.numeric_goal_affectors if a in in_graph)
 
     queue = _Extraction(graph, task)
     lp_calls = 0
@@ -370,8 +366,11 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
         try:
             flow.restrict_to(frozenset(graph.actions_at(layer)))
             if extra_conditions == "goal-check":
-                flow.add_goal_constraints(config, landmarks,
-                                          frozenset(graph.actions_at(layer)))
+                # the final layer's goal check leaves its rows open, and its
+                # feasible basis live, unless `lp_bounds` has closed them
+                if not flow.goal_rows_open:
+                    flow.add_goal_constraints(config, landmarks,
+                                              frozenset(graph.actions_at(layer)))
             else:
                 for cond in extra_conditions:
                     coeffs, op, rhs = flow.condition_row(cond)
@@ -427,6 +426,8 @@ def extract_lprpg(graph: RPGraph, analysed: AnalysedTask, landmarks: LandmarkVie
     # goals outside it go through the queue.
     if config.uses_goal_check():
         counts = solve_layer(final, "goal-check")
+        # no later solve reads the goal rows
+        flow.close_goal_rows()
         if counts is None:
             return DEAD_END
         absorb(counts, final, 1)

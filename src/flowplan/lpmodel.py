@@ -11,7 +11,9 @@ post bounds, one-shot rows and catalytic anchors that depend on the state,
 `extend` raises the upper bound of each action that joins the layer, and
 `end()` pops the scope. Goal checks add scratch rows for propositional
 goals, landmarks, the full-proposition encoding and the numeric goal
-conjunct; bound queries add no rows at all. The solver reads the columns
+conjunct, in a scope of their own (`open_goal_rows`) that a feasible check
+leaves open for the extraction at its layer; `end()` closes it with the
+state's. Bound queries add no rows at all. The solver reads the columns
 in the order the skeleton and the joining actions give them
 (`MPModel.variable_order`), so that every canonical point and
 branch-and-bound tree is that of a model holding only the layer's
@@ -24,10 +26,13 @@ bound query of a state is solved cold, as its right-hand sides changed,
 so an evaluation is a pure function of its state and landmarks. A bound
 query reads only the optimum, so it is solved with `reads=OBJECTIVE`, on
 the live simplex itself, and carries it on to the next query. A
-feasibility check reads only the status (`reads=STATUS`); it, and an
-extraction solve at the final layer, work on a copy of the live simplex
-with the scratch rows appended, which leaves the live simplex as the bound
-queries left it.
+feasibility check reads only the status (`reads=STATUS`), so an LP check
+works on the live simplex too, with the goal rows appended: where it is
+feasible, that simplex stays live with the rows, and the extraction solve
+at the final layer, a vertex read, starts from a copy of it with no row
+to write and no phase 1; where it is not, closing the rows drops the live
+simplex, and the next bound query is cold. A check of a MIP, and every
+other extraction solve, works on a copy of the live simplex.
 """
 
 from __future__ import annotations
@@ -107,7 +112,9 @@ class FlowModel:
     that join the layer run; `end()` pops the scope, which leaves the model
     as built. Inside the scope every query that needs extra rows (goal
     checks, subgoals) or an objective pushes a scratch mark of its own and
-    pops it afterwards.
+    pops it afterwards, except that the goal rows of a feasible goal check
+    stay until `close_goal_rows` or `end` pops them, for the extraction at
+    the final layer.
     """
 
     def __init__(self, analysed: AnalysedTask, counters: mp.Counters | None = None):
@@ -122,6 +129,9 @@ class FlowModel:
         # with its column, in the order they joined
         self.state: State | None = None
         self.action_col: dict[int, int] = {}
+        # whether the goal rows of a feasible goal check are still in the
+        # model, in a scope of their own inside the state's
+        self.goal_rows_open = False
         # the tracked variables that an action in the layer increases, and
         # those that one changes by delta <= 0
         self.increased: set[int] = set()
@@ -269,7 +279,9 @@ class FlowModel:
         self.counters.build_time += time.perf_counter() - start
 
     def end(self) -> None:
-        """Close the scope `begin` opened; the model is as built again."""
+        """Close the scope `begin` opened, and the goal rows' scope inside it
+        if it is still open; the model is as built again."""
+        self.close_goal_rows()
         self.model.pop_scratch()
         self.state = None
         self.action_col = {}
@@ -356,6 +368,23 @@ class FlowModel:
             self._add_all_propositions(layer_action_ids)
         self.counters.build_time += time.perf_counter() - start
 
+    def open_goal_rows(self, config: HeuristicConfig, landmarks: LandmarkView,
+                       layer_action_ids: frozenset[int]) -> None:
+        """Add the goal rows (`add_goal_constraints`) in a scratch scope of
+        their own, which stays open until `close_goal_rows` or `end`. A goal
+        check that finds them feasible leaves them in the model, and the
+        live simplex, for the extraction at its layer."""
+        self.model.push_scratch()
+        self.goal_rows_open = True
+        self.add_goal_constraints(config, landmarks, layer_action_ids)
+
+    def close_goal_rows(self) -> None:
+        """Pop the goal rows' scope if it is open. Every scope pushed after
+        it must be popped already."""
+        if self.goal_rows_open:
+            self.goal_rows_open = False
+            self.model.pop_scratch()
+
     def _layer_adders(self, fact: int, layer_action_ids: frozenset[int]) -> list[int]:
         return [a for a in self.analysed.adders.get(fact, ()) if a in layer_action_ids]
 
@@ -420,10 +449,12 @@ class FlowModel:
         are binary, so each such check is a branch-and-bound run, which
         `MPModel.solve` runs as a feasibility search that stops at the first
         integral node. The model is read for its status only, so the root
-        starts from a copy of the live simplex whenever the model since the
-        last bound query has only gained columns and rows, and an LP check
-        stops once phase 1 settles it. A check cut by the pivot or node
-        limit before it settles counts as feasible, with a warning."""
+        starts from the live simplex whenever the model since the last
+        bound query has only gained columns and rows, and an LP check stops
+        once phase 1 settles it; it works on the live simplex itself and
+        keeps it where it is feasible (`MPModel.solve`), a MIP's root on a
+        copy. A check cut by the pivot or node limit before it settles
+        counts as feasible, with a warning."""
         self.model.push_scratch()
         try:
             self.model.set_objective({}, mp.MINIMIZE)

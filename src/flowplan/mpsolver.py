@@ -35,26 +35,29 @@ tree read for its vertex is the cold tree, node for node.
 the vertex (`VERTEX`, the default), the objective (`OBJECTIVE`) or the
 status (`STATUS`). Every root relaxation, an LP's or a branch-and-bound
 root's, starts from the model's live simplex, the final state of the
-last LP read for its objective only, if the model has since only gained
-columns and rows and raised the upper bound of columns fixed at 0. A
-raised column keeps its value 0, and a new column, whose entries lie in
-the new rows only, joins the tableau nonbasic at 0, so the basis stays
-primal feasible. The new rows are written over that basis, each with a
+last LP read for its objective or status only, if the model has since
+only gained columns and rows and raised the upper bound of columns fixed
+at 0. A raised column keeps its value 0, and a new column, whose entries
+lie in the new rows only, joins the tableau nonbasic at 0, so the basis
+stays primal feasible. The new rows are written over that basis, each with a
 basic slack, a crashed structural column or an artificial, and phase 1
 over those artificials restores feasibility (the row-addition warm start;
 Chvátal, *Linear Programming*, 1983, ch. 10). A cold solve writes every
 row onto the empty simplex the same way; any other change to a column,
 a coefficient or a right-hand side the live simplex holds sends a root
-cold. An LP read for its objective only works on the live simplex
-itself and leaves its final state live; any other root (a goal check, an
-extraction at the final layer) works on a copy and leaves the live
-simplex as it was; the copy leaves out the columns that sit nonbasic and
-fixed at 0, as none of its bounds is raised again. A warm root is kept
-whatever it returns; one cut by the pivot limit returns `LIMIT`, as a
-cold solve cut by it does. An LP read for its status only under the
-empty objective stops after phase 1. An LP's optimum value and status
-are unique, so these return what a cold solve returns; only the pivot
-count differs.
+cold. An LP read for less than its vertex (a bound query, a goal check)
+works on the live simplex itself and leaves its final state live where
+it is optimal or unbounded; any other root (an extraction, a
+branch-and-bound root) works on a copy and leaves the live simplex as it
+was; the copy leaves out the columns that sit nonbasic and fixed at 0,
+as none of its bounds is raised again. A warm root is kept whatever it
+returns; one cut by the pivot limit returns `LIMIT`, as a cold solve cut
+by it does. An LP read for its status only under the empty objective
+stops after phase 1 and the drive-out of its artificials, so the simplex
+it leaves live holds no artificial entry, and a vertex read of the same
+rows under an objective then starts with phase 2. An LP's optimum value
+and status are unique, so these return what a cold solve returns; only
+the pivot count differs.
 
 A MIP read for its status skips the canonical point: a node's status is
 unique even where its vertex is not, so its tree may differ from the
@@ -187,9 +190,9 @@ class MPModel:
         # the variables that canonical points and branching read first, in
         # this order (`variable_order`)
         self.order: list[int] = []
-        # the final state of the last LP read for its objective only, from
-        # which every root starts where it can, and the length of the undo
-        # log at that point; an undo below that point drops it
+        # the final state of the last LP read for its objective or status
+        # only, from which every root starts where it can, and the length of
+        # the undo log at that point; an undo below that point drops it
         self._live: _Simplex | None = None
         self._live_at = 0
 
@@ -435,9 +438,10 @@ class MPModel:
         column has an infinite bound, along which a search could dive
         without end; such a model is read for its vertex. The root relaxation
         of every solve starts from the live simplex where it can
-        (`_solve_root`): an LP read for its objective only (`OBJECTIVE`)
-        carries the live simplex on, and one read for its status only under
-        the empty objective stops after phase 1. Status and objective are
+        (`_solve_root`): an LP read for its objective (`OBJECTIVE`) or its
+        status only (`STATUS`) carries the live simplex on, and one read for
+        its status only under the empty objective stops after phase 1 and
+        the drive-out of its artificials. Status and objective are
         those of a cold solve in every case that no limit cuts short: an
         LP's optimum value is unique, and a vertex the canonical point of
         its optimal face.
@@ -465,7 +469,7 @@ class MPModel:
                     return self._branch_and_bound(bounds, reads, search=True)
                 finally:
                     self.pop_scratch()
-            status, simplex = self._solve_root(reads, keep=reads == OBJECTIVE)
+            status, simplex = self._solve_root(reads, keep=reads != VERTEX)
             if simplex is None:
                 return MPSolution(status, None, ())
             return simplex.result(status, reads)
@@ -496,9 +500,13 @@ class MPModel:
         solve, which writes every row onto the empty simplex instead. A root
         works on a copy of the live simplex, without the columns fixed at
         0 that it does not raise (`copy`), unless it is to `keep` its
-        final state: then it works on the live simplex itself, and its final
-        state becomes the live simplex if it is optimal or unbounded, so
-        that its basis is primal feasible.
+        final state, as an LP read for less than its vertex is: then it
+        works on the live simplex itself, and its final state becomes the
+        live simplex if it is optimal or unbounded, so that its basis is
+        primal feasible and, after phase 1, free of artificials. A status
+        read keeps its rows in the live simplex, so a vertex read of the
+        same rows, such as the extraction after a goal check, starts from
+        a copy of that basis with no row to write and no phase 1.
         """
         live = self._live
         raised = self._live_changes() if live is not None else None
@@ -804,10 +812,12 @@ class _Simplex:
 
     def finish(self, artificial_cols: list[int], reads: str) -> str:
         """Phase 1 over the basic `artificial_cols`, from a basis feasible
-        but for them, then phase 2 unless a status read of the empty
-        objective is settled; returns the status. Pivots count from 0, also
-        on a simplex that an earlier solve left, so every solve counts its
-        own."""
+        but for them, after which the artificials leave the tableau, then
+        phase 2 unless a status read of the empty objective is settled;
+        returns the status. So a feasible final state holds no artificial
+        entry, also one that a status read leaves live. Pivots count from
+        0, also on a simplex that an earlier solve left, so every solve
+        counts its own."""
         self.pivots = 0
         if artificial_cols:
             artificial = set(artificial_cols)
@@ -818,11 +828,6 @@ class _Simplex:
             # and the phase-1 objective is the sum of the basic ones' rhs
             if any(value and b in artificial for value, b in zip(self.rhs, self.basis)):
                 return INFEASIBLE
-        if reads == STATUS and not self.model.objective:
-            # a feasible basis settles a feasibility check: the empty
-            # objective is 0 everywhere
-            return OPTIMAL
-        if artificial_cols:
             self._drive_out(artificial_cols)
             # phase 2 never lets an artificial re-enter: a nonbasic one leaves
             # the tableau, and one still basic in a redundant row stays
@@ -833,6 +838,10 @@ class _Simplex:
                     del row[col]
             for col in artificial_cols:
                 self.upper[col] = 0
+        if reads == STATUS and not self.model.objective:
+            # a feasible basis settles a feasibility check: the empty
+            # objective is 0 everywhere
+            return OPTIMAL
         sign = 1 if self.model.sense == MINIMIZE else -1
         cost = {col: sign * weight * col_sign
                 for var, weight in self.model.objective.items()

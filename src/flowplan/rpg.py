@@ -137,6 +137,9 @@ class RPGraph:
         computes the complete picture for tests and debug dumps."""
         assert self.flow is not None, "lp_bounds needs an LP-mode graph"
         flow = self.flow
+        # the goal rows of the final layer's check are no part of a bound;
+        # an extraction after this adds them again
+        flow.close_goal_rows()
         out: list[Interval] = []
         flow.model.push_scratch()
         try:
@@ -371,12 +374,12 @@ def expand(analysed: AnalysedTask, state: State, config: HeuristicConfig,
             if first_by_id[cond_id] is None:
                 return False
         if lp and config.uses_goal_check():
-            flow.model.push_scratch()
-            try:
-                flow.add_goal_constraints(config, landmarks, action_layers[layer])
-                return flow.feasible()
-            finally:
-                flow.model.pop_scratch()
+            flow.open_goal_rows(config, landmarks, action_layers[layer])
+            if flow.feasible():
+                # the rows stay for the extraction at this, the final, layer
+                return True
+            flow.close_goal_rows()
+            return False
         return True
 
     if goal_reached(0):

@@ -43,6 +43,24 @@ DEFAULT_TIME_BUDGET = 1800.0
 DEFAULT_PLATEAU_DEPTH = 20
 
 
+class SearchKey(tuple):
+    """A node's duplicate-detection key, (facts, values, achieved
+    landmarks), that hashes once. It compares as that tuple and hashes as
+    it, but computes the hash when it is built (`_key`), so the memo and
+    the closed list or best-g table never hash the values again; a
+    Fraction's hash is a Python method, and a key is looked up two to four
+    times."""
+
+    def __hash__(self):
+        return self.hash
+
+
+def _key(state: State, achieved: frozenset[int]) -> SearchKey:
+    key = SearchKey((state.facts, state.values, achieved))
+    key.hash = tuple.__hash__(key)
+    return key
+
+
 @dataclass
 class SearchNode:
     state: State
@@ -52,6 +70,7 @@ class SearchNode:
     h: Number | None
     helpful: frozenset[int]
     achieved: frozenset[int]  # landmark facts seen true on the path
+    key: SearchKey            # the key the node was evaluated under
 
     def plan(self) -> list[int]:
         actions: list[int] = []
@@ -62,15 +81,8 @@ class SearchNode:
         actions.reverse()
         return actions
 
-    def key(self):
-        return _key(self.state, self.achieved)
 
-
-def _key(state: State, achieved: frozenset[int]):
-    return (state.facts, state.values, achieved)
-
-
-# SearchNode.key() -> (h, helpful) of one search run
+# SearchNode.key -> (h, helpful) of one search run
 Memo = dict[tuple, tuple[Number | None, frozenset[int]]]
 
 
@@ -103,30 +115,31 @@ class Budget:
 
 
 def _evaluate(evaluate, state: State, achieved: frozenset[int], memo: Memo,
-              stats: SearchStats) -> tuple[Number | None, frozenset[int]]:
-    """(h, helpful) of a key, calling the evaluator only on a memo miss."""
+              stats: SearchStats) -> tuple[SearchKey, Number | None, frozenset[int]]:
+    """The key of (state, achieved) and its (h, helpful), calling the
+    evaluator only on a memo miss."""
     key = _key(state, achieved)
     entry = memo.get(key)
     if entry is None:
         result = evaluate(state, achieved)
         stats.evaluations += 1
         entry = memo[key] = (result.h, result.helpful)
-    return entry
+    return key, *entry
 
 
 def _make_root(task: GroundTask, evaluate, landmark_facts: frozenset[int],
                memo: Memo, stats: SearchStats) -> SearchNode:
     achieved = task.initial.facts & landmark_facts
-    h, helpful = _evaluate(evaluate, task.initial, achieved, memo, stats)
-    return SearchNode(task.initial, None, None, 0, h, helpful, achieved)
+    key, h, helpful = _evaluate(evaluate, task.initial, achieved, memo, stats)
+    return SearchNode(task.initial, None, None, 0, h, helpful, achieved, key)
 
 
 def _child(task: GroundTask, node: SearchNode, action_id: int, evaluate,
            landmark_facts: frozenset[int], memo: Memo, stats: SearchStats) -> SearchNode:
     state = apply_effects(node.state, task.actions[action_id])
     achieved = node.achieved | (state.facts & landmark_facts)
-    h, helpful = _evaluate(evaluate, state, achieved, memo, stats)
-    return SearchNode(state, node, action_id, node.g + 1, h, helpful, achieved)
+    key, h, helpful = _evaluate(evaluate, state, achieved, memo, stats)
+    return SearchNode(state, node, action_id, node.g + 1, h, helpful, achieved, key)
 
 
 def ehc(task: GroundTask, evaluate, landmark_facts: frozenset[int] = frozenset(),
@@ -166,7 +179,7 @@ def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
              helpful_only: bool):
     """Breadth-first search for a state strictly better than the origin."""
     queue: deque[tuple[SearchNode, int]] = deque([(origin, 0)])
-    closed = {origin.key()}
+    closed = {origin.key}
     while queue:
         node, depth = queue.popleft()
         if depth >= depth_cap:
@@ -188,9 +201,8 @@ def _plateau(task: GroundTask, origin: SearchNode, evaluate, landmark_facts,
                 continue  # dead ends are never expanded
             if child.h < origin.h:
                 return "better", child
-            key = child.key()
-            if key not in closed:
-                closed.add(key)
+            if child.key not in closed:
+                closed.add(child.key)
                 queue.append((child, depth + 1))
     return "exhausted", None
 
@@ -211,13 +223,12 @@ def wastar(task: GroundTask, evaluate, weight: Fraction = Fraction(5),
     counter = itertools.count()
     open_heap: list[tuple] = []
     heapq.heappush(open_heap, (root.g + weight * root.h, root.h, next(counter), root))
-    best_g: dict = {root.key(): 0}
+    best_g: dict = {root.key: 0}
     while open_heap:
         if budget.exceeded(stats):
             return SearchResult(EXHAUSTED, None, stats)
         _, _, _, node = heapq.heappop(open_heap)
-        key = node.key()
-        if node.g > best_g.get(key, node.g):
+        if node.g > best_g.get(node.key, node.g):
             continue
         if is_goal(node.state, task):
             return SearchResult(SOLVED, node.plan(), stats)
@@ -228,10 +239,9 @@ def wastar(task: GroundTask, evaluate, weight: Fraction = Fraction(5),
             child = _child(task, node, action.id, evaluate, landmark_facts, memo, stats)
             if child.h is None and not is_goal(child.state, task):
                 continue
-            child_key = child.key()
-            if child.g >= best_g.get(child_key, child.g + 1):
+            if child.g >= best_g.get(child.key, child.g + 1):
                 continue
-            best_g[child_key] = child.g
+            best_g[child.key] = child.g
             f = child.g + weight * (child.h or 0)
             heapq.heappush(open_heap, (f, child.h or 0, next(counter), child))
     return SearchResult(EXHAUSTED, None, stats)

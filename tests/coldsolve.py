@@ -37,6 +37,16 @@ def model_state(model: mp.MPModel) -> tuple:
             model._live_at, tableau)
 
 
+def artificial_entries(simplex: mp._Simplex) -> list[tuple[int, int]]:
+    """The (row, column) of every entry an artificial column holds in the
+    tableau, other than its own entry in a row it is basic in; none is
+    left once phase 1 ends. An artificial is a column past the structural
+    ones with upper bound 0; a slack has none."""
+    upper, basis = simplex.upper, simplex.basis
+    return [(i, j) for i, row in enumerate(simplex.tableau) for j in row
+            if j >= simplex.nstruct and upper[j] == 0 and j != basis[i]]
+
+
 def status_read(model: mp.MPModel) -> tuple[mp.MPSolution, mp.MPSolution]:
     """A status read of `model` under the empty objective, set in a scratch
     scope as a goal check sets it, and the cold vertex solve of the same

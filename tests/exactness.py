@@ -20,8 +20,9 @@ two files, for example
     PYTHONPATH=src python tests/exactness.py --compare old.json new.json
 
 The comparison prints, per instance, every field that differs and the
-first solve whose record differs; pivot counts, which a change to the
-simplex may move, are listed apart.
+first solve whose record differs; pivot counts and the warm and cold
+root counts, which a change to the simplex or to where a solve starts
+may move, are listed apart, after all of those.
 
 It is a helper module, not a test module: pytest collects nothing here.
 """
@@ -42,6 +43,8 @@ from flowplan.lpmodel import HeuristicConfig
 
 _WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _TIMES = ("build_time", "solve_time")
+# counters that a change may move without moving any result, listed apart
+_APART = ("pivots", "root_warm", "root_cold")
 
 
 def _load_workloads():
@@ -121,8 +124,8 @@ def record_workload(name: str, seed: int) -> list[dict]:
 def compare(old: list[dict], new: list[dict]) -> list[str]:
     """Lines naming what differs between two recordings of one workload:
     per instance, each field, the first differing solve and each counter,
-    and after all of those the pivot counts that moved. No line means the
-    recordings agree."""
+    and after all of those the pivot, warm-root and cold-root counts that
+    moved. No line means the recordings agree."""
     lines = []
     if [r["id"] for r in old] != [r["id"] for r in new]:
         return ["the recordings hold different instances"]
@@ -136,12 +139,13 @@ def compare(old: list[dict], new: list[dict]) -> list[str]:
         if first is not None:
             lines.append(f"{a['id']}: solve {first} is the first to differ")
         for key, value in a["counters"].items():
-            if key != "pivots" and value != b["counters"].get(key):
+            if key not in _APART and value != b["counters"].get(key):
                 lines.append(f"{a['id']}: counters.{key} {value} -> {b['counters'].get(key)}")
     for a, b in zip(old, new):
-        before, after = a["counters"]["pivots"], b["counters"]["pivots"]
-        if before != after:
-            lines.append(f"{a['id']}: pivots {before} -> {after} ({after - before:+d})")
+        for key in _APART:
+            before, after = a["counters"].get(key), b["counters"].get(key)
+            if before != after:
+                lines.append(f"{a['id']}: {key} {before} -> {after} ({after - before:+d})")
     return lines
 
 

@@ -168,6 +168,18 @@ def test_dump_flags_run(tmp_path, capsys):
     assert "root h = 2" in out
 
 
+def test_dump_lp_writes_the_root_flow_model_without_goal_rows(tmp_path, capsys):
+    """The root expansion ends with a feasible goal check, which leaves its
+    goal rows in the flow model for the extraction; the dump leaves them
+    out, so it holds the flow model that the bound queries read."""
+    domain, problem = write_fixture(tmp_path, PUMP)
+    dump = tmp_path / "root.lp"
+    assert cli.main(["run", str(domain), str(problem), "--dump-lp", str(dump)]) == 0
+    rows = dump.read_text().split("Subject To\n")[1].split("Bounds\n")[0].splitlines()
+    assert rows and all(row.startswith((" flow_", " oneshot_", " uprow_", " downrow_",
+                                        " bigM", " catal")) for row in rows), rows
+
+
 def test_bench_matrix_and_summary(tmp_path, capsys):
     domain, problem = write_fixture(tmp_path, EXCHANGE_FRAGMENT)
     manifest = tmp_path / "manifest.csv"

@@ -17,7 +17,7 @@ from flowplan.fixtures import (
 from flowplan.lpmodel import (
     HeuristicConfig, INTS_FIRST_LAYER, INTS_MINIMAL, LandmarkView,
 )
-from flowplan.model import GE, applicable
+from flowplan.model import GE, LE, applicable
 
 from taskbuild import TaskBuilder
 
@@ -538,3 +538,114 @@ def test_ground_task_holds_no_integral_fraction():
     assert numbers and not [x for x in numbers
                             if isinstance(x, Fraction) and x.denominator == 1]
     assert not [x for x in numbers if isinstance(x, float)]
+
+
+@pytest.mark.parametrize("family,size", [("market-trader", 2), ("mini-settlers", 2),
+                                         ("pump-catalyst", 3)])
+def test_final_layer_extraction_starts_from_the_goal_check(monkeypatch, family, size):
+    """A feasible goal check ends the expansion and leaves the goal rows in
+    the flow model and its final simplex live. The extraction's solve at
+    that layer adds no row to the model, and its root is warm from the
+    check's basis, with no artificial; the rows are closed afterwards. The
+    result is that of an extraction whose rows `lp_bounds` closed first,
+    which adds them again."""
+    from flowplan import generators
+    from flowplan import mpsolver as mp
+
+    task = model.parse_and_ground(*generators.generate(family, size, 1))
+    analysed = analyse(task)
+    config = HeuristicConfig()
+    view = LandmarkView(analysed.landmarks.conjunctive, analysed.landmarks.disjunctive)
+    state = analysed.task.initial
+    graph = rpg.expand(analysed, state, config, rpg.LPRPG, landmarks=view)
+    flow = graph.flow
+    assert graph.status == rpg.GOALS_REACHED and flow.goal_rows_open
+    rows = len(flow.model.constraints)
+    assert len(flow.model._live.tableau) == rows  # the check's own simplex
+    roots = []
+    real_finish = mp._Simplex.finish
+
+    def finish(self, artificial_cols, reads):
+        roots.append((len(self.model.constraints), len(self.tableau), list(artificial_cols)))
+        return real_finish(self, artificial_cols, reads)
+
+    counters = flow.counters
+    before = (counters.solves, counters.root_warm, counters.root_cold)
+    monkeypatch.setattr(mp._Simplex, "finish", finish)
+    result = extract.extract_lprpg(graph, analysed, view, config)
+    monkeypatch.undo()
+    assert (counters.solves, counters.root_warm, counters.root_cold) == (
+        before[0] + 1, before[1] + 1, before[2])
+    assert roots == [(rows, rows, [])]
+    assert not flow.goal_rows_open and len(flow.model.constraints) < rows
+
+    again = rpg.expand(analysed, state, config, rpg.LPRPG, landmarks=view)
+    again.lp_bounds(again.final_layer)
+    assert not again.flow.goal_rows_open
+    assert extract.extract_lprpg(again, analysed, view, config) == result
+    assert again.flow.counters.root_cold > 0
+
+
+def _fact_and_numeric_goal_task():
+    """A cart that must reach b with a load of 2 or more: a goal fact, with
+    a landmark on the way, and a numeric goal."""
+    builder = TaskBuilder()
+    at_a = builder.fact("(at a)", initially_true=True)
+    at_m = builder.fact("(at m)")
+    at_b = builder.fact("(at b)")
+    load = builder.var("(load)", 0)
+    builder.action("go-a-m", pre=[at_a], delete=[at_a], add=[at_m])
+    builder.action("go-m-b", pre=[at_m], delete=[at_m], add=[at_b])
+    builder.action("fill", pre=[at_a], num_pre=[builder.condition({load: 1}, LE, 5)],
+                   effects=[(load, "increase", 1)])
+    builder.goal(facts=[at_b], conditions=[builder.condition({load: 1}, GE, 2)])
+    return builder.build()
+
+
+@pytest.mark.parametrize("family,size", [("market-trader", 2), ("mini-settlers", 2),
+                                         ("pump-catalyst", 3), ("cart", 0)])
+def test_integrality_sets_are_those_of_a_scan_of_every_action(monkeypatch, family, size):
+    """The goal achievers and numeric-goal affectors an extraction hands to
+    `apply_integrality`, read from per-task sets, are the in-graph actions
+    that add an open goal or landmark fact and those that change a variable
+    of a numeric goal, as a scan of every action finds them."""
+    from flowplan import generators, planner
+    from flowplan.lpmodel import INTS_ALL, FlowModel
+
+    seen = []
+    real_apply, real_extract = FlowModel.apply_integrality, extract.extract_lprpg
+
+    def apply_integrality(self, config, first_layer_ids, achievers, affectors):
+        seen[-1][-1].append((achievers, affectors))
+        return real_apply(self, config, first_layer_ids, achievers, affectors)
+
+    def extract_lprpg(graph, analysed, landmarks, config):
+        seen.append((graph, analysed, landmarks, []))
+        return real_extract(graph, analysed, landmarks, config)
+
+    monkeypatch.setattr(FlowModel, "apply_integrality", apply_integrality)
+    monkeypatch.setattr(extract, "extract_lprpg", extract_lprpg)
+    if family == "cart":
+        task = _fact_and_numeric_goal_task()
+    else:
+        task = model.parse_and_ground(*generators.generate(family, size, 1))
+    outcome = planner.plan_task(task, mode=planner.MODE_LPRPG,
+                                config=HeuristicConfig(integrality=INTS_ALL))
+    assert outcome.status == "solved" and seen
+    found = [0, 0]
+    for graph, analysed, landmarks, calls in seen:
+        task = analysed.task
+        in_graph = graph.first_action_layer
+        targets = (task.goal_facts | set(landmarks.conjunctive)
+                   | {fact for group in landmarks.disjunctive for fact in group}) \
+            - graph.state.facts
+        goal_vars = {var for cond in task.goal_conditions for var, _ in cond.expr.terms}
+        achievers = frozenset(a.id for a in task.actions
+                              if a.id in in_graph and a.add_effects & targets)
+        affectors = frozenset(
+            a.id for a in task.actions if a.id in in_graph and any(
+                analysed.classification.delta_of(a.id, var) != 0 for var in goal_vars))
+        assert calls and all(call == (achievers, affectors) for call in calls)
+        found[0] += bool(achievers)
+        found[1] += bool(affectors)
+    assert found[1] and (found[0] or not task.goal_facts), found

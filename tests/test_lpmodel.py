@@ -607,10 +607,11 @@ def test_catalytic_switch_refresh_sends_the_bound_query_cold():
 
 
 def test_warm_goal_checks_leave_the_bound_queries_as_they_were():
-    """A goal check after each layer starts from a copy of the live simplex
-    and adds the layer's new columns and the goal rows to that copy only:
-    every bound query returns what it returns without the goal checks, with
-    the same pivots."""
+    """A goal check after each layer, as expansion makes it, starts from the
+    live simplex and keeps it, with the goal rows, where they are feasible;
+    closing the rows drops it, and an infeasible check drops it too. Every
+    bound query returns what it returns without the goal checks, and each
+    query after a check is solved cold."""
     builder = TaskBuilder()
     ore = builder.var("(ore)", 1)
     cash = builder.var("(cash)", 0)
@@ -625,34 +626,38 @@ def test_warm_goal_checks_leave_the_bound_queries_as_they_were():
     for goal_checks in (False, True):
         analysed = analyse(task)
         flow = begun_flow(analysed, task.initial)
-        queries, checks = [], []
+        queries, roots, checks = [], [], []
         for layer, (var, direction) in zip([[mine], [sell], [buy]],
                                            [(ore, "max"), (cash, "max"), (ore, "min")]):
             flow.extend(layer)
             if goal_checks:
-                flow.model.push_scratch()
-                flow.add_goal_constraints(HeuristicConfig(), LandmarkView(),
-                                          frozenset(flow.action_col))
+                flow.open_goal_rows(HeuristicConfig(), LandmarkView(),
+                                    frozenset(flow.action_col))
                 checks.append((flow.feasible(),
                                cold_vertex(flow.model).status == mp.OPTIMAL))
-                flow.model.pop_scratch()
+                assert (flow.model._live is not None) == checks[-1][0]
+                flow.close_goal_rows()
+                assert flow.model._live is None
             counters = flow.counters
-            before = (counters.pivots, counters.root_warm, counters.root_cold)
-            queries.append((flow.query_bound(var, direction, None),
-                            counters.pivots - before[0], counters.root_warm - before[1],
-                            counters.root_cold - before[2]))
-        runs.append(queries)
-    assert runs[0] == runs[1]
+            before = (counters.root_warm, counters.root_cold)
+            queries.append(flow.query_bound(var, direction, None))
+            roots.append((counters.root_warm - before[0], counters.root_cold - before[1]))
+        runs.append((queries, roots))
+    assert runs[0][0] == runs[1][0]
     assert checks == [(False, False), (True, True), (True, True)]
+    assert runs[0][1] == [(0, 1), (1, 0), (1, 0)]
+    assert runs[1][1] == [(0, 1)] * 3
     # the first check comes before any query, so it is cold, as the first
-    # query is
-    assert (flow.counters.root_warm, flow.counters.root_cold) == (4, 2)
+    # query is; each later check is warm from the query before it
+    assert (flow.counters.root_warm, flow.counters.root_cold) == (2, 4)
 
 
 def test_warm_goal_check_at_the_pivot_limit_assumes_feasible(caplog):
     """With a pivot limit of 0, a warm goal check whose rows need phase 1
     stops at the limit, and `feasible` reports the goal reachable with a
-    warning, though the layer has no achiever of the goal fact."""
+    warning, though the layer has no achiever of the goal fact. The check
+    cut by the limit drops the live simplex, so the check after it, at the
+    default limit, is cold."""
     builder = TaskBuilder()
     g = builder.fact("(g)")
     v = builder.var("(v)", 4)
@@ -668,13 +673,12 @@ def test_warm_goal_check_at_the_pivot_limit_assumes_feasible(caplog):
     with caplog.at_level(logging.WARNING, logger="flowplan"):
         for limit in (0, mp.DEFAULT_PIVOT_LIMIT):
             flow.model.pivot_limit = limit
-            flow.model.push_scratch()
-            flow.add_goal_constraints(HeuristicConfig(), LandmarkView(),
-                                      frozenset(flow.action_col))
+            flow.open_goal_rows(HeuristicConfig(), LandmarkView(),
+                                frozenset(flow.action_col))
             checks.append(flow.feasible())
-            flow.model.pop_scratch()
+            flow.close_goal_rows()
     assert checks == [True, False]
-    assert flow.counters.root_warm == 2
+    assert (flow.counters.root_warm, flow.counters.root_cold) == (1, 2)
     assert [r.getMessage() for r in caplog.records] == [
         "LP iteration limit during feasibility check; assuming feasible"]
 

@@ -12,7 +12,9 @@ from flowplan import mpsolver as mp
 from flowplan.errors import SolverError
 from flowplan.model import exact
 
-from coldsolve import cold_vertex, model_state, status_and_objective, status_read
+from coldsolve import (
+    artificial_entries, cold_vertex, model_state, status_and_objective, status_read,
+)
 from oracles import (
     lp_by_vertex_enumeration, lp_optimal_vertices, mip_by_lattice_enumeration, simplex_values,
 )
@@ -635,8 +637,9 @@ def test_warm_roots_equal_cold_solves_on_grown_lps(monkeypatch, data):
     columns (shifted, mirrored, free, and flipped in the live simplex) and
     sometimes a new column are added, and sometimes a column is made
     integer, and the model is solved for its status under the empty
-    objective or for its vertex under a new one. The solve, warm from a copy
-    of the live simplex where the model allows, keeps every warm root and
+    objective or for its vertex under a new one. The solve, warm from the
+    live simplex where the model allows (a status read of an LP works on it
+    itself, any other read on a copy of it), keeps every warm root and
     returns the cold solve's status, and for a vertex read its objective
     and values, types included, also where the warm optimum was not unique
     until the tie-break moved it to the canonical point."""
@@ -685,6 +688,70 @@ def test_warm_roots_equal_cold_solves_on_grown_lps(monkeypatch, data):
     assert flipped_terms > 40
 
 
+@pytest.mark.parametrize("data", DATA)
+def test_kept_status_read_leaves_a_clean_simplex_for_the_reads_after_it(monkeypatch,
+                                                                         data):
+    """After each objective-only query of a grown LP, scratch rows are added
+    and the model is read for its status under the empty objective, as a
+    goal check reads it. The read works on the live simplex itself: where
+    it is feasible it keeps that simplex, with the rows and no artificial
+    entry left, and where it is not it drops it. The reads that follow in
+    the same scope, a vertex read under a new objective as an extraction
+    makes it and an objective read, each return the cold solve's; the
+    vertex read starts warm from a copy of the kept simplex with no
+    artificial and no row to write."""
+    rational = data == "rational"
+    rng = random.Random(3141)
+    artificials = _record_artificials(monkeypatch)
+    counters = mp.Counters()
+    kept = dropped = 0
+    for model in _grown_lps(rng, rational, mirrored=True):
+        model.counters = counters
+        _query(model, {rng.randrange(len(model.variables)): 1},
+               rng.choice([mp.MINIMIZE, mp.MAXIMIZE]))
+        if model._live is None:
+            continue
+        model.push_scratch()
+        try:
+            for _ in range(rng.randint(1, 3)):
+                cols = rng.sample(range(len(model.variables)),
+                                  rng.randint(1, min(3, len(model.variables))))
+                model.add_constraint({c: _draw(rng, -4, 4, rational) for c in cols},
+                                     rng.choice(["<=", ">=", "="]),
+                                     _draw(rng, -8, 6, rational))
+            model.push_scratch()
+            model.set_objective({}, mp.MINIMIZE)
+            got = model.solve(reads=mp.STATUS)
+            assert status_and_objective(got) == status_and_objective(cold_vertex(model))
+            model.pop_scratch()
+            live = model._live
+            if got.status != mp.OPTIMAL:
+                assert live is None
+                dropped += 1
+                continue
+            kept += 1
+            assert len(live.tableau) == len(model.constraints)
+            assert artificial_entries(live) == []
+            cols = rng.sample(range(len(model.variables)),
+                              min(len(model.variables), rng.randint(1, 3)))
+            objective = {c: _draw(rng, -3, 3, rational) or 1 for c in cols}
+            sense = rng.choice([mp.MINIMIZE, mp.MAXIMIZE])
+            model.push_scratch()
+            model.set_objective(objective, sense)
+            warm, artificials[:] = counters.root_warm, []
+            got = model.solve()
+            assert counters.root_warm == warm + 1 and artificials == [[]]
+            assert _solution_key(got) == _solution_key(cold_vertex(model))
+            assert model._live is live
+            model.pop_scratch()
+            got, cold = _query(model, objective, sense)
+            assert status_and_objective(got) == status_and_objective(cold)
+        finally:
+            model.pop_scratch()
+        assert model._live is None
+    assert kept > 40 and dropped > 10, (kept, dropped)
+
+
 def _live_model():
     """A model whose live simplex holds x at its upper bound (flipped) and
     y basic, with the slack of row 0 nonbasic."""
@@ -698,12 +765,12 @@ def _live_model():
 
 
 def test_warm_root_leaves_the_live_simplex_as_it_was():
-    """A warm root that raises a pinned column's upper bound and adds rows
-    in its copy of the live simplex changes nothing the next
-    objective-only query sees: it returns what it returns without that
-    root, with the same pivots."""
+    """A warm root read for its vertex, as an extraction root is, that
+    raises a pinned column's upper bound and adds rows in its copy of the
+    live simplex changes nothing the next objective-only query sees: it
+    returns what it returns without that root, with the same pivots."""
     runs = []
-    for goal_check in (False, True):
+    for vertex_read in (False, True):
         model = mp.MPModel()
         x = model.add_variable(0, 3)
         y = model.add_variable(-2, 5)
@@ -711,11 +778,12 @@ def test_warm_root_leaves_the_live_simplex_as_it_was():
         model.add_constraint({x: 1, y: 1, z: 1}, "<=", 6)
         assert _query(model, {x: 1, y: 1}, mp.MAXIMIZE)[0].objective == 6
         model.set_variable_bounds(z, 0, 4)
-        if goal_check:
+        if vertex_read:
             model.push_scratch()
             model.add_constraint({z: 1, y: -1}, ">=", 1)
             model.add_constraint({x: 1}, "<=", 2)
-            assert model.solve(reads=mp.STATUS).status == mp.OPTIMAL
+            model.set_objective({z: 1}, mp.MINIMIZE)
+            assert model.solve() == cold_vertex(model)
             model.pop_scratch()
             assert model.counters.root_warm == 1
         counters = model.counters
@@ -762,42 +830,54 @@ def test_warm_objective_read_at_the_pivot_limit_drops_the_live_simplex():
 def test_live_simplex_of_an_unbounded_query_seeds_a_warm_root():
     """A query whose cold solve ends unbounded, with no phase 1, keeps its
     simplex live though no objective was proved optimal; a feasibility
-    check then starts from a copy of it."""
+    check then starts from it. The check keeps the live simplex, with its
+    scratch rows, where it is feasible, so popping the rows drops it, and
+    drops it where it is not; so each check here follows a cold query."""
     model = mp.MPModel()
     x = model.add_variable(0, None)
     y = model.add_variable(0, None)
     model.add_constraint({x: 1, y: -1}, "<=", 2)
-    assert _query(model, {x: 1}, mp.MAXIMIZE)[0].status == mp.UNBOUNDED
-    assert model._live is not None
     for rhs, want in ((5, mp.OPTIMAL), (-1, mp.INFEASIBLE)):
+        assert _query(model, {x: 1}, mp.MAXIMIZE)[0].status == mp.UNBOUNDED
+        assert model._live is not None
         model.push_scratch()
         model.add_constraint({x: 1, y: 1}, "<=", rhs)
         model.add_constraint({x: 1}, ">=", 3)
         got = model.solve(reads=mp.STATUS)
         assert got.status == cold_vertex(model).status == want
+        assert (model._live is not None) == (want == mp.OPTIMAL)
         model.pop_scratch()
-    assert model.counters.root_warm == 2
+        assert model._live is None
+    assert (model.counters.root_warm, model.counters.root_cold) == (2, 2)
 
 
 def test_warm_roots_at_the_pivot_limit(monkeypatch):
     """At a pivot limit of 0, a warm root returns LIMIT whatever it is read
     for, as the cold solve at that limit does; the warm root is kept, so no
-    cold solve follows it. At the default limit the warm vertex read
-    returns the cold solve's vertex."""
+    cold solve follows it. A vertex read works on a copy and leaves the
+    live simplex, so at the default limit the next warm vertex read
+    returns the cold solve's vertex; a status read cut by the limit drops
+    the live simplex, as an objective read does, so the read after it is
+    cold."""
     roots = _count_roots(monkeypatch)
     model, x, y = _live_model()
     model.pivot_limit = 0
     model.push_scratch()
     model.add_constraint({x: 1}, "<=", 1)                 # violated: an artificial
-    assert model.solve(reads=mp.STATUS).status == mp.LIMIT
-    assert model.counters.root_warm == 1
     model.set_objective({x: -1, y: 1}, mp.MINIMIZE)
     assert model.solve() == mp.MPSolution(mp.LIMIT, None, ())
-    assert model.counters.root_warm == 2 and roots["warm_vertex"] == 1
+    assert model.counters.root_warm == 1 and roots["warm_vertex"] == 1
     assert cold_vertex(model) == mp.MPSolution(mp.LIMIT, None, ())
     model.pivot_limit = mp.DEFAULT_PIVOT_LIMIT
     assert model.solve() == cold_vertex(model) == mp.MPSolution(mp.OPTIMAL, -3, (1, -2))
-    assert model.counters.root_warm == 3 and roots["warm_vertex"] == 2
+    assert model.counters.root_warm == 2 and roots["warm_vertex"] == 2
+    model.set_objective({}, mp.MINIMIZE)
+    model.pivot_limit = 0
+    assert model.solve(reads=mp.STATUS).status == mp.LIMIT
+    assert model.counters.root_warm == 3 and model._live is None
+    model.pivot_limit = mp.DEFAULT_PIVOT_LIMIT
+    assert model.solve(reads=mp.STATUS).status == cold_vertex(model).status == mp.OPTIMAL
+    assert (model.counters.root_warm, model.counters.root_cold) == (3, 2)
     model.pop_scratch()
 
 
@@ -1109,8 +1189,10 @@ def test_objective_only_solve_of_a_mip_is_its_branch_and_bound_result():
 
 def test_status_only_solve_stops_after_phase_one(monkeypatch):
     """A feasibility check under the empty objective returns its 0 once phase
-    1 finds a feasible basis; here that basis keeps an artificial basic at
-    zero, which a vertex solve drives out and a status-only solve leaves."""
+    1 finds a feasible basis, with no phase 2. Here that basis keeps an
+    artificial basic at zero, which the check drives out before it keeps
+    the simplex live, so the kept tableau holds no artificial entry; a
+    vertex read then starts from it, with no phase 1 of its own."""
     drive_outs = []
     real_drive_out = mp._Simplex._drive_out
     monkeypatch.setattr(mp._Simplex, "_drive_out",
@@ -1121,11 +1203,15 @@ def test_status_only_solve_stops_after_phase_one(monkeypatch):
     model.add_constraint({x: 2, y: 2}, "=", 2)
     model.add_constraint({x: 2, y: 1}, "=", 1)
     assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 0, ())
-    assert drive_outs == [] and model.counters.pivots == 2
+    assert drive_outs == [[2, 3]] and model.counters.pivots == 2 + 1
+    assert artificial_entries(model._live) == []
     assert model.solve() == mp.MPSolution(mp.OPTIMAL, 0, (0, 1))
-    assert len(drive_outs) == 1 and model.counters.pivots == 2 + 3
+    assert len(drive_outs) == 1 and model.counters.pivots == 3 + 0
+    assert (model.counters.root_warm, model.counters.root_cold) == (1, 1)
+    assert cold_vertex(model) == mp.MPSolution(mp.OPTIMAL, 0, (0, 1))
     model.add_constraint({x: 1}, ">=", 1)
     assert model.solve(reads=mp.STATUS).status == mp.INFEASIBLE
+    assert model._live is None
     # under an objective, a status-only solve still runs phase 2
     unbounded = mp.MPModel()
     z = unbounded.add_variable(0, None)
@@ -1170,9 +1256,11 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # basis counted and no phase-2 bound flips of artificial columns, which
 # leave the tableau after phase 1. They include those of the dual simplex on
 # warm branch-and-bound children, of bound queries re-optimised from the
-# live simplex, of goal checks and extraction roots warm from a copy of it,
-# and of the tie-break stages of vertex reads; a feasibility check of an LP
-# stops after phase 1. A cold solve writes its rows onto the empty simplex
+# live simplex, of goal checks warm from it, of extraction roots warm from a
+# copy of it (at the final layer, of the goal check's own simplex, with no
+# phase 1), and of the tie-break stages of vertex reads; a feasibility check
+# of an LP stops after phase 1 and the drive-out of its artificials. A cold
+# solve writes its rows onto the empty simplex
 # as a warm root writes its appended ones, so a >= row that holds with
 # equality at the start point takes its slack as basic, not an artificial.
 # Bound queries and feasibility checks read no vertex, so their records are
@@ -1181,11 +1269,11 @@ def test_branch_and_bound_over_free_and_negative_lower_bound_columns():
 # tie-break, Bland switch, bound flips) moves at least one of the pivot
 # counts.
 PINNED_RUNS = (
-    ("market-trader", 2, False, 50, 43, 10,
+    ("market-trader", 2, False, 50, 42, 10,
      "2f6a32215eebf30bceddaf107051372f23d7d2b85628a9aacb89a413cb7cd461"),
-    ("mini-settlers", 2, False, 49, 67, 10,
+    ("mini-settlers", 2, False, 49, 66, 10,
      "1857f6b632493706843c955fa3f58505c356beebc913bfe9d6beb1fdde82e11f"),
-    ("pump-catalyst", 3, True, 29, 66, 13,
+    ("pump-catalyst", 3, True, 29, 58, 13,
      "fa04214776daf0201cefc8dd839c7cc886736f1cabb5415305aec894c7ea124c"),
 )
 
@@ -1264,6 +1352,26 @@ def test_exactness_comparison_lists_pivots_apart():
     assert exactness.compare(old, new) == ["a: plan [0, 1] -> [1, 0]",
                                            "a: solve 1 is the first to differ",
                                            "a: pivots 7 -> 9 (+2)"]
+
+
+def test_exactness_comparison_lists_warm_and_cold_roots_apart():
+    """Moved warm and cold root counts are listed with the pivots, after
+    every other difference, and a moved counter of another kind is a
+    difference like any field."""
+    import exactness
+
+    counters = {"solves": 4, "pivots": 7, "bb_nodes": 2, "root_warm": 3, "root_cold": 1}
+    old = [{"id": "a", "status": "solved", "solves": ["x"], "counters": counters},
+           {"id": "b", "status": "solved", "solves": ["x"], "counters": counters}]
+    new = [dict(old[0], counters=dict(counters, root_warm=4, root_cold=0)),
+           dict(old[1], status="exhausted",
+                counters=dict(counters, pivots=5, bb_nodes=3, root_cold=2))]
+    assert exactness.compare(old, new) == ["b: status 'solved' -> 'exhausted'",
+                                           "b: counters.bb_nodes 2 -> 3",
+                                           "a: root_warm 3 -> 4 (+1)",
+                                           "a: root_cold 1 -> 0 (-1)",
+                                           "b: pivots 7 -> 5 (-2)",
+                                           "b: root_cold 1 -> 2 (+1)"]
 
 
 def _plan_pinned_run(family, size, all_props):
@@ -1746,15 +1854,23 @@ def test_lp_with_two_optimal_vertices_returns_the_canonical_one():
 
 def test_tie_break_stage_at_the_pivot_limit():
     """A pivot limit of 2 lets phase 2 prove (2, 0) optimal after its one
-    pivot, and a status read returns that optimum; the tie-break stage of a
-    vertex read then stops at the limit, so the read returns LIMIT, as any
-    relaxation cut by the limit does. A limit of 3 lets it finish."""
+    pivot, and a status read returns that optimum and keeps its basis live;
+    the tie-break stage of a cold vertex read at that limit, after phase
+    2's pivot, stops at the limit, so the read returns LIMIT, as any
+    relaxation cut by the limit does. A warm vertex read from the status
+    read's basis needs no phase 2 pivot, so a limit of 1 stops its
+    tie-break stage, and a limit of 2 lets it finish."""
     model = _two_optimal_vertices()
     model.pivot_limit = 2
-    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 2, ())
     assert model.solve() == mp.MPSolution(mp.LIMIT, None, ())
-    model.pivot_limit = 3
+    assert model.counters.root_cold == 1
+    assert model.solve(reads=mp.STATUS) == mp.MPSolution(mp.OPTIMAL, 2, ())
+    assert model.counters.root_cold == 2 and model._live is not None
+    model.pivot_limit = 1
+    assert model.solve() == mp.MPSolution(mp.LIMIT, None, ())
+    model.pivot_limit = 2
     assert model.solve() == mp.MPSolution(mp.OPTIMAL, 2, (0, 2))
+    assert (model.counters.root_warm, model.counters.root_cold) == (2, 2)
 
 
 def _mirrored_narrowed_from_below():

@@ -1,6 +1,7 @@
 """Graph expansion in both modes, termination, cost propagation, and the
 production-shortfall penalty."""
 
+import dataclasses
 import logging
 
 from flowplan import generators, model, planner, rpg, search
@@ -192,6 +193,38 @@ def test_lp_intervals_subset_of_unbounded_interval_mode():
                 if iv_hi is not None:
                     assert lp_hi is not None and lp_hi <= iv_hi, \
                         f"seed {seed} layer {layer} var {var}"
+
+
+def test_lp_bounds_after_a_goal_reaching_expansion_never_see_the_goal_rows():
+    """A feasible goal check leaves its goal rows in the flow model for the
+    extraction. `lp_bounds` closes them first: at every layer it returns the
+    bounds of a model of the same state and layers that never held goal
+    rows, and the rows stay closed."""
+    tasks = [model.parse_and_ground(*generators.generate(family, size, 1))
+             for family, size in (("market-trader", 2), ("mini-settlers", 2),
+                                  ("pump-catalyst", 3))]
+    tasks += [random_pc_task(seed) for seed in range(8)]
+    checked = 0
+    for task in tasks:
+        analysed = analyse(task)
+        if not analysed.classification.conforming():
+            continue
+        config = HeuristicConfig()
+        graph = rpg.expand(analysed, analysed.task.initial, config, rpg.LPRPG)
+        if graph.status != rpg.GOALS_REACHED or graph.final_layer == 0:
+            continue
+        assert graph.flow.goal_rows_open
+        # the same layers joined in the same order on a fresh model
+        flow = FlowModel(analysed)
+        flow.begin(graph.state)
+        for layer in range(1, graph.final_layer + 1):
+            flow.extend(graph.action_layers[layer])
+        plain = dataclasses.replace(graph, flow=flow)
+        for layer in range(graph.final_layer + 1):
+            assert graph.lp_bounds(layer) == plain.lp_bounds(layer), layer
+            assert not graph.flow.goal_rows_open
+        checked += 1
+    assert checked >= 5
 
 
 def _contains(outer, inner) -> bool:

@@ -309,6 +309,60 @@ def test_memo_keeps_search_identical_and_evaluates_each_key_once(monkeypatch):
     assert repeats > 0
 
 
+def test_each_search_key_hashes_its_values_once(monkeypatch):
+    """A node keeps the key its evaluation was looked up under, and the key
+    hashes once, when it is built: over EHC and WA* runs on a task whose
+    values are Fractions, whose hash is a Python method, the values are
+    hashed once per key built, though each key is looked up in the memo and
+    again in the closed list or best-g table. A key compares and hashes as
+    its tuple, so a memo keyed by plain tuples serves it too."""
+    from flowplan.extract import HeuristicResult
+    from flowplan.model import LE
+
+    builder = TaskBuilder()
+    fuel = builder.var("(fuel)", Fraction(1, 3))
+    dist = builder.var("(dist)", Fraction(1, 2))
+    builder.action("refuel", num_pre=[builder.condition({fuel: 1}, LE, 2)],
+                   effects=[(fuel, "increase", Fraction(1, 2))])
+    builder.action("drive", num_pre=[builder.condition({fuel: 1}, GE, Fraction(1, 2))],
+                   effects=[(fuel, "decrease", Fraction(1, 2)),
+                            (dist, "increase", Fraction(3, 4))])
+    builder.goal(conditions=[builder.condition({dist: 1}, GE, 2)])
+    task = builder.build()
+
+    def remaining(state, achieved=frozenset()):
+        helpful = frozenset(a.id for a in task.actions if model.applicable(state, a))
+        return HeuristicResult(max(0, 2 - state.values[dist]), helpful, ())
+
+    built = []
+    real_key = search._key
+
+    def counted_key(state, achieved):
+        key = real_key(state, achieved)
+        built.append(key)
+        return key
+
+    hashes = [0]
+    real_hash = Fraction.__hash__
+
+    def counted_hash(self):
+        hashes[0] += 1
+        return real_hash(self)
+
+    monkeypatch.setattr(search, "_key", counted_key)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    results = [search.ehc(task, remaining), search.wastar(task, remaining, Fraction(1))]
+    monkeypatch.undo()
+    assert all(result.status == search.SOLVED for result in results)
+    assert all(search.validate(task, result.plan).ok for result in results)
+    per_key = [sum(isinstance(v, Fraction) for v in key[1]) for key in built]
+    assert len(built) > 10 and hashes[0] == sum(per_key) > 0
+
+    key = built[-1]
+    plain = tuple(key)
+    assert key == plain and hash(key) == hash(plain) and {plain: 1}[key] == 1
+
+
 def _counts(counters):
     """A Counters' totals, its times left out."""
     return {f.name: getattr(counters, f.name) for f in fields(counters)
@@ -319,11 +373,15 @@ def _counts(counters):
                                                    ("pump-catalyst", 3, True)])
 def test_lp_evaluation_is_pure_after_different_predecessors(family, size, all_props):
     """The evaluator keeps one flow model for its run, and each evaluation
-    is a scratch scope on it: evaluating a state after two different
+    is a scratch scope on it: evaluating a state after different
     predecessors, or first, gives the same result and the same counter
     deltas, pivots included, and the model is as built between
-    evaluations."""
-    from flowplan import generators
+    evaluations. Among the predecessors are evaluations cut after their
+    expansion, whose final goal check leaves its rows and its simplex in
+    the model for an extraction that never comes: `end` closes that scope
+    too."""
+    from flowplan import generators, rpg
+    from flowplan.lpmodel import FlowModel
 
     task = model.parse_and_ground(*generators.generate(family, size, 1))
     analysed = analyse(task)
@@ -333,11 +391,30 @@ def test_lp_evaluation_is_pure_after_different_predecessors(family, size, all_pr
                   for action in analysed.task.actions if model.applicable(initial, action)]
     assert len(successors) >= 2
     target = successors[0]
+
+    def expansion_only(evaluate, state):
+        if evaluate.flow is None:
+            evaluate.flow = FlowModel(analysed, evaluate.counters)
+        flow = evaluate.flow
+        flow.begin(state)
+        try:
+            graph = rpg.expand(analysed, state, config, rpg.LPRPG, evaluate.counters,
+                               evaluate.landmark_view(state, frozenset()), flow)
+            assert flow.goal_rows_open == (graph.status == rpg.GOALS_REACHED)
+        finally:
+            flow.end()
+
+    def evaluation(evaluate, state):
+        evaluate(state)
+
     runs = []
-    for predecessors in ((), (initial,), (successors[1],), (successors[1], initial)):
+    for predecessors in ((), ((evaluation, initial),), ((evaluation, successors[1]),),
+                         ((evaluation, successors[1]), (evaluation, initial)),
+                         ((expansion_only, initial),), ((expansion_only, target),),
+                         ((expansion_only, successors[1]), (evaluation, initial))):
         evaluate = planner.Evaluator(analysed, config, planner.MODE_LPRPG)
-        for state in predecessors:
-            evaluate(state)
+        for run, state in predecessors:
+            run(evaluate, state)
         flow = evaluate.flow
         base = None if flow is None else (len(flow.model._undo), list(flow.model.order))
         before = _counts(evaluate.counters)
@@ -345,6 +422,7 @@ def test_lp_evaluation_is_pure_after_different_predecessors(family, size, all_pr
         after = _counts(evaluate.counters)
         assert base is None or (len(flow.model._undo), flow.model.order) == base
         assert evaluate.flow.model._marks == [] and evaluate.flow.state is None
+        assert not evaluate.flow.goal_rows_open
         runs.append((result, {key: after[key] - before[key] for key in after}))
     assert all(run == runs[0] for run in runs)
     assert runs[0][1]["solves"] > 0
@@ -352,8 +430,9 @@ def test_lp_evaluation_is_pure_after_different_predecessors(family, size, all_pr
 
 def test_evaluation_that_raises_during_extraction_leaves_the_model_as_built(monkeypatch):
     """A solver error in an extraction solve, the first vertex read of an
-    evaluation, still closes the state's scope: the undo log is back at its
-    length after the build, no scratch mark is open, and the next
+    evaluation, still closes the state's scope and the scope of the goal
+    rows that the final layer's check left open: the undo log is back at
+    its length after the build, no scratch mark is open, and the next
     evaluation returns what a fresh evaluator does."""
     from flowplan import generators
     from flowplan import mpsolver as mp
@@ -379,8 +458,10 @@ def test_evaluation_that_raises_during_extraction_leaves_the_model_as_built(monk
     monkeypatch.setattr(mp.MPModel, "solve", failing_solve)
     with pytest.raises(SolverError):
         evaluate(state)
-    assert marks == [2]  # the state's scope and the extraction solve's
+    # the state's scope, the goal rows' and the extraction solve's
+    assert marks == [3]
     assert len(flow.model._undo) == undo and flow.model._marks == []
+    assert not flow.goal_rows_open
     monkeypatch.undo()
     assert evaluate(state) == expected
 
